@@ -21,7 +21,14 @@ from .analysis_partial import (
     rate_pwl,
     rate_pwnl,
 )
-from .montecarlo import McEstimate, estimate_outage, estimate_rate, snr_sample, snr_values
+from .montecarlo import (
+    McEstimate,
+    estimate_many,
+    estimate_outage,
+    estimate_rate,
+    snr_sample,
+    snr_values,
+)
 from .numerics import (
     ChebyshevRule,
     RootReport,
@@ -58,6 +65,7 @@ __all__ = [
     "derive_constants",
     "dilog",
     "dilog_diff",
+    "estimate_many",
     "estimate_outage",
     "estimate_rate",
     "find_root_bracketed",

@@ -175,12 +175,6 @@ def closed_form(scenario: Scenario, metric: str, p: SystemParams,
     return table[scenario]()
 
 
-def _mc_estimate(scenario: Scenario, metric: str, p: SystemParams,
-                 mc: McConfig, row_index: int) -> montecarlo.McEstimate:
-    estimator = montecarlo.estimate_outage if metric == "outage" else montecarlo.estimate_rate
-    return estimator(scenario, p, mc.n_samples, mc.seed + row_index, workers=mc.workers)
-
-
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """Evaluate every (grid point, scenario) pair; rows come back in grid order."""
     grid = cfg.grid()
@@ -190,6 +184,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
     for _, value, _ in jobs:
         apply_swept(cfg.base, cfg.variable, value)
     tol = cfg.mc.tolerance_outage if cfg.metric == "outage" else cfg.mc.tolerance_rate
+    # with the row pool active each row's chunks run on its own thread, so
+    # at most ``workers`` threads run rather than workers squared
+    mc_workers = 1 if workers > 1 else cfg.mc.workers
 
     def evaluate(job) -> SweepRow:
         i, value, scenario = job
@@ -198,10 +195,13 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
         mc_mean = mc_stderr = abs_gap = passed = None
         if cfg.mc.enabled:
             row_index = i * len(cfg.scenarios) + cfg.scenarios.index(scenario)
-            est = _mc_estimate(scenario, cfg.metric, p, cfg.mc, row_index)
+            est = montecarlo.estimate_many([(scenario, cfg.metric)], p, cfg.mc.n_samples,
+                                           cfg.mc.seed + row_index, mc_workers)[0]
             mc_mean, mc_stderr = est.mean, est.stderr
             abs_gap = abs(result.value - est.mean)
-            passed = abs_gap <= 3.0 * est.stderr + tol
+            # bool(): the PWNL/PWL rates are numpy floats, and a numpy bool
+            # would be written as True/False instead of 1/0
+            passed = bool(abs_gap <= 3.0 * est.stderr + tol)
         return SweepRow(cfg.variable, value, scenario, result.value,
                         mc_mean, mc_stderr, result.case_id or "", abs_gap, passed)
 
@@ -437,14 +437,16 @@ def run_figure(figure_id: int, args) -> list[str]:
         base = SystemParams.reference(gamma_t_db=preset.get("gamma_t_db", 105.0),
                                       **overrides)
         mc = McConfig(enabled=not args.no_mc,
-                      n_samples=args.mc_samples or DEFAULT_MC_SAMPLES,
+                      n_samples=(DEFAULT_MC_SAMPLES if args.mc_samples is None
+                                 else args.mc_samples),
                       seed=seed, workers=args.workers)
         path = os.path.join(out_dir, f"figure{figure_id}_{suffix}.csv")
         cfg = SweepConfig(metric=preset["metric"], variable=preset["variable"],
                           start=preset["start"], stop=preset["stop"],
                           steps=preset["steps"], scenarios=preset["scenarios"],
                           base=base, mc=mc,
-                          nodes=args.nodes or DEFAULT_QUADRATURE_NODES,
+                          nodes=(DEFAULT_QUADRATURE_NODES if args.nodes is None
+                                 else args.nodes),
                           out_path=path)
         rows = run_sweep(cfg, workers=args.workers)
         write_csv(rows, path)
@@ -502,8 +504,8 @@ def _lattice_checks(draws: np.ndarray, nodes: int):
 def run_validation(args) -> int:
     """Lattice identities plus Monte-Carlo agreement; exit 1 on any failure."""
     seed = resolve_seed(args.seed)
-    nodes = args.nodes or 2000
-    n_samples = args.mc_samples or 1_000_000
+    nodes = 2000 if args.nodes is None else args.nodes
+    n_samples = 1_000_000 if args.mc_samples is None else args.mc_samples
     tol_scale = args.tol_scale
     rng = np.random.default_rng(seed)
     draws = np.column_stack([
@@ -514,30 +516,27 @@ def run_validation(args) -> int:
         rng.uniform(95.0, 120.0, 6),    # transmit SNR dB
     ])
 
-    failures = 0
-    print(f"{'check':<28}{'got':>16}{'reference':>16}{'tol':>12}  status")
-    for name, got, ref, base_tol in _lattice_checks(draws, nodes):
-        tol = base_tol * tol_scale
-        ok = abs(got - ref) <= tol
-        failures += not ok
-        print(f"{name:<28}{got:>16.9g}{ref:>16.9g}{tol:>12.3g}  {'pass' if ok else 'FAIL'}")
-
+    # every check is computed before the report starts, so a rejected
+    # setting ends the command before any line is printed
+    checks = [(name, got, ref, base_tol * tol_scale)
+              for name, got, ref, base_tol in _lattice_checks(draws, nodes)]
+    jobs = [(scenario, metric) for scenario in _ALL for metric in ("outage", "rate")]
     for i, row in enumerate(draws):
         r, h, alpha, l_frac, gt = row
         p = SystemParams.reference(gamma_t_db=gt, r=r, h=h, alpha=alpha,
                                    l=max(l_frac * r, 0.01))
-        for scenario in _ALL:
-            for metric in ("outage", "rate"):
-                value = closed_form(scenario, metric, p, nodes).value
-                est = _mc_estimate(scenario, metric, p,
-                                   McConfig(n_samples=n_samples, seed=seed + i,
-                                            workers=args.workers), 0)
-                tol = (3.0 * est.stderr + 1e-4) * tol_scale
-                ok = abs(value - est.mean) <= tol
-                failures += not ok
-                name = f"MC {scenario.name} {metric} #{i}"
-                print(f"{name:<28}{value:>16.9g}{est.mean:>16.9g}{tol:>12.3g}  "
-                      f"{'pass' if ok else 'FAIL'}")
+        estimates = montecarlo.estimate_many(jobs, p, n_samples, seed + i, args.workers)
+        for (scenario, metric), est in zip(jobs, estimates):
+            checks.append((f"MC {scenario.name} {metric} #{i}",
+                           closed_form(scenario, metric, p, nodes).value, est.mean,
+                           (3.0 * est.stderr + 1e-4) * tol_scale))
+
+    failures = 0
+    print(f"{'check':<28}{'got':>16}{'reference':>16}{'tol':>12}  status")
+    for name, got, ref, tol in checks:
+        ok = abs(got - ref) <= tol
+        failures += not ok
+        print(f"{name:<28}{got:>16.9g}{ref:>16.9g}{tol:>12.3g}  {'pass' if ok else 'FAIL'}")
 
     print(f"validation {'passed' if failures == 0 else f'FAILED ({failures} checks)'}")
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
@@ -626,7 +625,7 @@ def _cmd_optimal_length(args) -> int:
     try:
         result = analysis_partial.optimal_length_search(
             p, metric=args.metric, grid_spec=(start, stop, args.l_steps),
-            nodes=args.nodes or DEFAULT_QUADRATURE_NODES,
+            nodes=DEFAULT_QUADRATURE_NODES if args.nodes is None else args.nodes,
             refine=not args.no_refine)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -645,6 +644,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handlers = {
@@ -655,7 +656,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a library ValueError is an out-of-range setting, e.g. --mc-samples 10;
+        # its message names the field
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -191,3 +191,49 @@ def test_optimal_length_command(tmp_path, capsys):
     assert "best half-length" in text
     assert len(read_rows(out)) == 25
     assert main(["optimal-length", "--l-start", "30"]) == EXIT_CONFIG
+
+
+def test_figure_pass_flags_are_one_or_zero(tmp_path):
+    # PWNL/PWL rate rows compare numpy floats; the flag must still be 1/0
+    assert main(["figure", "7", "--out", str(tmp_path), "--mc-samples", "1000"]) == EXIT_OK
+    for alpha in ("a0.01", "a0.02", "a0.03", "a0.04"):
+        assert {row[8] for row in read_rows(tmp_path / f"figure7_{alpha}.csv")} <= {"1", "0"}
+
+
+def test_sweep_row_pool_runs_each_estimate_single_threaded(tmp_path, monkeypatch):
+    from pinchpass import montecarlo
+    seen = []
+    estimate_many = montecarlo.estimate_many
+
+    def recording(jobs, p, n_samples, seed, workers=1):
+        seen.append(workers)
+        return estimate_many(jobs, p, n_samples, seed, workers)
+
+    monkeypatch.setattr(montecarlo, "estimate_many", recording)
+    assert main(["sweep", "--config", write_config(tmp_path), "--workers", "4"]) == EXIT_OK
+    assert seen and set(seen) == {1}
+
+
+def test_workers_below_one_rejected(tmp_path, capsys):
+    for workers in ("0", "-3"):
+        assert main(["figure", "7", "--no-mc", "--out", str(tmp_path),
+                     "--workers", workers]) == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_mc_samples_rejected_not_defaulted(tmp_path, capsys):
+    assert main(["figure", "7", "--out", str(tmp_path), "--mc-samples", "0"]) == EXIT_CONFIG
+    assert "n_samples" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_library_value_error_is_a_configuration_error(tmp_path, capsys):
+    assert main(["validate", "--mc-samples", "10", "--nodes", "200"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "n_samples" in captured.err and captured.out == ""
+    assert main(["validate", "--nodes", "1"]) == EXIT_CONFIG
+    assert "nodes" in capsys.readouterr().err
+    assert main(["sweep", "--config", write_config(tmp_path), "--mc-samples", "10"]) \
+        == EXIT_CONFIG
+    assert "n_samples" in capsys.readouterr().err

@@ -1,10 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from pinchpass.analysis_full import outage_fwnl, rate_fwnl
+from pinchpass.geometry import sample_uniform_disk
 from pinchpass.montecarlo import (
+    CHUNK_SAMPLES,
+    McEstimate,
+    estimate_many,
     estimate_outage,
     estimate_rate,
     snr_sample,
@@ -13,6 +18,7 @@ from pinchpass.montecarlo import (
 from pinchpass.params import Scenario, SystemParams, derive_constants
 
 SEED = 777
+JOBS = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
 
 
 def overhead_snr(p: SystemParams) -> float:
@@ -107,3 +113,47 @@ def test_minimum_sample_count_enforced():
     p = SystemParams.reference()
     with pytest.raises(ValueError, match="n_samples"):
         estimate_outage(Scenario.FWNL, p, 999, SEED)
+
+
+def reference_estimate(scenario, metric, p, n_samples, seed):
+    """One job on its own draws, chunk by chunk: the estimator before sharing."""
+    partials = []
+    for index, start in enumerate(range(0, n_samples, CHUNK_SAMPLES)):
+        count = min(CHUNK_SAMPLES, n_samples - start)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        snr = snr_values(scenario, p, *sample_uniform_disk(rng, p.r, count))
+        if metric == "outage":
+            partials.append(int(np.count_nonzero(snr <= p.gamma_th)))
+        else:
+            rate = np.log2(1.0 + snr)
+            partials.append((float(np.sum(rate)), float(np.sum(rate * rate))))
+    if metric == "outage":
+        mean = sum(partials) / n_samples
+        stderr = math.sqrt(mean * (1.0 - mean) / n_samples)
+    else:
+        mean = math.fsum(a for a, _ in partials) / n_samples
+        s2 = math.fsum(b for _, b in partials)
+        stderr = math.sqrt(max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1) / n_samples)
+    return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_estimate_many_bit_identical_to_single_estimates(workers):
+    p = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    n = 150_001
+    assert n % CHUNK_SAMPLES != 0
+    single = {
+        (s, m): (estimate_outage if m == "outage" else estimate_rate)(s, p, n, SEED, workers)
+        for s, m in JOBS
+    }
+    for job, est in zip(JOBS, estimate_many(JOBS, p, n, SEED, workers)):
+        assert est == single[job] == reference_estimate(*job, p, n, SEED)
+    jobs = JOBS + [JOBS[3]]
+    random.Random(SEED).shuffle(jobs)
+    assert estimate_many(jobs, p, n, SEED, workers) == [single[job] for job in jobs]
+
+
+def test_estimate_many_rejects_unknown_metric():
+    p = SystemParams.reference()
+    with pytest.raises(ValueError, match="metric"):
+        estimate_many([(Scenario.FWNL, "outage"), (Scenario.PWL, "snr")], p, 10_000, SEED)
