@@ -56,6 +56,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +94,6 @@ class McConfig:
     seed: int = DEFAULT_SEED
     tolerance_outage: float = 1e-4
     tolerance_rate: float = 0.0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -175,40 +175,78 @@ def closed_form(scenario: Scenario, metric: str, p: SystemParams,
     return table[scenario]()
 
 
-def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
-    """Evaluate every (grid point, scenario) pair; rows come back in grid order."""
-    grid = cfg.grid()
-    jobs = [(i, float(v), scenario)
-            for i, v in enumerate(grid) for scenario in cfg.scenarios]
-    # fail fast on invalid grid/override combinations before any work
-    for _, value, _ in jobs:
-        apply_swept(cfg.base, cfg.variable, value)
-    tol = cfg.mc.tolerance_outage if cfg.metric == "outage" else cfg.mc.tolerance_rate
-    # with the row pool active each row's chunks run on its own thread, so
-    # at most ``workers`` threads run rather than workers squared
-    mc_workers = 1 if workers > 1 else cfg.mc.workers
+class _RowJob(NamedTuple):
+    config: int         # index into run_sweep's configs
+    row: int            # position in that config's rows
+    value: float
+    scenario: Scenario
+    p: SystemParams
+    seed: int | None    # Monte-Carlo seed; None when MC is off
 
-    def evaluate(job) -> SweepRow:
-        i, value, scenario = job
-        p = apply_swept(cfg.base, cfg.variable, value)
-        result = closed_form(scenario, cfg.metric, p, cfg.nodes)
-        mc_mean = mc_stderr = abs_gap = passed = None
-        if cfg.mc.enabled:
-            row_index = i * len(cfg.scenarios) + cfg.scenarios.index(scenario)
-            est = montecarlo.estimate_many([(scenario, cfg.metric)], p, cfg.mc.n_samples,
-                                           cfg.mc.seed + row_index, mc_workers)[0]
-            mc_mean, mc_stderr = est.mean, est.stderr
-            abs_gap = abs(result.value - est.mean)
-            # bool(): the PWNL/PWL rates are numpy floats, and a numpy bool
-            # would be written as True/False instead of 1/0
-            passed = bool(abs_gap <= 3.0 * est.stderr + tol)
-        return SweepRow(cfg.variable, value, scenario, result.value,
-                        mc_mean, mc_stderr, result.case_id or "", abs_gap, passed)
 
+def _sweep_row(cfg: SweepConfig, job: _RowJob, est) -> SweepRow:
+    result = closed_form(job.scenario, cfg.metric, job.p, cfg.nodes)
+    mc_mean = mc_stderr = abs_gap = passed = None
+    if est is not None:
+        tol = cfg.mc.tolerance_outage if cfg.metric == "outage" else cfg.mc.tolerance_rate
+        mc_mean, mc_stderr = est.mean, est.stderr
+        abs_gap = abs(result.value - est.mean)
+        # bool(): the PWNL/PWL rates are numpy floats, and a numpy bool
+        # would be written as True/False instead of 1/0
+        passed = bool(abs_gap <= 3.0 * est.stderr + tol)
+    return SweepRow(cfg.variable, job.value, job.scenario, result.value,
+                    mc_mean, mc_stderr, result.case_id or "", abs_gap, passed)
+
+
+def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
+    """Evaluate every (grid point, scenario) row of each config.
+
+    Returns one row list per config, in grid order.  Row k of a config
+    draws its Monte-Carlo positions from seed ``mc.seed + k``.  The rows of
+    all configs that share a seed and sample count form one group whose
+    estimates come from one ``estimate_many`` call, so the variants of a
+    figure share each draw; every estimate equals the row's own one-job
+    estimate.  With ``workers`` > 1 a thread pool evaluates the groups,
+    each on a single thread.
+    """
+    configs = list(configs)
+    shared: dict[tuple[int, int], list[_RowJob]] = {}   # (seed, n_samples) -> rows
+    alone: list[list[_RowJob]] = []                      # rows without MC
+    for c, cfg in enumerate(configs):
+        # bind every grid value first: an invalid one fails before any work
+        points = [(float(v), apply_swept(cfg.base, cfg.variable, float(v)))
+                  for v in cfg.grid()]
+        row = 0
+        for i, (value, p) in enumerate(points):
+            for scenario in cfg.scenarios:
+                if cfg.mc.enabled:
+                    seed = cfg.mc.seed + i * len(cfg.scenarios) + cfg.scenarios.index(scenario)
+                    job = _RowJob(c, row, value, scenario, p, seed)
+                    shared.setdefault((seed, cfg.mc.n_samples), []).append(job)
+                else:
+                    alone.append([_RowJob(c, row, value, scenario, p, None)])
+                row += 1
+
+    def evaluate(group: list[_RowJob]) -> list[SweepRow]:
+        first = group[0]
+        estimates = [None] * len(group)
+        if first.seed is not None:
+            estimates = montecarlo.estimate_many(
+                [(job.scenario, configs[job.config].metric, job.p) for job in group],
+                configs[first.config].mc.n_samples, first.seed)
+        return [_sweep_row(configs[job.config], job, est) for job, est in zip(group, estimates)]
+
+    groups = list(shared.values()) + alone
     if workers <= 1:
-        return [evaluate(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, jobs))
+        done = [evaluate(group) for group in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(evaluate, groups))
+    out = [[None] * (cfg.steps * len(cfg.scenarios)) for cfg in configs]
+    for group, rows in zip(groups, done):
+        for job, row in zip(group, rows):
+            out[job.config][job.row] = row
+    return out
 
 
 def _fmt(value) -> str:
@@ -347,7 +385,6 @@ def load_sweep_config(path: str, args) -> SweepConfig:
             seed=seed,
             tolerance_outage=float(mc_section.get("tolerance_outage", 1e-4)),
             tolerance_rate=float(mc_section.get("tolerance_rate", 0.0)),
-            workers=args.workers,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid [mc] section: {exc}") from exc
@@ -425,36 +462,38 @@ FIGURE_PRESETS: dict[int, dict] = {
 
 
 def run_figure(figure_id: int, args) -> list[str]:
-    """Run one preset; returns the written CSV paths (one per variant)."""
+    """Run one preset; returns the written CSV paths (one per variant).
+
+    All variants go to one ``run_sweep`` call, so row k of every variant
+    shares its Monte-Carlo draw.
+    """
     if figure_id not in FIGURE_PRESETS:
         raise ConfigError(f"unknown figure id {figure_id!r}; expected 2-7")
     preset = FIGURE_PRESETS[figure_id]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    seed = resolve_seed(args.seed)
-    written = []
-    for suffix, overrides in preset["variants"]:
-        base = SystemParams.reference(gamma_t_db=preset.get("gamma_t_db", 105.0),
-                                      **overrides)
-        mc = McConfig(enabled=not args.no_mc,
-                      n_samples=(DEFAULT_MC_SAMPLES if args.mc_samples is None
-                                 else args.mc_samples),
-                      seed=seed, workers=args.workers)
-        path = os.path.join(out_dir, f"figure{figure_id}_{suffix}.csv")
-        cfg = SweepConfig(metric=preset["metric"], variable=preset["variable"],
-                          start=preset["start"], stop=preset["stop"],
-                          steps=preset["steps"], scenarios=preset["scenarios"],
-                          base=base, mc=mc,
-                          nodes=(DEFAULT_QUADRATURE_NODES if args.nodes is None
-                                 else args.nodes),
-                          out_path=path)
-        rows = run_sweep(cfg, workers=args.workers)
-        write_csv(rows, path)
+    mc = McConfig(enabled=not args.no_mc,
+                  n_samples=(DEFAULT_MC_SAMPLES if args.mc_samples is None
+                             else args.mc_samples),
+                  seed=resolve_seed(args.seed))
+    configs = [
+        SweepConfig(metric=preset["metric"], variable=preset["variable"],
+                    start=preset["start"], stop=preset["stop"],
+                    steps=preset["steps"], scenarios=preset["scenarios"],
+                    base=SystemParams.reference(gamma_t_db=preset.get("gamma_t_db", 105.0),
+                                                **overrides),
+                    mc=mc,
+                    nodes=(DEFAULT_QUADRATURE_NODES if args.nodes is None
+                           else args.nodes),
+                    out_path=os.path.join(out_dir, f"figure{figure_id}_{suffix}.csv"))
+        for suffix, overrides in preset["variants"]
+    ]
+    for cfg, rows in zip(configs, run_sweep(configs, workers=args.workers)):
+        write_csv(rows, cfg.out_path)
         if args.gnuplot:
-            write_gnuplot(path, cfg.metric, cfg.scenarios)
-        print(f"{path}: {summarize(rows)}")
-        written.append(path)
-    return written
+            write_gnuplot(cfg.out_path, cfg.metric, cfg.scenarios)
+        print(f"{cfg.out_path}: {summarize(rows)}")
+    return [cfg.out_path for cfg in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +559,13 @@ def run_validation(args) -> int:
     # setting ends the command before any line is printed
     checks = [(name, got, ref, base_tol * tol_scale)
               for name, got, ref, base_tol in _lattice_checks(draws, nodes)]
-    jobs = [(scenario, metric) for scenario in _ALL for metric in ("outage", "rate")]
     for i, row in enumerate(draws):
         r, h, alpha, l_frac, gt = row
         p = SystemParams.reference(gamma_t_db=gt, r=r, h=h, alpha=alpha,
                                    l=max(l_frac * r, 0.01))
-        estimates = montecarlo.estimate_many(jobs, p, n_samples, seed + i, args.workers)
-        for (scenario, metric), est in zip(jobs, estimates):
+        jobs = [(scenario, metric, p) for scenario in _ALL for metric in ("outage", "rate")]
+        estimates = montecarlo.estimate_many(jobs, n_samples, seed + i, args.workers)
+        for (scenario, metric, _), est in zip(jobs, estimates):
             checks.append((f"MC {scenario.name} {metric} #{i}",
                            closed_form(scenario, metric, p, nodes).value, est.mean,
                            (3.0 * est.stderr + 1e-4) * tol_scale))
@@ -559,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--paper-c", action="store_true",
                         help="use the rounded speed of light c = 3e8 m/s")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for sweep points and MC chunks")
+                        help="worker threads: sweep row groups, or validate's MC chunks")
 
     parser = argparse.ArgumentParser(
         prog="pinchpass",
@@ -601,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config, args)
-    rows = run_sweep(cfg, workers=args.workers)
+    [rows] = run_sweep([cfg], workers=args.workers)
     write_csv(rows, cfg.out_path)
     if args.gnuplot:
         write_gnuplot(cfg.out_path, cfg.metric, cfg.scenarios)

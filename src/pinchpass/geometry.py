@@ -116,12 +116,49 @@ def clamp_pa_position(x_u: float, l: float) -> float:
     return min(max(x_u, -l), l)
 
 
+def sample_unit_disk(rng: np.random.Generator, size: int):
+    """Draw ``size`` positions on the unit disk as (sqrt(u), cos(t), sin(t)).
+
+    Inverse-CDF sampling in polar coordinates: the radius is sqrt(u) and
+    the angle t = 2*pi*v, with all radius uniforms u drawn before all angle
+    uniforms v, so every position consumes exactly two uniforms.
+    ``scale_unit_disk`` turns the draw into positions on any radius.
+    """
+    root_u = rng.random(size)
+    np.sqrt(root_u, out=root_u)
+    angle = rng.random(size)
+    angle *= 2.0 * math.pi
+    cos_t = np.cos(angle)
+    return root_u, cos_t, np.sin(angle, out=angle)
+
+
+def scale_unit_disk(unit, radii):
+    """Yield positions (x, y) on the disk of each radius in turn.
+
+    ``unit`` is a ``sample_unit_disk`` draw, and x = (r*sqrt(u))*cos(t),
+    y = (r*sqrt(u))*sin(t) for every radius r, so one draw serves several
+    radii.  The last radius is scaled into the draw's own arrays: a single
+    radius needs no memory beyond the draw, and the draw is spent after it.
+    """
+    root_u, cos_t, sin_t = unit
+    del unit
+    *first, last = radii
+    for r in first:
+        # bound to no local, so nothing here holds them once the caller is done
+        yield (r * root_u) * cos_t, (r * root_u) * sin_t
+    root_u *= last
+    cos_t *= root_u
+    sin_t *= root_u
+    del root_u
+    yield cos_t, sin_t
+
+
 def sample_uniform_disk(rng: np.random.Generator, r: float, size: int | None = None):
     """Draw positions uniformly on the disk of radius r.
 
-    Inverse-CDF sampling in polar coordinates (radius proportional to
-    sqrt(u)) so every draw consumes exactly two uniforms.  Returns a pair
-    of floats for ``size=None``, else a pair of ndarrays of length size.
+    A ``sample_unit_disk`` draw scaled to radius r, so every draw consumes
+    exactly two uniforms.  Returns a pair of floats for ``size=None``, else
+    a pair of ndarrays of length size.
 
     Parameters
     ----------
@@ -133,10 +170,7 @@ def sample_uniform_disk(rng: np.random.Generator, r: float, size: int | None = N
         Number of samples.
     """
     n = 1 if size is None else int(size)
-    radius = r * np.sqrt(rng.random(n))
-    angle = 2.0 * math.pi * rng.random(n)
-    x = radius * np.cos(angle)
-    y = radius * np.sin(angle)
+    x, y = next(scale_unit_disk(sample_unit_disk(rng, n), [r]))
     if size is None:
         return float(x[0]), float(y[0])
     return x, y

@@ -8,12 +8,14 @@ sums are reduced in chunk order (an integer sum for outage, exact
 order they finish.
 
 One chunk kernel, ``estimate_many``, serves every estimate.  It takes a list
-of (scenario, metric) jobs sharing one seed, draws each chunk's positions
-once, evaluates the SNR once per distinct scenario and reduces only the
+of (scenario, metric, params) jobs sharing one seed, draws each chunk's
+positions once on the unit disk, scales them once per distinct radius,
+evaluates the SNR once per distinct (scenario, params) and reduces only the
 metrics asked for.  Positions, SNR and reductions are exactly those of a
 single-job call, so every estimate it returns is bit-identical to the one
 ``estimate_outage``/``estimate_rate`` (one-job calls of the same kernel)
-give alone.
+give alone.  The CLI uses this to share a seed's draw across the variants
+of a figure (radii, attenuations) and the eight estimates of ``validate``.
 
 Only device positions are random.  The channel's free-space and in-guide
 phase rotations have unit modulus and cancel in the SNR, so they are
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import sample_uniform_disk
+from .geometry import sample_unit_disk, scale_unit_disk
 from .params import Scenario, SystemParams, derive_constants
 
 CHUNK_SAMPLES = 1 << 16
@@ -56,12 +58,23 @@ def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray
     l = p.half_length(scenario)
     alpha = p.alpha if scenario.lossy else 0.0
     eta = derive_constants(p).eta
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # eta*p_t*exp(-alpha*(x_pa + l)) / (sigma2*(y^2 + h^2 + dx^2)), computed
+    # in place: the Monte-Carlo chunk kernel's memory peak is here
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     x_pa = np.clip(x, -l, l)
     dx = x - x_pa
-    guided = np.exp(-alpha * (x_pa + l))
-    return eta * p.p_t * guided / (p.sigma2 * (y * y + p.h * p.h + dx * dx))
+    dx *= dx
+    x_pa += l
+    x_pa *= -alpha
+    snr = np.exp(x_pa)
+    del x_pa
+    snr *= eta * p.p_t
+    dist2 = y * y
+    dist2 += p.h * p.h
+    dist2 += dx
+    dist2 *= p.sigma2
+    snr /= dist2
+    return snr
 
 
 def snr_sample(scenario: Scenario, p: SystemParams, pos: tuple[float, float]) -> float:
@@ -76,11 +89,6 @@ def _chunk_layout(n_samples: int):
     if rem:
         counts.append(rem)
     return counts
-
-
-def _chunk_positions(seed: int, index: int, count: int, r: float):
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    return sample_uniform_disk(rng, r, count)
 
 
 def _run_chunks(worker, n_samples: int, workers: int):
@@ -111,44 +119,52 @@ def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimat
     return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
 
 
-def estimate_many(jobs, p: SystemParams, n_samples: int, seed: int,
-                  workers: int = 1) -> list[McEstimate]:
-    """Estimates for every ``(scenario, metric)`` job from one set of draws.
+def _reduce(partial: dict, scenario: Scenario, p: SystemParams, metrics, snr) -> None:
+    # one chunk's partial sums; the SNR array is freed on return
+    if "outage" in metrics:
+        partial[scenario, "outage", p] = int(np.count_nonzero(snr <= p.gamma_th))
+    if "rate" in metrics:
+        # 1 + snr in place: the outage count above has read the SNR
+        np.add(snr, 1.0, out=snr)
+        np.log2(snr, out=snr)
+        partial[scenario, "rate", p] = (float(np.sum(snr)), float(np.sum(snr * snr)))
+
+
+def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McEstimate]:
+    """Estimates for every ``(scenario, metric, p)`` job from one set of draws.
 
     ``metric`` is ``"outage"`` (fraction of positions with SNR <= gamma_th,
     binomial standard error sqrt(m(1-m)/n)) or ``"rate"`` (sample mean of
     log2(1 + SNR), standard error the sample standard deviation over
-    sqrt(n)).  Each chunk's positions are drawn once, the SNR is evaluated
-    once per distinct scenario, and only the requested metrics are reduced.
+    sqrt(n)).  Each chunk's positions are drawn once on the unit disk and
+    scaled once per distinct radius ``p.r``, the SNR is evaluated once per
+    distinct ``(scenario, p)``, and only the requested metrics are reduced.
     Results come back in job order; each equals, bit for bit, the estimate
     the same job gets alone, for any ``workers``.
     """
     jobs = list(jobs)
     _check_samples(n_samples)
-    wanted: dict[Scenario, set[str]] = {}
-    for scenario, metric in jobs:
+    # radius -> (scenario, p) -> metrics
+    plan: dict[float, dict[tuple[Scenario, SystemParams], set[str]]] = {}
+    for scenario, metric, p in jobs:
         if metric not in ("outage", "rate"):
             raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
-        wanted.setdefault(scenario, set()).add(metric)
+        plan.setdefault(p.r, {}).setdefault((scenario, p), set()).add(metric)
+    if not plan:
+        return []
 
     def worker(index: int, count: int) -> dict:
-        x, y = _chunk_positions(seed, index, count, p.r)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        positions = scale_unit_disk(sample_unit_disk(rng, count), list(plan))
         partial = {}
-        for scenario, metrics in wanted.items():
-            snr = snr_values(scenario, p, x, y)
-            if "outage" in metrics:
-                partial[scenario, "outage"] = int(np.count_nonzero(snr <= p.gamma_th))
-            if "rate" in metrics:
-                # in place: one temporary, as many as log2(1 + snr) needs
-                # when the SNR array is itself a temporary
-                rate = 1.0 + snr
-                np.log2(rate, out=rate)
-                partial[scenario, "rate"] = (float(np.sum(rate)), float(np.sum(rate * rate)))
+        for (x, y), evaluations in zip(positions, plan.values()):
+            for (scenario, p), metrics in evaluations.items():
+                _reduce(partial, scenario, p, metrics, snr_values(scenario, p, x, y))
         return partial
 
     chunks = _run_chunks(worker, n_samples, workers)
-    return [_finish(metric, [chunk[scenario, metric] for chunk in chunks], n_samples, seed)
-            for scenario, metric in jobs]
+    return [_finish(metric, [chunk[scenario, metric, p] for chunk in chunks], n_samples, seed)
+            for scenario, metric, p in jobs]
 
 
 def estimate_outage(scenario: Scenario, p: SystemParams, n_samples: int,
@@ -158,7 +174,7 @@ def estimate_outage(scenario: Scenario, p: SystemParams, n_samples: int,
     Standard error is the binomial sqrt(m(1-m)/n).  Deterministic per
     (seed, n_samples, scenario, params), independent of ``workers``.
     """
-    return estimate_many([(scenario, "outage")], p, n_samples, seed, workers)[0]
+    return estimate_many([(scenario, "outage", p)], n_samples, seed, workers)[0]
 
 
 def estimate_rate(scenario: Scenario, p: SystemParams, n_samples: int,
@@ -169,4 +185,4 @@ def estimate_rate(scenario: Scenario, p: SystemParams, n_samples: int,
     Deterministic per (seed, n_samples, scenario, params), independent of
     ``workers``.
     """
-    return estimate_many([(scenario, "rate")], p, n_samples, seed, workers)[0]
+    return estimate_many([(scenario, "rate", p)], n_samples, seed, workers)[0]

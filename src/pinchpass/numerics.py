@@ -273,7 +273,9 @@ def crossing_functions(p: SystemParams, scenario: Scenario):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        mid = C * np.exp(-alpha * (x + l)) - h2
+        # clamp: left of -l the middle branch is discarded below, and its
+        # exponent could overflow there
+        mid = C * np.exp(-alpha * (np.maximum(x, -l) + l)) - h2
         left = C - h2 - (x + l) ** 2
         right = C * math.exp(-2.0 * alpha * l) - h2 - (x - l) ** 2
         return np.where(x < -l, left, np.where(x <= l, mid, right))

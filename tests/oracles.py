@@ -16,12 +16,16 @@ from pinchpass.numerics import crossing_functions
 from pinchpass.params import Scenario, SystemParams
 
 
-def disk_samples(r: float, n: int, seed: int):
-    """Uniform disk samples via an independent rejection-free polar draw."""
-    rng = np.random.default_rng(seed)
+def polar_disk_draw(rng: np.random.Generator, r: float, n: int):
+    """Uniform disk positions by a direct polar draw (all radii, then angles)."""
     radius = r * np.sqrt(rng.random(n))
     angle = 2.0 * math.pi * rng.random(n)
     return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def disk_samples(r: float, n: int, seed: int):
+    """Uniform disk samples via an independent rejection-free polar draw."""
+    return polar_disk_draw(np.random.default_rng(seed), r, n)
 
 
 def empirical_cdf(values: np.ndarray, x: float) -> tuple[float, float]:

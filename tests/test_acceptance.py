@@ -48,12 +48,12 @@ def test_criterion_1_oracle_agreement():
     n = 1_000_000
     worst = -math.inf
     failures = []
-    jobs = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
     for i in range(50):
         p = random_reference(rng)
+        jobs = [(scenario, metric, p) for scenario in Scenario for metric in ("outage", "rate")]
         # one shared draw per configuration; each estimate is bit-identical
         # to its single-job estimate_outage/estimate_rate call
-        estimates = dict(zip(jobs, estimate_many(jobs, p, n, SEED + i)))
+        estimates = {job[:2]: est for job, est in zip(jobs, estimate_many(jobs, n, SEED + i))}
         for scenario in Scenario:
             value_o = closed_form(scenario, "outage", p).value
             est_o = estimates[scenario, "outage"]

@@ -1,11 +1,19 @@
+import numpy as np
+
+from pinchpass import montecarlo
 from pinchpass.cli import (
     CSV_HEADER,
+    DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    SweepRow,
+    closed_form,
     main,
+    write_csv,
 )
+from pinchpass.params import Scenario, SystemParams
 
 BASE_CONFIG = """
 [sweep]
@@ -201,13 +209,12 @@ def test_figure_pass_flags_are_one_or_zero(tmp_path):
 
 
 def test_sweep_row_pool_runs_each_estimate_single_threaded(tmp_path, monkeypatch):
-    from pinchpass import montecarlo
     seen = []
     estimate_many = montecarlo.estimate_many
 
-    def recording(jobs, p, n_samples, seed, workers=1):
+    def recording(jobs, n_samples, seed, workers=1):
         seen.append(workers)
-        return estimate_many(jobs, p, n_samples, seed, workers)
+        return estimate_many(jobs, n_samples, seed, workers)
 
     monkeypatch.setattr(montecarlo, "estimate_many", recording)
     assert main(["sweep", "--config", write_config(tmp_path), "--workers", "4"]) == EXIT_OK
@@ -237,3 +244,34 @@ def test_library_value_error_is_a_configuration_error(tmp_path, capsys):
     assert main(["sweep", "--config", write_config(tmp_path), "--mc-samples", "10"]) \
         == EXIT_CONFIG
     assert "n_samples" in capsys.readouterr().err
+
+
+def test_figure_variants_share_each_seed_draw(tmp_path, monkeypatch):
+    draws = []
+    sample_unit_disk = montecarlo.sample_unit_disk
+
+    def counting(rng, size):
+        draws.append(size)
+        return sample_unit_disk(rng, size)
+
+    monkeypatch.setattr(montecarlo, "sample_unit_disk", counting)
+    n = 70_000   # one full chunk and a remainder
+    assert main(["figure", "4", "--out", str(tmp_path), "--mc-samples", str(n)]) == EXIT_OK
+    # 25 grid points x 4 attenuations: one draw per seed, not per row
+    assert len(draws) == 25 * 2
+    monkeypatch.undo()
+
+    for alpha in (0.01, 0.02, 0.03, 0.04):
+        base = SystemParams.reference(gamma_t_db=105.0, alpha=alpha)
+        rows = []
+        for k, l in enumerate(np.linspace(1.0, 25.0, 25)):
+            p = base.with_(l=float(l))
+            result = closed_form(Scenario.PWL, "outage", p)
+            est = montecarlo.estimate_outage(Scenario.PWL, p, n, DEFAULT_SEED + k)
+            gap = abs(result.value - est.mean)
+            rows.append(SweepRow("l", float(l), Scenario.PWL, result.value, est.mean,
+                                 est.stderr, result.case_id, gap,
+                                 bool(gap <= 3.0 * est.stderr + 1e-4)))
+        write_csv(rows, str(tmp_path / "expected.csv"))
+        assert (tmp_path / f"figure4_a{alpha}.csv").read_bytes() \
+            == (tmp_path / "expected.csv").read_bytes()

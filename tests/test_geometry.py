@@ -10,9 +10,11 @@ from pinchpass.geometry import (
     chord_half_height,
     clamp_pa_position,
     sample_uniform_disk,
+    sample_unit_disk,
+    scale_unit_disk,
     theta,
 )
-from oracles import disk_samples, empirical_cdf, segment_distances
+from oracles import disk_samples, empirical_cdf, polar_disk_draw, segment_distances
 
 
 def test_chord_half_height_basics():
@@ -143,3 +145,14 @@ def test_sampler_polar_uniformity_chi_square():
     expected = n / (bins * bins)
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < chi2.ppf(1 - 1e-3, bins * bins - 1)
+
+
+def test_unit_disk_scaled_per_radius_matches_direct_draws():
+    radii = [25.0, 15.0, 40.0, 0.37]
+    for n in (1, 4_464, 65_536):
+        positions = scale_unit_disk(sample_unit_disk(np.random.default_rng(n), n), radii)
+        for r, (x, y) in zip(radii, positions, strict=True):
+            ref = polar_disk_draw(np.random.default_rng(n), r, n)
+            assert np.array_equal(x, ref[0]) and np.array_equal(y, ref[1])
+            direct = sample_uniform_disk(np.random.default_rng(n), r, n)
+            assert np.array_equal(direct[0], ref[0]) and np.array_equal(direct[1], ref[1])

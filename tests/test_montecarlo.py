@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pinchpass.analysis_full import outage_fwnl, rate_fwnl
-from pinchpass.geometry import sample_uniform_disk
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
@@ -16,6 +15,7 @@ from pinchpass.montecarlo import (
     snr_values,
 )
 from pinchpass.params import Scenario, SystemParams, derive_constants
+from oracles import polar_disk_draw
 
 SEED = 777
 JOBS = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
@@ -50,6 +50,14 @@ def test_snr_vectorized_branches_match_scalar():
         vec = snr_values(scenario, p, xs, ys)
         for x, y, v in zip(xs, ys, vec):
             assert snr_sample(scenario, p, (x, y)) == v
+
+
+def test_snr_values_bitwise_equal_to_one_expression():
+    x, y = polar_disk_draw(np.random.default_rng(SEED), 40.0, 100_000)
+    for p in (SystemParams.reference(gamma_t_db=104.0, r=40.0, l=9.0),
+              SystemParams.reference(gamma_t_db=97.0, r=40.0, h=3.0, alpha=0.05, l=30.0)):
+        for scenario in Scenario:
+            assert np.array_equal(snr_values(scenario, p, x, y), reference_snr(scenario, p, x, y))
 
 
 def test_outage_estimator_threshold_extremes():
@@ -115,13 +123,23 @@ def test_minimum_sample_count_enforced():
         estimate_outage(Scenario.FWNL, p, 999, SEED)
 
 
+def reference_snr(scenario, p, x, y):
+    """The SNR as one expression, with its temporaries (snr_values reuses them)."""
+    l = p.half_length(scenario)
+    alpha = p.alpha if scenario.lossy else 0.0
+    x_pa = np.clip(x, -l, l)
+    dx = x - x_pa
+    guided = np.exp(-alpha * (x_pa + l))
+    return derive_constants(p).eta * p.p_t * guided / (p.sigma2 * (y * y + p.h * p.h + dx * dx))
+
+
 def reference_estimate(scenario, metric, p, n_samples, seed):
     """One job on its own draws, chunk by chunk: the estimator before sharing."""
     partials = []
     for index, start in enumerate(range(0, n_samples, CHUNK_SAMPLES)):
         count = min(CHUNK_SAMPLES, n_samples - start)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-        snr = snr_values(scenario, p, *sample_uniform_disk(rng, p.r, count))
+        snr = reference_snr(scenario, p, *polar_disk_draw(rng, p.r, count))
         if metric == "outage":
             partials.append(int(np.count_nonzero(snr <= p.gamma_th)))
         else:
@@ -137,23 +155,31 @@ def reference_estimate(scenario, metric, p, n_samples, seed):
     return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
 
 
+def single_estimate(scenario, metric, p, n_samples, seed, workers=1):
+    estimator = estimate_outage if metric == "outage" else estimate_rate
+    return estimator(scenario, p, n_samples, seed, workers)
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_estimate_many_bit_identical_to_single_estimates(workers):
-    p = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    base = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    # figure variants: radii, attenuations and transmit powers on one seed
+    mixed = [base, base.with_(r=15.0, l=7.5), base.with_(alpha=0.04),
+             base.with_(r=40.0, l=20.0, alpha=0.01), base.with_(p_t=4.0 * base.p_t),
+             base.with_(r=15.0, l=7.5, p_t=0.5 * base.p_t)]
     n = 150_001
     assert n % CHUNK_SAMPLES != 0
-    single = {
-        (s, m): (estimate_outage if m == "outage" else estimate_rate)(s, p, n, SEED, workers)
-        for s, m in JOBS
-    }
-    for job, est in zip(JOBS, estimate_many(JOBS, p, n, SEED, workers)):
-        assert est == single[job] == reference_estimate(*job, p, n, SEED)
-    jobs = JOBS + [JOBS[3]]
-    random.Random(SEED).shuffle(jobs)
-    assert estimate_many(jobs, p, n, SEED, workers) == [single[job] for job in jobs]
+    for variants in ([base], mixed):
+        jobs = [(s, m, p) for p in variants for s, m in JOBS]
+        single = {job: single_estimate(*job, n, SEED, workers) for job in jobs}
+        for job, est in zip(jobs, estimate_many(jobs, n, SEED, workers)):
+            assert repr(est) == repr(single[job]) == repr(reference_estimate(*job, n, SEED))
+        shuffled = jobs + [jobs[3]]
+        random.Random(SEED).shuffle(shuffled)
+        assert estimate_many(shuffled, n, SEED, workers) == [single[job] for job in shuffled]
 
 
 def test_estimate_many_rejects_unknown_metric():
     p = SystemParams.reference()
     with pytest.raises(ValueError, match="metric"):
-        estimate_many([(Scenario.FWNL, "outage"), (Scenario.PWL, "snr")], p, 10_000, SEED)
+        estimate_many([(Scenario.FWNL, "outage", p), (Scenario.PWL, "snr", p)], 10_000, SEED)

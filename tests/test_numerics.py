@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from pinchpass.numerics import (
     find_root_bracketed,
     gauss_chebyshev,
 )
+from pinchpass.analysis_partial import outage_pwl
+from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
     alternating_series_li2_minus1,
@@ -180,6 +183,21 @@ def test_classifier_roots_satisfy_equations():
             assert abs(float(g(root.value))) <= 1e-9
         for root in report.f_roots:
             assert abs(float(f(root.value))) <= 1e-9
+
+
+def test_threshold_curve_left_of_guide_does_not_overflow():
+    # alpha*r far above the exp range: the middle branch, discarded left of
+    # -l, once overflowed there and raised a RuntimeWarning
+    p = SystemParams.reference(gamma_t_db=105.0, h=10.0, r=40.0, l=0.04, alpha=50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = outage_pwl(p).value
+        f, _ = crossing_functions(p, Scenario.PWL)
+        left = float(f(-p.r))
+    assert value == pytest.approx(0.9593655761849202, abs=1e-12)
+    assert left == derive_constants(p).C - p.h ** 2 - (p.l - p.r) ** 2
+    est = estimate_outage(Scenario.PWL, p, 1_000_000, 1)
+    assert abs(value - est.mean) <= 3 * est.stderr + 1e-4
 
 
 def test_classifier_reference_config_against_scan():
