@@ -13,8 +13,6 @@ from __future__ import annotations
 import logging
 import math
 
-from scipy.integrate import quad
-
 from .numerics import (
     CASE_ALL_OUTAGE,
     CASE_NO_OUTAGE,
@@ -57,6 +55,9 @@ class _Pieces:
         self.l = l
         self.C = derive_constants(p).C
         self.scale = self.C + self.h2
+        # omega(x) - h^2 vanishes at a threshold zero in exact arithmetic;
+        # its rounding error grows with alpha*|x| through the exponent
+        self.delta_scale = self.scale * max(1.0, p.alpha * p.r)
         self.pr2 = math.pi * p.r * p.r
         self.M2 = self.C - self.h2                      # f at the -l peak
         self.K2 = self.C * math.exp(-2.0 * p.alpha * l) - self.h2   # f at +l
@@ -66,9 +67,6 @@ class _Pieces:
 
     def omega(self, x: float) -> float:
         return self.C * math.exp(-self.alpha * (x + self.l))
-
-    def delta(self, x: float) -> float:
-        return _sqrt_clamped(self.omega(x) - self.h2, self.scale)
 
     def strip(self, a: float, c: float) -> float:
         # area fraction between the chord and nothing over [a, c]
@@ -81,8 +79,8 @@ class _Pieces:
         # against the omega increment so nearby endpoints do not cancel
         om_lo = self.omega(x_lo)
         d_om = om_lo * math.expm1(-self.alpha * (x_hi - x_lo))
-        d_lo = _sqrt_clamped(om_lo - self.h2, self.scale)
-        d_hi = _sqrt_clamped(om_lo + d_om - self.h2, self.scale)
+        d_lo = _sqrt_clamped(om_lo - self.h2, self.delta_scale)
+        d_hi = _sqrt_clamped(om_lo + d_om - self.h2, self.delta_scale)
         if d_lo + d_hi == 0.0:
             return 0.0
         d_delta = d_om / (d_lo + d_hi)
@@ -183,7 +181,10 @@ _F2_CASES = {
     "f2-left-mid": _case_f2_left_mid,
     "f2-left-right": _case_f2_left_right,
 }
-_NUMERIC_CASES = {"g2-left-mid", "unclassified"}
+# No "g2-left-mid": a left root needs g(-l) > 0, i.e. C < r^2 - l^2 + h^2,
+# and a middle root c > -l then needs r^2 + h^2 - c^2 = C exp(-alpha (c + l))
+# < C, which forces c^2 > l^2, i.e. c > l: the second root is never middle.
+_NUMERIC_CASES = {"unclassified"}
 
 _KNOWN_CASES = (set(_G2_CASES) | set(_G1F1_CASES) | set(_F2_CASES)
                 | _NUMERIC_CASES | {CASE_ALL_OUTAGE, CASE_NO_OUTAGE})
@@ -191,6 +192,10 @@ _KNOWN_CASES = (set(_G2_CASES) | set(_G1F1_CASES) | set(_F2_CASES)
 
 def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
     """Direct integration of the outage region (fallback and test oracle)."""
+    # imported here: it adds ~0.25 s to `import pinchpass`, and only this
+    # rare fallback needs it
+    from scipy.integrate import quad
+
     f, _ = crossing_functions(p, scenario)
     l = p.half_length(scenario)
     r = p.r

@@ -1,19 +1,24 @@
 """Special functions and solvers behind the closed forms.
 
-Real dilogarithm on the non-positive axis, Gauss-Chebyshev (first kind)
-quadrature, bracketed root finding, and the classifier that turns the
-threshold/chord crossing structure of the lossy scenarios into a dispatch
-decision.
+Real dilogarithm on the non-positive axis (``scipy.special.spence``, with
+a short Gauss-Legendre rule for differences of nearly equal arguments),
+Gauss-Chebyshev (first kind) quadrature, bracketed root finding, and the
+classifier that turns the threshold/chord crossing structure of the lossy
+scenarios into a dispatch decision.  The classifier works on Python floats:
+the outer-segment roots and the clearance peak (Lambert W) are closed
+forms, and only a root on the middle segment is iterated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import lambertw, spence
 
 from .params import Scenario, SystemParams, derive_constants
 
@@ -24,50 +29,18 @@ _EPS = sys.float_info.epsilon
 # ---------------------------------------------------------------------------
 
 
-def _dilog_series(z: np.ndarray) -> np.ndarray:
-    # power series sum z^k / k^2; callers guarantee |z| <= 0.5
-    total = np.zeros_like(z)
-    zk = np.ones_like(z)
-    for k in range(1, 120):
-        zk = zk * z
-        term = zk / (k * k)
-        total = total + term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    return total
-
-
-def _dilog_array(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    near = z >= -0.5
-    mid = (z >= -1.0) & ~near
-    far = z < -1.0
-    if near.any():
-        out[near] = _dilog_series(z[near])
-    if mid.any():
-        zz = z[mid]
-        # Landen transform maps [-1, -0.5] onto (1/3, 1/2]
-        out[mid] = -0.5 * np.log1p(-zz) ** 2 - _dilog_series(zz / (zz - 1.0))
-    if far.any():
-        zz = z[far]
-        inv = 1.0 / zz
-        out[far] = -math.pi ** 2 / 6.0 - 0.5 * np.log(-zz) ** 2 - _dilog_array(inv)
-    return out
-
-
 def dilog(z: float) -> float:
     """Real dilogarithm Li2(z) for z <= 0.
 
-    Power series inside |z| <= 0.5; the Landen transform covers
-    [-1, -0.5] and the inversion identity maps z < -1 back into the
-    fast-converging region.  Absolute accuracy ~1e-15.
+    Evaluated as ``scipy.special.spence(1 - z)``: relative error ~1e-15 for
+    z <= -1 and absolute error ~1e-15 on (-1, 0], where the rounding of
+    1 - z costs small |z| relative digits.
     """
     if z > 0.0:
         raise ValueError(f"dilog is defined here for z <= 0 only, got {z!r}")
     if z == 0.0:
         return 0.0
-    return float(_dilog_array(np.array([z]))[0])
+    return float(spence(1.0 - z))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -83,7 +56,8 @@ def _dilog_diff_array(z_hi: np.ndarray, z_lo: np.ndarray) -> np.ndarray:
     close = np.abs(gap) <= 0.05 * (1.0 + np.minimum(np.abs(z_hi), np.abs(z_lo)))
     out = np.empty_like(gap)
     if (~close).any():
-        out[~close] = _dilog_array(z_hi[~close]) - _dilog_array(z_lo[~close])
+        # Li2(z) = spence(1 - z) in scipy's convention
+        out[~close] = spence(1.0 - z_hi[~close]) - spence(1.0 - z_lo[~close])
     if close.any():
         mid = 0.5 * (z_hi[close] + z_lo[close])
         half = 0.5 * gap[close]
@@ -119,12 +93,16 @@ class ChebyshevRule:
     weight: float
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def of_order(cls, n: int) -> "ChebyshevRule":
+        """The rule of order n, built once per order; its arrays are read-only."""
         if n < 1:
             raise ValueError(f"node count must be positive, got {n!r}")
         angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
-        return cls(order=n, nodes=np.cos(angles), node_sines=np.sin(angles),
-                   weight=math.pi / n)
+        nodes, node_sines = np.cos(angles), np.sin(angles)
+        nodes.flags.writeable = False
+        node_sines.flags.writeable = False
+        return cls(order=n, nodes=nodes, node_sines=node_sines, weight=math.pi / n)
 
     def weighted_sum(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """(pi/n) * sum f(t_k), i.e. the integral of f(t)/sqrt(1-t^2)."""
@@ -287,52 +265,77 @@ def crossing_functions(p: SystemParams, scenario: Scenario):
     return f, g
 
 
+def _peak_abscissa(alpha: float, C: float, l: float) -> float:
+    # the middle-segment clearance slope alpha*C*exp(-alpha*(x + l)) - 2x
+    # vanishes at x* = W(alpha^2 C exp(-alpha l) / 2) / alpha (principal
+    # branch, argument >= 0); at alpha = 0 the slope is -2x
+    if alpha == 0.0:
+        return 0.0
+    return float(lambertw(0.5 * alpha * alpha * C * math.exp(-alpha * l)).real) / alpha
+
+
 def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     """Classify the outage-boundary roots for a lossy scenario.
 
     The clearance g rises strictly left of its single peak and falls
     strictly right of it (its slope is +2l on the left segment, strictly
     decreasing across the middle segment, and -2l on the right), so each
-    side holds at most one root and every bracket below is guaranteed.
-    The threshold curve f peaks at x = -l and its zeros have closed forms.
+    side holds at most one root.  On the outer segments g is linear,
+    g = r^2 + l^2 + h^2 - C + 2lx on the left and
+    g = r^2 + l^2 + h^2 - C exp(-2 alpha l) - 2lx on the right, so a root
+    there is one division; a root on the middle segment is bracketed
+    between its end and the peak.  The threshold curve f peaks at x = -l
+    and its zeros have closed forms.
     """
+    if not scenario.lossy:
+        raise ValueError("crossing analysis applies to the lossy scenarios only")
     l = p.half_length(scenario)
     r, alpha = p.r, p.alpha
     h2 = p.h * p.h
     C = derive_constants(p).C
-    f, g = crossing_functions(p, scenario)
 
     if C <= h2:
         # threshold curve non-positive everywhere: every chord is in outage
         return RootReport((), (), CASE_ALL_OUTAGE, degenerate=1.0)
 
-    def peak_slope(x: float) -> float:
-        return alpha * C * math.exp(-alpha * (x + l)) - 2.0 * x
+    def g_mid(x: float) -> float:
+        return r * r - x * x - C * math.exp(-alpha * (x + l)) + h2
 
-    if peak_slope(l) >= 0.0:
+    k2c = C * math.exp(-2.0 * alpha * l)            # C exp(-2 alpha l)
+    if alpha * k2c - 2.0 * l >= 0.0:                 # slope at +l
         x_peak = l
     else:
-        x_peak = find_root_bracketed(peak_slope, -l, l, tol=0.0)
-    if float(g(x_peak)) <= 0.0:
+        x_peak = min(_peak_abscissa(alpha, C, l), l)
+    if g_mid(x_peak) <= 0.0:
         return RootReport((), (), CASE_NO_OUTAGE, degenerate=0.0)
 
-    def g_scalar(x: float) -> float:
-        return float(g(x))
-
+    # the outer lines meet the middle curve at -l and +l; at l = r there
+    # are no outer segments and g(-r), g(r) are middle-segment values
+    outer = l < r
+    left_line = r * r + l * l + h2 - C
+    right_line = r * r + l * l + h2 - k2c
+    g_left = left_line - 2.0 * l * r if outer else g_mid(-l)
+    g_right = right_line - 2.0 * l * r if outer else g_mid(l)
     g_roots = []
-    if float(g(-r)) < 0.0:
-        a = find_root_bracketed(g_scalar, -r, x_peak, tol=0.0)
+    if g_left < 0.0:
+        if outer and g_mid(-l) > 0.0:
+            a = -left_line / (2.0 * l)
+        else:
+            a = find_root_bracketed(g_mid, -l, x_peak, tol=0.0)
         g_roots.append(LabeledRoot(a, _interval_of(a, l)))
-    if x_peak < r and float(g(r)) < 0.0:
-        c = find_root_bracketed(g_scalar, x_peak, r, tol=0.0)
+    if x_peak < r and g_right < 0.0:
+        if outer and g_mid(l) > 0.0:
+            c = right_line / (2.0 * l)
+        else:
+            c = find_root_bracketed(g_mid, x_peak, l, tol=0.0)
         g_roots.append(LabeledRoot(c, _interval_of(c, l)))
 
     f_roots = []
-    if l < r and float(f(-r)) < 0.0:
+    if outer and C - h2 < (r - l) ** 2:              # f(-r) < 0
         a_f = -l - math.sqrt(C - h2)
         f_roots.append(LabeledRoot(a_f, INTERVAL_LEFT))
-    if float(f(r)) < 0.0:
-        k2 = C * math.exp(-2.0 * alpha * l) - h2
+    k2 = k2c - h2
+    if k2 < (r - l) ** 2:                            # f(r) < 0
         if k2 <= 0.0:
             b_f = -l + math.log(C / h2) / alpha
         else:

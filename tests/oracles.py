@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from pinchpass.numerics import crossing_functions
-from pinchpass.params import Scenario, SystemParams
+from pinchpass.params import Scenario, SystemParams, derive_constants
 
 
 def polar_disk_draw(rng: np.random.Generator, r: float, n: int):
@@ -56,6 +56,61 @@ def li2_by_quadrature(z: float) -> float:
     value, _ = quad(lambda s: math.log1p(s) / s, 0.0, -z, limit=400, epsabs=1e-13,
                     epsrel=1e-13)
     return -value
+
+
+def _li2_power_series(z: np.ndarray) -> np.ndarray:
+    # sum z^k / k^2 for |z| <= 0.5
+    total = np.zeros_like(z)
+    zk = np.ones_like(z)
+    for k in range(1, 120):
+        zk = zk * z
+        term = zk / (k * k)
+        total = total + term
+        if np.max(np.abs(term), initial=0.0) < 1e-18:
+            break
+    return total
+
+
+def li2_series(z) -> np.ndarray:
+    """Li2(z) for z <= 0: power series on [-0.5, 0], the Landen transform on
+    [-1, -0.5), and the inversion identity below -1."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    near = z >= -0.5
+    mid = (z >= -1.0) & ~near
+    far = z < -1.0
+    out[near] = _li2_power_series(z[near])
+    zz = z[mid]
+    out[mid] = -0.5 * np.log1p(-zz) ** 2 - _li2_power_series(zz / (zz - 1.0))
+    if far.any():
+        zz = z[far]
+        out[far] = -math.pi ** 2 / 6.0 - 0.5 * np.log(-zz) ** 2 - li2_series(1.0 / zz)
+    return out
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def rate_fwl_series(p: SystemParams, nodes: int) -> float:
+    """The FWL rate's Chebyshev sum of dilog differences, built on li2_series.
+
+    Near-coincident arguments integrate Li2' = -ln(1-t)/t over their gap
+    with 24-point Gauss-Legendre, as the library does.
+    """
+    d = derive_constants(p)
+    k = np.arange(1, nodes + 1)
+    angles = (2.0 * k - 1.0) * math.pi / (2.0 * nodes)
+    y, rho = p.r * np.cos(angles), p.r * np.sin(angles)
+    gain = d.eta * p.p_t / (p.sigma2 * (y * y + p.h * p.h))
+    z_hi = -gain * np.exp(-p.alpha * (rho + p.r))
+    z_lo = -gain * np.exp(p.alpha * (rho - p.r))
+    gap = z_hi - z_lo
+    close = np.abs(gap) <= 0.05 * (1.0 + np.minimum(np.abs(z_hi), np.abs(z_lo)))
+    diff = li2_series(z_hi) - li2_series(z_lo)
+    t = 0.5 * (z_hi + z_lo)[None, close] + 0.5 * gap[None, close] * _GL_NODES[:, None]
+    diff[close] = 0.5 * gap[close] * (_GL_WEIGHTS @ (-np.log1p(-t) / t))
+    total = float(np.sum(np.sin(angles) * diff))
+    return total / (p.alpha * p.r * nodes * math.log(2.0))
 
 
 def outage_by_integration(p: SystemParams, scenario: Scenario) -> float:
@@ -110,4 +165,17 @@ def random_reference(rng: np.random.Generator, alpha_max: float = 0.05,
         h=rng.uniform(3.0, 15.0),
         alpha=rng.uniform(0.0, alpha_max),
         l=rng.uniform(1e-3, 1.0) * r,
+    )
+
+
+def extreme_reference(rng: np.random.Generator) -> SystemParams:
+    """One random configuration over the extreme set: h 1e-3-15 m, r 10-1e4 m,
+    alpha 1e-4-50 /m, l 1e-6 r-r (all log-uniform), gamma_t 85-135 dB."""
+    r = 10.0 ** rng.uniform(1.0, 4.0)
+    return SystemParams.reference(
+        gamma_t_db=rng.uniform(85.0, 135.0),
+        r=r,
+        h=10.0 ** rng.uniform(-3.0, math.log10(15.0)),
+        alpha=10.0 ** rng.uniform(-4.0, math.log10(50.0)),
+        l=10.0 ** rng.uniform(-6.0, 0.0) * r,
     )

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from pinchpass._outage_lossy import outage_numeric
 from pinchpass.analysis_full import outage_fwl, outage_fwnl, rate_fwl, rate_fwnl
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import outage_by_integration, random_reference
+from oracles import outage_by_integration, random_reference, rate_fwl_series
 
 SEED = 9090
 
@@ -102,6 +104,37 @@ def test_outage_fwl_against_integration_oracle():
             p = SystemParams.reference(gamma_t_db=gamma_t_db, alpha=alpha)
             assert outage_fwl(p).value == pytest.approx(
                 outage_by_integration(p, Scenario.FWL), abs=1e-9)
+
+
+# alpha*r in the hundreds of thousands: omega(b) - h^2 at the threshold zero b
+# carries a rounding error far above 1e-12*(C + h^2)
+LARGE_ALPHA_R = [
+    (88.19051620243454, 2416.2065308571932, 1.5785098918828047, 23.31985633492541,
+     0.013121342099646799),
+    (94.44629886817893, 1305.1132431132387, 4.385398614603101, 35.72231089474223,
+     8.139665124401032e-06),
+]
+
+
+@pytest.mark.parametrize("gamma_t_db,r,h,alpha,l_frac", LARGE_ALPHA_R)
+def test_outage_fwl_closed_form_at_large_alpha_r(gamma_t_db, r, h, alpha, l_frac):
+    p = SystemParams.reference(gamma_t_db=gamma_t_db, r=r, h=h, alpha=alpha, l=l_frac * r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = outage_fwl(p)
+    assert res.case_id == "g1f1-mid-mid"
+    assert res.value == pytest.approx(outage_numeric(p, Scenario.FWL), abs=1e-6)
+
+
+def test_rate_fwl_matches_series_dilog_reference():
+    # the library's dilog is scipy's spence; the reference rebuilds the same
+    # Chebyshev sum on the power-series/Landen/inversion dilogarithm
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(300):
+        p = random_reference(rng)
+        for nodes in (200, 2000):
+            assert rate_fwl(p, nodes).value == pytest.approx(rate_fwl_series(p, nodes),
+                                                             rel=1e-12)
 
 
 def test_rate_fwl_reduces_to_lossless():

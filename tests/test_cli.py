@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import pinchpass
 from pinchpass import montecarlo
 from pinchpass.cli import (
     CSV_HEADER,
@@ -275,3 +281,16 @@ def test_figure_variants_share_each_seed_draw(tmp_path, monkeypatch):
         write_csv(rows, str(tmp_path / "expected.csv"))
         assert (tmp_path / f"figure4_a{alpha}.csv").read_bytes() \
             == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # each adds ~0.3 s to a fresh interpreter's import; only the numeric
+    # outage fallback imports scipy.integrate, on first use
+    src = str(Path(pinchpass.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    code = ("import sys, pinchpass, pinchpass.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,13 +1,16 @@
 import math
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pinchpass._outage_lossy import _KNOWN_CASES, evaluate_lossy_outage
 from pinchpass.numerics import (
     ChebyshevRule,
+    _peak_abscissa,
     classify_crossings,
     crossing_functions,
     dilog,
@@ -20,6 +23,7 @@ from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
     alternating_series_li2_minus1,
+    extreme_reference,
     interval_label,
     li2_by_quadrature,
     random_reference,
@@ -78,6 +82,15 @@ def test_rule_nodes_decreasing_symmetric():
     assert np.all(np.abs(rule.nodes) < 1)
     assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-15)
     assert rule.weight == pytest.approx(math.pi / 17)
+
+
+def test_rule_is_cached_and_read_only():
+    rule = ChebyshevRule.of_order(23)
+    assert ChebyshevRule.of_order(23) is rule
+    with pytest.raises(ValueError, match="read-only"):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        rule.node_sines[:] = 1.0
 
 
 def test_semicircle_integral_exact_at_16_nodes():
@@ -230,3 +243,51 @@ def test_classifier_agrees_with_dense_scan_on_random_draws():
             if min(abs(approx - l), abs(approx + l)) > 2 * spacing:
                 assert root.interval == interval_label(approx, l)
         checked += 1
+
+
+def test_classifier_on_extreme_set():
+    # roots are closed forms except on the middle segment, the peak is a
+    # Lambert-W value: check every root against the vectorized curves
+    rng = np.random.default_rng(20261018)
+    cases = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(4000):
+            p = extreme_reference(rng)
+            C = derive_constants(p).C
+            tol = 1e-12 * (p.r ** 2 + C)
+            for scenario in (Scenario.FWL, Scenario.PWL):
+                l = p.half_length(scenario)
+                f, g = crossing_functions(p, scenario)
+                report = classify_crossings(p, scenario)
+                cases[report.case_id] += 1
+                for root in report.g_roots:
+                    assert abs(float(g(root.value))) <= tol
+                    assert root.interval == interval_label(root.value, l)
+                for root in report.f_roots:
+                    assert abs(float(f(root.value))) <= tol
+                    assert root.interval == interval_label(root.value, l)
+                x_star = _peak_abscissa(p.alpha, C, l)
+                slope_term = p.alpha * C * math.exp(-p.alpha * (x_star + l))
+                # the slope of g vanishes there: alpha C exp(-alpha(x+l)) = 2x
+                assert slope_term == pytest.approx(2.0 * x_star, rel=1e-12, abs=1e-300)
+                value, case = evaluate_lossy_outage(p, scenario, report)
+                assert 0.0 <= value <= 1.0 and case == report.case_id
+    # every closed form and both degenerate regimes, no numeric fallback
+    assert set(cases) == _KNOWN_CASES - {"unclassified"}
+
+
+def test_g2_left_mid_never_occurs():
+    # see the proof at _outage_lossy._NUMERIC_CASES
+    rng = np.random.default_rng(4000)
+    cases = Counter()
+    left_roots = 0
+    for _ in range(2000):
+        p = random_reference(rng)
+        for scenario in (Scenario.FWL, Scenario.PWL):
+            report = classify_crossings(p, scenario)
+            cases[report.case_id] += 1
+            left_roots += any(r.interval == "[-r,-l]" for r in report.g_roots)
+    assert sum(cases.values()) == 4000
+    assert "g2-left-mid" not in cases
+    assert "g2-left-right" in cases and left_roots > 0
