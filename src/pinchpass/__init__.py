@@ -2,22 +2,22 @@
 
 Closed-form outage probability and average achievable rate for four
 waveguide configurations (full/partial coverage, with/without propagation
-loss), a seeded Monte-Carlo oracle for validation, and a CLI harness for
-parameter sweeps and the optimal-half-length search.
+loss) behind one entry point, :func:`evaluate`, a seeded Monte-Carlo oracle
+for validation, and a CLI harness for parameter sweeps and the
+optimal-half-length search.
 """
 
-from .analysis_full import (
+from .analysis import (
+    LengthSearchResult,
     MetricResult,
+    evaluate,
+    optimal_length_search,
     outage_fwl,
     outage_fwnl,
-    rate_fwl,
-    rate_fwnl,
-)
-from .analysis_partial import (
-    LengthSearchResult,
-    optimal_length_search,
     outage_pwl,
     outage_pwnl,
+    rate_fwl,
+    rate_fwnl,
     rate_pwl,
     rate_pwnl,
 )
@@ -66,6 +66,7 @@ __all__ = [
     "dilog",
     "dilog_diff",
     "estimate_many",
+    "evaluate",
     "estimate_outage",
     "estimate_rate",
     "find_root_bracketed",

@@ -1,0 +1,320 @@
+"""Closed-form outage probability and average rate for the four scenarios.
+
+The antenna clamps to a centered waveguide segment of half-length l; full
+coverage is the same geometry at l = r.  :func:`evaluate` is the one
+dispatch from (scenario, metric) to an evaluator:
+
+* lossless outage is the complement of the CDF of the horizontal distance
+  to the segment (|y| at full coverage, the stadium CDF otherwise);
+* the lossless full-coverage rate is exact, the lossless partial-coverage
+  rate a two-segment Gauss-Chebyshev sum of chord integrals;
+* lossy outage dispatches over the root arrangements of the
+  threshold/clearance curves (``_outage_lossy``);
+* the lossy rate, full or partial coverage, is one three-segment
+  Gauss-Chebyshev sum over x of the analytic chord integral of the log-SNR;
+* a lossy scenario at alpha = 0 is its lossless twin.
+
+The search for the half-length that optimizes either metric runs on the
+same entry point.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from ._outage_lossy import evaluate_lossy_outage
+from .geometry import cdf_abs_y, cdf_horizontal_distance
+from .numerics import ChebyshevRule
+from .params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams, derive_constants
+
+METRICS = ("outage", "rate")
+CASE_INTERIOR = "interior"
+
+
+@dataclass(frozen=True)
+class MetricResult:
+    """One evaluated performance metric.
+
+    ``value`` is a probability for outage metrics and bits/s/Hz for rate
+    metrics; ``case_id`` records the dispatched branch of a piecewise
+    expression; ``quadrature_nodes`` the node count of a quadrature-based
+    rate.
+    """
+
+    value: float
+    scenario: Scenario
+    case_id: str | None = None
+    quadrature_nodes: int | None = None
+
+
+def _check_nodes(nodes: int) -> None:
+    if nodes < 2:
+        raise ValueError(f"need at least 2 nodes, got {nodes!r}")
+
+
+def evaluate(scenario: Scenario, metric: str, p: SystemParams,
+             nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Closed-form ``metric`` ("outage" or "rate") of ``scenario`` at ``p``.
+
+    ``nodes`` is the Gauss-Chebyshev order of the quadrature rates; the
+    outages and the lossless full-coverage rate ignore it.  A lossy
+    scenario at alpha = 0 returns its lossless twin's result relabelled
+    (the threshold zero of the lossy outage is undefined there).
+    """
+    if metric not in METRICS:
+        raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
+    if scenario.lossy:
+        if metric == "rate":
+            _check_nodes(nodes)
+        if p.alpha == 0.0:
+            twin = Scenario.FWNL if scenario.full_coverage else Scenario.PWNL
+            return replace(evaluate(twin, metric, p, nodes), scenario=scenario)
+        if metric == "outage":
+            value, case = evaluate_lossy_outage(p, scenario)
+            return MetricResult(value, scenario, case_id=case)
+        value = _rate_lossy(p, p.half_length(scenario), nodes)
+        return MetricResult(value, scenario, quadrature_nodes=nodes)
+    if scenario.full_coverage:
+        return outage_fwnl(p) if metric == "outage" else rate_fwnl(p)
+    return outage_pwnl(p) if metric == "outage" else rate_pwnl(p, nodes)
+
+
+# ---------------------------------------------------------------------------
+# lossless closed forms
+# ---------------------------------------------------------------------------
+
+
+def outage_fwnl(p: SystemParams) -> MetricResult:
+    """Outage probability, full coverage, lossless guide.
+
+    Outage holds where y^2 >= A, so the probability is the complement of
+    the |y| CDF at sqrt(A), with saturation at A <= 0 and A >= r^2.
+    """
+    A = derive_constants(p).A
+    if A >= p.r * p.r:
+        return MetricResult(0.0, Scenario.FWNL, case_id="no-outage")
+    if A <= 0.0:
+        return MetricResult(1.0, Scenario.FWNL, case_id="all-outage")
+    value = 1.0 - cdf_abs_y(math.sqrt(A), p.r)
+    return MetricResult(value, Scenario.FWNL, case_id=CASE_INTERIOR)
+
+
+def rate_fwnl(p: SystemParams) -> MetricResult:
+    """Average achievable rate, full coverage, lossless guide (exact)."""
+    d = derive_constants(p)
+    G, L = d.Gamma, d.Lambda
+    value = (math.log1p(d.eta * p.p_t / (p.sigma2 * p.h * p.h))
+             + 2.0 * (math.log((1.0 + G) / (1.0 + L))
+                      + 0.5 * (1.0 - G) / (1.0 + G)
+                      - 0.5 * (1.0 - L) / (1.0 + L))) / math.log(2.0)
+    return MetricResult(value, Scenario.FWNL)
+
+
+def outage_pwnl(p: SystemParams) -> MetricResult:
+    """Outage probability, partial coverage, lossless guide.
+
+    Outage holds where D^2 >= A, so the probability is the complement of
+    the stadium CDF at sqrt(A); the case id names the active CDF branch.
+    Equals the full-coverage expression when l = r.
+    """
+    A = derive_constants(p).A
+    r, l = p.r, p.l
+    if A <= 0.0:
+        return MetricResult(1.0, Scenario.PWNL, case_id="all-outage")
+    if A >= r * r:
+        return MetricResult(0.0, Scenario.PWNL, case_id="no-outage")
+    root = math.sqrt(A)
+    if root < r - l:
+        case = "stadium"
+    elif root * root < r * r - l * l:
+        case = "stadium-caps"
+    else:
+        case = "band"
+    value = 1.0 - cdf_horizontal_distance(root, r, l)
+    return MetricResult(value, Scenario.PWNL, case_id=case)
+
+
+def _segment_chord_terms(rho2: np.ndarray, gain: np.ndarray | float,
+                         base2: np.ndarray | float) -> np.ndarray:
+    # chord integral of ln(1 + gain/(y^2 + base2)) over |y| <= rho, halved:
+    #   rho ln(1 + gain/(rho^2+base2)) + 2 sqrt(base2+gain) atan(rho/sqrt(base2+gain))
+    #   - 2 sqrt(base2) atan(rho/sqrt(base2))
+    rho = np.sqrt(np.maximum(rho2, 0.0))
+    lifted = np.sqrt(base2 + gain)
+    base = np.sqrt(base2)
+    return (rho * np.log1p(gain / (rho2 + base2))
+            + 2.0 * lifted * np.arctan(rho / lifted)
+            - 2.0 * base * np.arctan(rho / base))
+
+
+def rate_pwnl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Average achievable rate, partial coverage, lossless guide.
+
+    Two Gauss-Chebyshev segments: under the covered span the chord
+    integral depends on y only; beyond it the end-gap (x - l) joins the
+    vertical offset in the link distance.
+    """
+    _check_nodes(nodes)
+    r, l, h = p.r, p.l, p.h
+    e = derive_constants(p).eta * p.p_t / p.sigma2
+    rule = ChebyshevRule.of_order(nodes)
+    w = rule.node_sines
+    h2 = h * h
+
+    x1 = 0.5 * l * rule.nodes + 0.5 * l
+    seg1 = np.sum(w * _segment_chord_terms(r * r - x1 * x1, e, h2))
+    seg2 = 0.0
+    if l < r:
+        x2 = 0.5 * (r - l) * rule.nodes + 0.5 * (r + l)
+        seg2 = np.sum(w * _segment_chord_terms(r * r - x2 * x2, e, h2 + (x2 - l) ** 2))
+    total = (0.5 * l * seg1 + 0.5 * (r - l) * seg2) * rule.weight
+    value = 4.0 * total / (math.pi * r * r * math.log(2.0))
+    return MetricResult(value, Scenario.PWNL, quadrature_nodes=nodes)
+
+
+# ---------------------------------------------------------------------------
+# lossy closed forms
+# ---------------------------------------------------------------------------
+
+
+def _rate_lossy(p: SystemParams, l: float, nodes: int) -> float:
+    # the three-segment chord quadrature of rate_pwl; at l = r (full
+    # coverage) only the covered span remains
+    r, h = p.r, p.h
+    e = derive_constants(p).eta * p.p_t / p.sigma2
+    rule = ChebyshevRule.of_order(nodes)
+    t, w = rule.nodes, rule.node_sines
+    h2 = h * h
+
+    x1 = l * t
+    mid = np.sum(w * _segment_chord_terms(r * r - x1 * x1,
+                                          e * np.exp(-p.alpha * (x1 + l)), h2))
+    far = near = 0.0
+    if l < r:
+        x2 = 0.5 * (r - l) * t + 0.5 * (r + l)
+        far = np.sum(w * _segment_chord_terms(r * r - x2 * x2,
+                                              e * math.exp(-2.0 * p.alpha * l),
+                                              h2 + (x2 - l) ** 2))
+        x3 = 0.5 * (r - l) * t - 0.5 * (r + l)
+        near = np.sum(w * _segment_chord_terms(r * r - x3 * x3, e, h2 + (x3 + l) ** 2))
+    total = 2.0 * l * mid + (r - l) * far + (r - l) * near
+    return float(total / (nodes * r * r * math.log(2.0)))
+
+
+def outage_fwl(p: SystemParams) -> MetricResult:
+    """Outage probability, full coverage, lossy guide.
+
+    Dispatches on the crossing classifier: one boundary crossing plus a
+    threshold zero, two crossings, or the degenerate all/none regimes.
+    """
+    return evaluate(Scenario.FWL, "outage", p)
+
+
+def rate_fwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Average achievable rate, full coverage, lossy guide.
+
+    The lossy chord quadrature over x at l = r: each node integrates the
+    log-SNR across its chord analytically under the running attenuation.
+    """
+    return evaluate(Scenario.FWL, "rate", p, nodes)
+
+
+def outage_pwl(p: SystemParams) -> MetricResult:
+    """Outage probability, partial coverage, lossy guide.
+
+    Dispatches on the crossing classifier across the nine closed-form root
+    arrangements and the two degenerate regimes; arrangements without a
+    closed form fall back to direct numerical integration (flagged in the
+    case id).
+    """
+    return evaluate(Scenario.PWL, "outage", p)
+
+
+def rate_pwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Average achievable rate, partial coverage, lossy guide.
+
+    Three Gauss-Chebyshev segments: the covered span with running
+    attenuation exp(-alpha (x + l)), the far side beyond +l at the full
+    guide loss exp(-2 alpha l), and the near side before -l at feed level.
+    """
+    return evaluate(Scenario.PWL, "rate", p, nodes)
+
+
+# ---------------------------------------------------------------------------
+# optimal half-length search
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LengthSearchResult:
+    """Grid curve and extremum of a metric over the waveguide half-length."""
+
+    best_l: float
+    best_value: float
+    grid: tuple[tuple[float, float], ...]
+    metric: str
+
+
+def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1 = hi - ratio * (hi - lo)
+    x2 = lo + ratio * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = fun(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = fun(x2)
+    return 0.5 * (lo + hi)
+
+
+def optimal_length_search(p: SystemParams, metric: str = "rate",
+                          grid_spec: tuple[float, float, int] | None = None,
+                          nodes: int = DEFAULT_QUADRATURE_NODES,
+                          refine: bool = True) -> LengthSearchResult:
+    """Search the half-length grid for the best metric value.
+
+    Evaluates the closed-form PWL metric (outage minimized, rate maximized;
+    PWNL at alpha = 0) on an inclusive linspace grid over (0, r], then
+    optionally sharpens the grid optimum by golden-section search between
+    its neighbors down to 1e-3 m.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
+    if grid_spec is None:
+        grid_spec = (max(0.01, p.r / 50.0), p.r, 50)
+    start, stop, steps = grid_spec
+    if not (0.0 < start <= stop <= p.r) or steps < 1:
+        raise ValueError(f"invalid half-length grid {grid_spec!r}")
+    if steps > 1 and (stop - start) / (steps - 1) < 0.01:
+        raise ValueError("half-length grid step below 0.01 m")
+
+    value_at = lambda l: evaluate(Scenario.PWL, metric, p.with_(l=l), nodes).value
+    grid = np.linspace(start, stop, steps)
+    sign = 1.0 if metric == "outage" else -1.0
+    values = [value_at(float(l)) for l in grid]
+    best_idx = int(np.argmin([sign * v for v in values]))
+    best_l = float(grid[best_idx])
+    best_value = values[best_idx]
+
+    # refine only interior optima; a boundary optimum cannot be bracketed and
+    # the curve is noise-flat at a degenerate end
+    if refine and 0 < best_idx < steps - 1:
+        lo = float(grid[best_idx - 1])
+        hi = float(grid[best_idx + 1])
+        if hi - lo > 1e-3:
+            candidate = _golden_section(lambda l: sign * value_at(l), lo, hi, tol=1e-3)
+            cand_value = value_at(candidate)
+            if sign * cand_value < sign * best_value:
+                best_l, best_value = candidate, cand_value
+
+    return LengthSearchResult(best_l=best_l, best_value=best_value,
+                              grid=tuple(zip(map(float, grid), values)),
+                              metric=metric)

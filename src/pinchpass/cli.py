@@ -60,7 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis_full, analysis_partial, montecarlo
+from . import montecarlo
+from .analysis import evaluate, optimal_length_search
 from .params import (
     DEFAULT_QUADRATURE_NODES,
     Scenario,
@@ -155,26 +156,6 @@ def apply_swept(base: SystemParams, variable: str, value: float) -> SystemParams
     raise ConfigError(f"unknown swept variable {variable!r}")
 
 
-def closed_form(scenario: Scenario, metric: str, p: SystemParams,
-                nodes: int = DEFAULT_QUADRATURE_NODES) -> analysis_full.MetricResult:
-    """Dispatch (scenario, metric) to its closed-form evaluator."""
-    if metric == "outage":
-        table = {
-            Scenario.FWNL: lambda: analysis_full.outage_fwnl(p),
-            Scenario.FWL: lambda: analysis_full.outage_fwl(p),
-            Scenario.PWNL: lambda: analysis_partial.outage_pwnl(p),
-            Scenario.PWL: lambda: analysis_partial.outage_pwl(p),
-        }
-    else:
-        table = {
-            Scenario.FWNL: lambda: analysis_full.rate_fwnl(p),
-            Scenario.FWL: lambda: analysis_full.rate_fwl(p, nodes),
-            Scenario.PWNL: lambda: analysis_partial.rate_pwnl(p, nodes),
-            Scenario.PWL: lambda: analysis_partial.rate_pwl(p, nodes),
-        }
-    return table[scenario]()
-
-
 class _RowJob(NamedTuple):
     config: int         # index into run_sweep's configs
     row: int            # position in that config's rows
@@ -185,7 +166,7 @@ class _RowJob(NamedTuple):
 
 
 def _sweep_row(cfg: SweepConfig, job: _RowJob, est) -> SweepRow:
-    result = closed_form(job.scenario, cfg.metric, job.p, cfg.nodes)
+    result = evaluate(job.scenario, cfg.metric, job.p, cfg.nodes)
     mc_mean = mc_stderr = abs_gap = passed = None
     if est is not None:
         tol = cfg.mc.tolerance_outage if cfg.metric == "outage" else cfg.mc.tolerance_rate
@@ -515,28 +496,16 @@ def _lattice_checks(draws: np.ndarray, nodes: int):
                                    l=max(l_frac * r, 0.01))
         full = p.with_(l=r)
         tiny = p.with_(alpha=1e-9)
-        fwnl_rate = analysis_full.rate_fwnl(full).value
-        fwl_rate = analysis_full.rate_fwl(full, nodes).value
-        tiny_fwnl_rate = analysis_full.rate_fwnl(tiny).value
-        tiny_pwnl_rate = analysis_partial.rate_pwnl(tiny, nodes).value
-        checks.extend([
-            ("PWNL(l=r)=FWNL outage", analysis_partial.outage_pwnl(full).value,
-             analysis_full.outage_fwnl(full).value, 1e-9),
-            ("PWNL(l=r)=FWNL rate", analysis_partial.rate_pwnl(full, nodes).value,
-             fwnl_rate, 1e-6 * abs(fwnl_rate)),
-            ("PWL(l=r)=FWL outage", analysis_partial.outage_pwl(full).value,
-             analysis_full.outage_fwl(full).value, 1e-9),
-            ("PWL(l=r)=FWL rate", analysis_partial.rate_pwl(full, nodes).value,
-             fwl_rate, 1e-6 * abs(fwl_rate)),
-            ("FWL(a~0)=FWNL outage", analysis_full.outage_fwl(tiny).value,
-             analysis_full.outage_fwnl(tiny).value, 1e-6),
-            ("FWL(a~0)=FWNL rate", analysis_full.rate_fwl(tiny, nodes).value,
-             tiny_fwnl_rate, 1e-6 * abs(tiny_fwnl_rate)),
-            ("PWL(a~0)=PWNL outage", analysis_partial.outage_pwl(tiny).value,
-             analysis_partial.outage_pwnl(tiny).value, 1e-6),
-            ("PWL(a~0)=PWNL rate", analysis_partial.rate_pwl(tiny, nodes).value,
-             tiny_pwnl_rate, 1e-6 * abs(tiny_pwnl_rate)),
-        ])
+        for name, q, left, right, outage_tol in (
+                ("PWNL(l=r)=FWNL", full, Scenario.PWNL, Scenario.FWNL, 1e-9),
+                ("PWL(l=r)=FWL", full, Scenario.PWL, Scenario.FWL, 1e-9),
+                ("FWL(a~0)=FWNL", tiny, Scenario.FWL, Scenario.FWNL, 1e-6),
+                ("PWL(a~0)=PWNL", tiny, Scenario.PWL, Scenario.PWNL, 1e-6)):
+            for metric in ("outage", "rate"):
+                value = evaluate(left, metric, q, nodes).value
+                expected = evaluate(right, metric, q, nodes).value
+                tol = outage_tol if metric == "outage" else 1e-6 * abs(expected)
+                checks.append((f"{name} {metric}", value, expected, tol))
     return checks
 
 
@@ -567,7 +536,7 @@ def run_validation(args) -> int:
         estimates = montecarlo.estimate_many(jobs, n_samples, seed + i, args.workers)
         for (scenario, metric, _), est in zip(jobs, estimates):
             checks.append((f"MC {scenario.name} {metric} #{i}",
-                           closed_form(scenario, metric, p, nodes).value, est.mean,
+                           evaluate(scenario, metric, p, nodes).value, est.mean,
                            (3.0 * est.stderr + 1e-4) * tol_scale))
 
     failures = 0
@@ -662,7 +631,7 @@ def _cmd_optimal_length(args) -> int:
     start = args.l_start if args.l_start is not None else max(0.01, args.r / 50.0)
     stop = args.l_stop if args.l_stop is not None else args.r
     try:
-        result = analysis_partial.optimal_length_search(
+        result = optimal_length_search(
             p, metric=args.metric, grid_spec=(start, stop, args.l_steps),
             nodes=DEFAULT_QUADRATURE_NODES if args.nodes is None else args.nodes,
             refine=not args.no_refine)

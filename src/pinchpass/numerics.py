@@ -1,12 +1,14 @@
 """Special functions and solvers behind the closed forms.
 
-Real dilogarithm on the non-positive axis (``scipy.special.spence``, with
-a short Gauss-Legendre rule for differences of nearly equal arguments),
-Gauss-Chebyshev (first kind) quadrature, bracketed root finding, and the
-classifier that turns the threshold/chord crossing structure of the lossy
-scenarios into a dispatch decision.  The classifier works on Python floats:
-the outer-segment roots and the clearance peak (Lambert W) are closed
-forms, and only a root on the middle segment is iterated.
+Real dilogarithm on the non-positive axis, the special function of the
+paper's lossy full-coverage rate expression (``scipy.special.spence``,
+with a short Gauss-Legendre rule for differences of nearly equal
+arguments), Gauss-Chebyshev (first kind) quadrature, bracketed root
+finding, and the classifier that turns the threshold/chord crossing
+structure of the lossy scenarios into a dispatch decision.  The classifier
+works on Python floats: the outer-segment roots and the clearance peak
+(Lambert W) are closed forms, and only a root on the middle segment is
+iterated.
 """
 
 from __future__ import annotations
@@ -43,35 +45,29 @@ def dilog(z: float) -> float:
     return float(spence(1.0 - z))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _dilog_diff_array(z_hi: np.ndarray, z_lo: np.ndarray) -> np.ndarray:
-    # Li2(z_hi) - Li2(z_lo), stable when the arguments nearly coincide:
-    # integrate Li2' = -ln(1-t)/t over the short interval instead of
-    # subtracting two large values.
-    z_hi = np.asarray(z_hi, dtype=float)
-    z_lo = np.asarray(z_lo, dtype=float)
-    gap = z_hi - z_lo
-    close = np.abs(gap) <= 0.05 * (1.0 + np.minimum(np.abs(z_hi), np.abs(z_lo)))
-    out = np.empty_like(gap)
-    if (~close).any():
-        # Li2(z) = spence(1 - z) in scipy's convention
-        out[~close] = spence(1.0 - z_hi[~close]) - spence(1.0 - z_lo[~close])
-    if close.any():
-        mid = 0.5 * (z_hi[close] + z_lo[close])
-        half = 0.5 * gap[close]
-        t = mid[None, :] + half[None, :] * _GL_NODES[:, None]
-        vals = np.where(t == 0.0, 1.0, -np.log1p(-t) / np.where(t == 0.0, 1.0, t))
-        out[close] = half * np.einsum("i,ij->j", _GL_WEIGHTS, vals)
-    return out
+_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(24))
 
 
 def dilog_diff(z_hi: float, z_lo: float) -> float:
-    """Li2(z_hi) - Li2(z_lo) for non-positive arguments, cancellation-safe."""
+    """Li2(z_hi) - Li2(z_lo) for non-positive arguments, cancellation-safe.
+
+    Nearly coincident arguments integrate Li2'(t) = -ln(1 - t)/t over the
+    short interval (24-point Gauss-Legendre) instead of subtracting two
+    large values.
+    """
     if z_hi > 0.0 or z_lo > 0.0:
         raise ValueError("dilog_diff is defined for non-positive arguments")
-    return float(_dilog_diff_array(np.array([z_hi]), np.array([z_lo]))[0])
+    gap = z_hi - z_lo
+    if abs(gap) > 0.05 * (1.0 + min(abs(z_hi), abs(z_lo))):
+        # Li2(z) = spence(1 - z) in scipy's convention
+        return float(spence(1.0 - z_hi) - spence(1.0 - z_lo))
+    mid = 0.5 * (z_hi + z_lo)
+    half = 0.5 * gap
+    total = 0.0
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        t = mid + half * node
+        total += weight * (-math.log1p(-t) / t if t != 0.0 else 1.0)
+    return float(half * total)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +109,6 @@ class ChebyshevRule:
         """Plain integral of f over [a, b] via the affine node map."""
         x = 0.5 * (b - a) * self.nodes + 0.5 * (a + b)
         return 0.5 * (b - a) * self.weight * float(np.sum(self.node_sines * f(x)))
-
-
-def gauss_chebyshev(rule: ChebyshevRule, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Raw weighted node sum of the rule (see :meth:`ChebyshevRule.weighted_sum`)."""
-    return rule.weighted_sum(f)
 
 
 # ---------------------------------------------------------------------------

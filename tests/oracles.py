@@ -92,10 +92,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def rate_fwl_series(p: SystemParams, nodes: int) -> float:
-    """The FWL rate's Chebyshev sum of dilog differences, built on li2_series.
+    """The paper's FWL rate: a Chebyshev sum over y of dilog differences.
 
-    Near-coincident arguments integrate Li2' = -ln(1-t)/t over their gap
-    with 24-point Gauss-Legendre, as the library does.
+    Built on li2_series; near-coincident arguments integrate
+    Li2' = -ln(1-t)/t over their gap with 24-point Gauss-Legendre, as
+    ``numerics.dilog_diff`` does.  The library evaluates the same rate with
+    the chord quadrature over x, so this is its paper-fidelity oracle.
     """
     d = derive_constants(p)
     k = np.arange(1, nodes + 1)

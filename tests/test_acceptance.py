@@ -14,15 +14,19 @@ import math
 
 import numpy as np
 
-from pinchpass.analysis_full import outage_fwl, outage_fwnl, rate_fwl, rate_fwnl
-from pinchpass.analysis_partial import (
+from pinchpass import (
+    evaluate,
     optimal_length_search,
+    outage_fwl,
+    outage_fwnl,
     outage_pwl,
     outage_pwnl,
+    rate_fwl,
+    rate_fwnl,
     rate_pwl,
     rate_pwnl,
 )
-from pinchpass.cli import closed_form, main
+from pinchpass.cli import main
 from pinchpass.geometry import cdf_abs_y, cdf_horizontal_distance, theta
 from pinchpass.montecarlo import estimate_many, estimate_outage, estimate_rate
 from pinchpass.numerics import ChebyshevRule, classify_crossings, dilog
@@ -55,12 +59,12 @@ def test_criterion_1_oracle_agreement():
         # to its single-job estimate_outage/estimate_rate call
         estimates = {job[:2]: est for job, est in zip(jobs, estimate_many(jobs, n, SEED + i))}
         for scenario in Scenario:
-            value_o = closed_form(scenario, "outage", p).value
+            value_o = evaluate(scenario, "outage", p).value
             est_o = estimates[scenario, "outage"]
             gap_o = abs(value_o - est_o.mean)
             if gap_o > 3 * est_o.stderr + 1e-4:
                 failures.append((i, scenario.name, "outage", gap_o))
-            value_r = closed_form(scenario, "rate", p).value
+            value_r = evaluate(scenario, "rate", p).value
             est_r = estimates[scenario, "rate"]
             gap_r = abs(value_r - est_r.mean)
             if gap_r > 3 * est_r.stderr:

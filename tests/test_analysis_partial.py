@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from pinchpass.analysis_full import outage_fwl, outage_fwnl, rate_fwl, rate_fwnl
-from pinchpass.analysis_partial import (
+from pinchpass import (
     optimal_length_search,
+    outage_fwl,
+    outage_fwnl,
     outage_pwl,
     outage_pwnl,
+    rate_fwl,
+    rate_fwnl,
     rate_pwl,
     rate_pwnl,
 )

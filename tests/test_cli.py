@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import pinchpass
-from pinchpass import montecarlo
+from pinchpass import evaluate, montecarlo
 from pinchpass.cli import (
     CSV_HEADER,
     DEFAULT_SEED,
@@ -15,7 +15,6 @@ from pinchpass.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     SweepRow,
-    closed_form,
     main,
     write_csv,
 )
@@ -272,7 +271,7 @@ def test_figure_variants_share_each_seed_draw(tmp_path, monkeypatch):
         rows = []
         for k, l in enumerate(np.linspace(1.0, 25.0, 25)):
             p = base.with_(l=float(l))
-            result = closed_form(Scenario.PWL, "outage", p)
+            result = evaluate(Scenario.PWL, "outage", p)
             est = montecarlo.estimate_outage(Scenario.PWL, p, n, DEFAULT_SEED + k)
             gap = abs(result.value - est.mean)
             rows.append(SweepRow("l", float(l), Scenario.PWL, result.value, est.mean,

@@ -1,0 +1,77 @@
+import pytest
+
+from pinchpass import (
+    Scenario,
+    SystemParams,
+    evaluate,
+    optimal_length_search,
+    outage_fwl,
+    outage_fwnl,
+    outage_pwl,
+    outage_pwnl,
+    rate_fwl,
+    rate_fwnl,
+    rate_pwl,
+    rate_pwnl,
+)
+from pinchpass.cli import EXIT_CONFIG, main
+
+PUBLIC = {
+    (Scenario.FWNL, "outage"): lambda p, n: outage_fwnl(p),
+    (Scenario.FWL, "outage"): lambda p, n: outage_fwl(p),
+    (Scenario.PWNL, "outage"): lambda p, n: outage_pwnl(p),
+    (Scenario.PWL, "outage"): lambda p, n: outage_pwl(p),
+    (Scenario.FWNL, "rate"): lambda p, n: rate_fwnl(p),
+    (Scenario.FWL, "rate"): rate_fwl,
+    (Scenario.PWNL, "rate"): rate_pwnl,
+    (Scenario.PWL, "rate"): rate_pwl,
+}
+CONFIGS = [SystemParams.reference(gamma_t_db=g, alpha=a, l=l)
+           for g in (98.0, 105.0, 112.0) for a in (0.0, 0.02) for l in (6.0, 25.0)]
+
+
+@pytest.mark.parametrize("scenario,metric", list(PUBLIC))
+def test_evaluate_equals_public_function(scenario, metric):
+    for p in CONFIGS:
+        for nodes in (200, 2000):
+            got = evaluate(scenario, metric, p, nodes)
+            want = PUBLIC[scenario, metric](p, nodes)
+            assert got == want
+            assert got.scenario is scenario
+
+
+def test_lossy_scenario_at_zero_alpha_is_its_relabelled_twin():
+    p = SystemParams.reference(alpha=0.0, l=9.0)
+    for lossy, twin in ((Scenario.FWL, Scenario.FWNL), (Scenario.PWL, Scenario.PWNL)):
+        for metric in ("outage", "rate"):
+            got, ref = evaluate(lossy, metric, p), evaluate(twin, metric, p)
+            assert (got.value, got.case_id, got.quadrature_nodes) \
+                == (ref.value, ref.case_id, ref.quadrature_nodes)
+
+
+def test_unknown_metric_is_rejected():
+    p = SystemParams.reference()
+    for scenario in Scenario:
+        with pytest.raises(ValueError, match="metric must be 'outage' or 'rate'"):
+            evaluate(scenario, "throughput", p)
+
+
+def test_rejected_node_counts_still_raise(tmp_path, capsys):
+    for alpha in (0.0, 0.02):
+        p = SystemParams.reference(alpha=alpha)
+        for call in (lambda: rate_fwl(p, nodes=1), lambda: rate_pwl(p, nodes=1),
+                     lambda: rate_pwnl(p, nodes=1),
+                     lambda: evaluate(Scenario.FWL, "rate", p, 1),
+                     lambda: evaluate(Scenario.PWNL, "rate", p, 1),
+                     lambda: evaluate(Scenario.PWL, "rate", p, 1),
+                     lambda: optimal_length_search(p, "rate", nodes=1)):
+            with pytest.raises(ValueError, match="need at least 2 nodes, got 1"):
+                call()
+        # the exact lossless full-coverage rate and the outages take no nodes
+        assert evaluate(Scenario.FWNL, "rate", p, 1) == rate_fwnl(p)
+        assert evaluate(Scenario.PWL, "outage", p, 1) == outage_pwl(p)
+    assert main(["validate", "--nodes", "1"]) == EXIT_CONFIG
+    assert "need at least 2 nodes, got 1" in capsys.readouterr().err
+    assert main(["figure", "6", "--nodes", "1", "--no-mc", "--out", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert "need at least 2 nodes, got 1" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from pinchpass.analysis_full import outage_fwnl, rate_fwnl
+from pinchpass import outage_fwnl, rate_fwnl
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
