@@ -20,7 +20,7 @@ from .numerics import (
     classify_crossings,
     crossing_functions,
 )
-from .params import Scenario, SystemParams, derive_constants
+from .params import Scenario, SystemParams
 
 logger = logging.getLogger(__name__)
 
@@ -47,13 +47,13 @@ def _asin_clamped(u: float) -> float:
 class _Pieces:
     """Scalar building blocks for one (params, half-length) configuration."""
 
-    def __init__(self, p: SystemParams, l: float):
+    def __init__(self, p: SystemParams, l: float, C: float):
         self.r = p.r
         self.h = p.h
         self.h2 = p.h * p.h
         self.alpha = p.alpha
         self.l = l
-        self.C = derive_constants(p).C
+        self.C = C
         self.scale = self.C + self.h2
         # omega(x) - h^2 vanishes at a threshold zero in exact arithmetic;
         # its rounding error grows with alpha*|x| through the exponent
@@ -192,8 +192,8 @@ _KNOWN_CASES = (set(_G2_CASES) | set(_G1F1_CASES) | set(_F2_CASES)
 
 def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
     """Direct integration of the outage region (fallback and test oracle)."""
-    # imported here: it adds ~0.25 s to `import pinchpass`, and only this
-    # rare fallback needs it
+    # imported here, as spence in numerics: `import pinchpass` loads no
+    # scipy, and only this rare fallback needs scipy.integrate
     from scipy.integrate import quad
 
     f, _ = crossing_functions(p, scenario)
@@ -206,9 +206,7 @@ def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
         return math.sqrt(rho2) - math.sqrt(fv)
 
     cuts = sorted({-r, r} | {v for v in (-l, l) if -r < v < r})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += quad(integrand, lo, hi, limit=200)[0]
+    total = sum(quad(integrand, lo, hi, limit=200)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
     return 2.0 * total / (math.pi * r * r)
 
 
@@ -227,7 +225,7 @@ def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
     if report.degenerate is not None:
         return report.degenerate, report.case_id
 
-    pc = _Pieces(p, p.half_length(scenario))
+    pc = _Pieces(p, p.half_length(scenario), report.C)
     case = report.case_id
     if case in _NUMERIC_CASES:
         logger.warning("case %s has no closed form; integrating numerically", case)

@@ -145,12 +145,8 @@ def apply_swept(base: SystemParams, variable: str, value: float) -> SystemParams
     try:
         if variable == "gamma_t_db":
             return base.with_(p_t=base.sigma2 * db_to_linear(value))
-        if variable == "l":
-            return base.with_(l=value)
-        if variable == "alpha":
-            return base.with_(alpha=value)
-        if variable == "r":
-            return base.with_(r=value)
+        if variable in ("l", "alpha", "r"):
+            return base.with_(**{variable: value})
     except ValueError as exc:
         raise ConfigError(f"swept value {variable}={value!r} rejected: {exc}") from exc
     raise ConfigError(f"unknown swept variable {variable!r}")

@@ -2,13 +2,13 @@
 
 Real dilogarithm on the non-positive axis, the special function of the
 paper's lossy full-coverage rate expression (``scipy.special.spence``,
-with a short Gauss-Legendre rule for differences of nearly equal
-arguments), Gauss-Chebyshev (first kind) quadrature, bracketed root
-finding, and the classifier that turns the threshold/chord crossing
-structure of the lossy scenarios into a dispatch decision.  The classifier
-works on Python floats: the outer-segment roots and the clearance peak
-(Lambert W) are closed forms, and only a root on the middle segment is
-iterated.
+imported on first use, with a short Gauss-Legendre rule for differences of
+nearly equal arguments), Gauss-Chebyshev (first kind) quadrature,
+bracketed root finding, and the classifier that turns the threshold/chord
+crossing structure of the lossy scenarios into a dispatch decision.  The
+classifier works on Python floats: the outer-segment roots are closed
+forms, and the clearance peak and a root on the middle segment are found
+by the bracketed root finder.  Importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import lambertw, spence
 
 from .params import Scenario, SystemParams, derive_constants
 
@@ -42,10 +41,13 @@ def dilog(z: float) -> float:
         raise ValueError(f"dilog is defined here for z <= 0 only, got {z!r}")
     if z == 0.0:
         return 0.0
+    from scipy.special import spence  # on first use: its import takes ~0.35 s
     return float(spence(1.0 - z))
 
 
-_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(24))
+@functools.cache
+def _gauss_legendre_24() -> tuple[list[float], ...]:  # on first use, as spence
+    return tuple(a.tolist() for a in np.polynomial.legendre.leggauss(24))
 
 
 def dilog_diff(z_hi: float, z_lo: float) -> float:
@@ -59,12 +61,12 @@ def dilog_diff(z_hi: float, z_lo: float) -> float:
         raise ValueError("dilog_diff is defined for non-positive arguments")
     gap = z_hi - z_lo
     if abs(gap) > 0.05 * (1.0 + min(abs(z_hi), abs(z_lo))):
-        # Li2(z) = spence(1 - z) in scipy's convention
+        from scipy.special import spence  # as in dilog: Li2(z) = spence(1 - z)
         return float(spence(1.0 - z_hi) - spence(1.0 - z_lo))
     mid = 0.5 * (z_hi + z_lo)
     half = 0.5 * gap
     total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+    for node, weight in zip(*_gauss_legendre_24()):
         t = mid + half * node
         total += weight * (-math.log1p(-t) / t if t != 0.0 else 1.0)
     return float(half * total)
@@ -211,11 +213,13 @@ class RootReport:
     zeros of the threshold curve itself (beyond which whole chords are in
     outage).  ``case_id`` names the dispatched closed form; ``degenerate``
     carries the shortcut outage value 0.0/1.0 when no roots are needed.
+    ``C`` is the derived constant the roots were found with.
     """
 
     g_roots: tuple[LabeledRoot, ...]
     f_roots: tuple[LabeledRoot, ...]
     case_id: str
+    C: float
     degenerate: float | None = None
 
 
@@ -257,12 +261,18 @@ def crossing_functions(p: SystemParams, scenario: Scenario):
 
 
 def _peak_abscissa(alpha: float, C: float, l: float) -> float:
-    # the middle-segment clearance slope alpha*C*exp(-alpha*(x + l)) - 2x
-    # vanishes at x* = W(alpha^2 C exp(-alpha l) / 2) / alpha (principal
-    # branch, argument >= 0); at alpha = 0 the slope is -2x
+    # zero of the strictly decreasing middle-segment clearance slope
+    # alpha*C*exp(-alpha*(x + l)) - 2x = 2*(m*exp(-alpha*x) - x): positive at
+    # 0 and <= 0 at log1p(alpha*m)/alpha <= m, an end that is the zero to
+    # rounding where the slope there rounds >= 0; at alpha = 0 it is -2x
     if alpha == 0.0:
         return 0.0
-    return float(lambertw(0.5 * alpha * alpha * C * math.exp(-alpha * l)).real) / alpha
+    m = 0.5 * alpha * C * math.exp(-alpha * l)
+    hi = min(m, math.log1p(alpha * m) / alpha)
+    half_slope = lambda x: m * math.exp(-alpha * x) - x
+    if hi == 0.0 or half_slope(hi) >= 0.0:
+        return hi
+    return find_root_bracketed(half_slope, 0.0, hi, tol=0.0)
 
 
 def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
@@ -287,7 +297,7 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
 
     if C <= h2:
         # threshold curve non-positive everywhere: every chord is in outage
-        return RootReport((), (), CASE_ALL_OUTAGE, degenerate=1.0)
+        return RootReport((), (), CASE_ALL_OUTAGE, C, degenerate=1.0)
 
     def g_mid(x: float) -> float:
         return r * r - x * x - C * math.exp(-alpha * (x + l)) + h2
@@ -298,7 +308,7 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     else:
         x_peak = min(_peak_abscissa(alpha, C, l), l)
     if g_mid(x_peak) <= 0.0:
-        return RootReport((), (), CASE_NO_OUTAGE, degenerate=0.0)
+        return RootReport((), (), CASE_NO_OUTAGE, C, degenerate=0.0)
 
     # the outer lines meet the middle curve at -l and +l; at l = r there
     # are no outer segments and g(-r), g(r) are middle-segment values
@@ -344,4 +354,4 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
         # razor-edge sign pattern (roots pinned to interval ends); callers
         # fall back to numerical integration
         case = "unclassified"
-    return RootReport(tuple(g_roots), tuple(f_roots), case)
+    return RootReport(tuple(g_roots), tuple(f_roots), case, C)

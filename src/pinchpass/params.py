@@ -132,10 +132,6 @@ class SystemParams:
         """Effective waveguide half-length for a scenario."""
         return self.r if scenario.full_coverage else self.l
 
-    def transmit_snr_db(self) -> float:
-        """Transmit SNR p_t / sigma2 in dB."""
-        return linear_to_db(self.p_t / self.sigma2)
-
     def with_(self, **overrides) -> "SystemParams":
         """Copy with selected fields replaced (validation re-runs)."""
         return replace(self, **overrides)

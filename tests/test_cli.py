@@ -1,12 +1,16 @@
+import ast
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
+import pytest
 
 import pinchpass
-from pinchpass import evaluate, montecarlo
+from pinchpass import dilog, dilog_diff, evaluate, montecarlo
 from pinchpass.cli import (
     CSV_HEADER,
     DEFAULT_SEED,
@@ -282,14 +286,52 @@ def test_figure_variants_share_each_seed_draw(tmp_path, monkeypatch):
             == (tmp_path / "expected.csv").read_bytes()
 
 
-def test_import_leaves_scipy_integrate_and_optimize_unloaded():
-    # each adds ~0.3 s to a fresh interpreter's import; only the numeric
-    # outage fallback imports scipy.integrate, on first use
+def _run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = str(Path(pinchpass.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join((src, path)))
-    code = ("import sys, pinchpass, pinchpass.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_closed_forms_and_mc_leave_scipy_unloaded():
+    # scipy.special alone adds ~0.35 s to a fresh interpreter; only dilog,
+    # dilog_diff and the numeric outage fallback import scipy, on first use
+    code = """
+import sys, pinchpass, pinchpass.cli
+from pinchpass import Scenario, SystemParams, estimate_many, evaluate, optimal_length_search
+for alpha in (0.0, 0.02):
+    p = SystemParams.reference(105.0, alpha=alpha)
+    for scenario in Scenario:
+        for metric in ("outage", "rate"):
+            evaluate(scenario, metric, p, 200)
+optimal_length_search(p, "outage")
+estimate_many([(s, m, p) for s in Scenario for m in ("outage", "rate")], 4096, 7)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _run_fresh(code) == "[]"
+
+
+def test_dilog_after_fresh_import_matches_reference_values():
+    # spence is imported on the first dilog/dilog_diff call
+    code = """
+import sys
+from pinchpass import dilog, dilog_diff
+print("scipy.special" in sys.modules)
+z = -37.0
+print([dilog(-1.0), dilog(-0.5), dilog(-25.0), dilog_diff(-0.5, -2.0), dilog_diff(z - z * 1e-9, z)])
+"""
+    loaded, printed = _run_fresh(code).splitlines()
+    assert loaded == "False"
+    values = ast.literal_eval(printed)
+    z = -37.0
+    li2 = lambda x: mpmath.polylog(2, x)
+    expected = [li2(-1.0), li2(-0.5), li2(-25.0), li2(-0.5) - li2(-2.0)]
+    assert values[:4] == pytest.approx([float(e) for e in expected], rel=1e-12, abs=1e-12)
+    # the near pair takes the Gauss-Legendre branch: compare against Li2'
+    assert values[4] == pytest.approx(-math.log1p(-z) / z * (-z * 1e-9), rel=1e-6)
+    # and both branches equal the in-process values bit for bit
+    assert values == [dilog(-1.0), dilog(-0.5), dilog(-25.0), dilog_diff(-0.5, -2.0),
+                      dilog_diff(z - z * 1e-9, z)]

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import lambertw
 
 from pinchpass._outage_lossy import _KNOWN_CASES, evaluate_lossy_outage
 from pinchpass.numerics import (
@@ -245,8 +246,9 @@ def test_classifier_agrees_with_dense_scan_on_random_draws():
 
 
 def test_classifier_on_extreme_set():
-    # roots are closed forms except on the middle segment, the peak is a
-    # Lambert-W value: check every root against the vectorized curves
+    # roots are closed forms except on the middle segment, the peak is the
+    # bracketed zero of the clearance slope: check every root against the
+    # vectorized curves
     rng = np.random.default_rng(20261018)
     cases = Counter()
     with warnings.catch_warnings():
@@ -274,6 +276,21 @@ def test_classifier_on_extreme_set():
                 assert 0.0 <= value <= 1.0 and case == report.case_id
     # every closed form and both degenerate regimes, no numeric fallback
     assert set(cases) == _KNOWN_CASES - {"unclassified"}
+
+
+def test_peak_abscissa_against_lambert_w():
+    # the slope zero is W(z)/alpha with z = alpha^2 C exp(-alpha l)/2; scipy's
+    # lambertw is a test-only oracle here
+    for alpha in (1e-3, 0.02, 1.0, 50.0):
+        l = 1.0 / alpha
+        for z in np.logspace(-300, 300, 601):
+            C = 2.0 * float(z) * math.exp(alpha * l) / alpha ** 2
+            z_used = 0.5 * alpha * alpha * C * math.exp(-alpha * l)
+            expected = float(lambertw(z_used).real) / alpha
+            assert _peak_abscissa(alpha, C, l) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert _peak_abscissa(0.0, 1e3, 5.0) == 0.0
+    # exp(-alpha l) underflows: W(0) = 0
+    assert _peak_abscissa(50.0, 1e3, 1e4) == 0.0
 
 
 def test_g2_left_mid_never_occurs():
