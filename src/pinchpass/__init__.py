@@ -26,17 +26,10 @@ from .montecarlo import (
     estimate_many,
     estimate_outage,
     estimate_rate,
-    snr_sample,
     snr_values,
 )
-from .numerics import (
-    ChebyshevRule,
-    RootReport,
-    classify_crossings,
-    dilog,
-    dilog_diff,
-    find_root_bracketed,
-)
+from ._outage_lossy import RootReport, classify_crossings
+from .numerics import ChebyshevRule, dilog, dilog_diff, find_root_bracketed
 from .params import (
     DerivedConstants,
     Scenario,
@@ -80,7 +73,6 @@ __all__ = [
     "rate_fwnl",
     "rate_pwl",
     "rate_pwnl",
-    "snr_sample",
     "snr_values",
     "watts_to_dbm",
 ]

@@ -1,30 +1,71 @@
-"""Piecewise closed forms for outage probability with waveguide attenuation.
+"""Outage probability with waveguide attenuation (FWL, PWL).
 
-The outage region at abscissa x is the part of the chord with squared
-transverse offset above the threshold curve f(x); its half-length is
-rho(x) - sqrt(max(f(x), 0)) wherever the clearance g = rho^2 - f is
-positive.  Each root arrangement reported by the crossing classifier has a
-dedicated antiderivative-based expression; arrangements without one (razor
-edge sign patterns) integrate the region numerically.
+A device at abscissa x is in outage when its squared transverse offset
+exceeds the threshold curve f(x), so the lossy outage is one integral,
+(2 / (pi r^2)) * integral of rho(x) - sqrt(max(f(x), 0)) over the x-range
+where the clearance g = rho^2 - f is positive (rho the chord half-height).
+This module owns that decision end to end: ``_Pieces`` writes f once, the
+crossing classifier locates the zeros of g and f on Python floats and
+names their arrangement, and one table maps each arrangement to its
+antiderivative-based closed form.  Arrangements without one (razor-edge
+sign patterns) integrate the region numerically.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
-from .numerics import (
-    CASE_ALL_OUTAGE,
-    CASE_NO_OUTAGE,
-    RootReport,
-    classify_crossings,
-    crossing_functions,
-)
-from .params import Scenario, SystemParams
+from .numerics import find_root_bracketed
+from .params import Scenario, SystemParams, derive_constants
 
 logger = logging.getLogger(__name__)
 
 _RANGE_SLACK = 1e-9
+
+INTERVAL_LEFT = "[-r,-l]"
+INTERVAL_MID = "[-l,l]"
+INTERVAL_RIGHT = "[l,r]"
+
+_SHORT = {INTERVAL_LEFT: "left", INTERVAL_MID: "mid", INTERVAL_RIGHT: "right"}
+
+CASE_ALL_OUTAGE = "all-outage"
+CASE_NO_OUTAGE = "no-outage"
+CASE_UNCLASSIFIED = "unclassified"
+
+
+@dataclass(frozen=True)
+class LabeledRoot:
+    value: float
+    interval: str
+
+
+@dataclass(frozen=True)
+class RootReport:
+    """Root structure of the outage boundary for one lossy configuration.
+
+    ``g_roots`` are the crossings of the threshold curve with the squared
+    chord height (the edges of the outage x-range); ``f_roots`` are the
+    zeros of the threshold curve itself (beyond which whole chords are in
+    outage).  ``case_id`` names the dispatched closed form; ``degenerate``
+    carries the shortcut outage value 0.0/1.0 when no roots are needed.
+    ``C`` is the derived constant the roots were found with.
+    """
+
+    g_roots: tuple[LabeledRoot, ...]
+    f_roots: tuple[LabeledRoot, ...]
+    case_id: str
+    C: float
+    degenerate: float | None = None
+
+
+def _interval_of(x: float, l: float) -> str:
+    if x < -l:
+        return INTERVAL_LEFT
+    if x <= l:
+        return INTERVAL_MID
+    return INTERVAL_RIGHT
 
 
 def _sqrt_clamped(value: float, scale: float) -> float:
@@ -45,9 +86,17 @@ def _asin_clamped(u: float) -> float:
 
 
 class _Pieces:
-    """Scalar building blocks for one (params, half-length) configuration."""
+    """Scalar building blocks for one lossy configuration.
 
-    def __init__(self, p: SystemParams, l: float, C: float):
+    The antenna sits at clip(x, -l, l), fed from -l, so the threshold curve
+    is f = M2 - (x + l)^2 left of the guide, omega(x) - h^2 under it and
+    K2 - (x - l)^2 right of it.
+    """
+
+    def __init__(self, p: SystemParams, scenario: Scenario, C: float):
+        if not scenario.lossy:
+            raise ValueError("crossing analysis applies to the lossy scenarios only")
+        l = p.half_length(scenario)
         self.r = p.r
         self.h = p.h
         self.h2 = p.h * p.h
@@ -59,14 +108,24 @@ class _Pieces:
         # its rounding error grows with alpha*|x| through the exponent
         self.delta_scale = self.scale * max(1.0, p.alpha * p.r)
         self.pr2 = math.pi * p.r * p.r
-        self.M2 = self.C - self.h2                      # f at the -l peak
-        self.K2 = self.C * math.exp(-2.0 * p.alpha * l) - self.h2   # f at +l
+        self.k2c = self.C * math.exp(-2.0 * p.alpha * l)   # omega at +l
+        self.M2 = self.C - self.h2                          # f at the -l peak
+        self.K2 = self.k2c - self.h2                        # f at +l
 
     def rho(self, x: float) -> float:
         return _sqrt_clamped(self.r * self.r - x * x, self.r * self.r)
 
     def omega(self, x: float) -> float:
         return self.C * math.exp(-self.alpha * (x + self.l))
+
+    def f(self, x: float) -> float:
+        # the threshold curve: the squared transverse offset at x beyond
+        # which a device is in outage
+        if x < -self.l:
+            return self.M2 - (x + self.l) ** 2
+        if x <= self.l:
+            return self.omega(x) - self.h2
+        return self.K2 - (x - self.l) ** 2
 
     def strip(self, a: float, c: float) -> float:
         # area fraction between the chord and nothing over [a, c]
@@ -106,6 +165,106 @@ class _Pieces:
         u = x + self.l
         return 0.5 * u * _sqrt_clamped(m2 - u * u, self.scale) \
             + 0.5 * m2 * _asin_clamped(u / m if m > 0.0 else -1.0)
+
+
+# ---------------------------------------------------------------------------
+# crossing classifier
+# ---------------------------------------------------------------------------
+
+
+def _peak_abscissa(alpha: float, C: float, l: float) -> float:
+    # zero of the strictly decreasing middle-segment clearance slope
+    # alpha*C*exp(-alpha*(x + l)) - 2x = 2*(m*exp(-alpha*x) - x): positive at
+    # 0 and <= 0 at log1p(alpha*m)/alpha <= m, an end that is the zero to
+    # rounding where the slope there rounds >= 0; at alpha = 0 it is -2x
+    if alpha == 0.0:
+        return 0.0
+    m = 0.5 * alpha * C * math.exp(-alpha * l)
+    hi = min(m, math.log1p(alpha * m) / alpha)
+    half_slope = lambda x: m * math.exp(-alpha * x) - x
+    if hi == 0.0 or half_slope(hi) >= 0.0:
+        return hi
+    return find_root_bracketed(half_slope, 0.0, hi, tol=0.0)
+
+
+def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
+    """Classify the outage-boundary roots for a lossy scenario.
+
+    The clearance g rises strictly left of its single peak and falls
+    strictly right of it (its slope is +2l on the left segment, strictly
+    decreasing across the middle segment, and -2l on the right), so each
+    side holds at most one root.  On the outer segments g is linear,
+    g = r^2 + l^2 + h^2 - C + 2lx on the left and
+    g = r^2 + l^2 + h^2 - C exp(-2 alpha l) - 2lx on the right, so a root
+    there is one division; a root on the middle segment is bracketed
+    between its end and the peak.  The threshold curve f peaks at x = -l
+    and its zeros have closed forms.  Every closed-form case has exactly
+    two roots in x order: two of g, one of each, or two of f.
+    """
+    return _classify(_Pieces(p, scenario, derive_constants(p).C))
+
+
+def _classify(pc: _Pieces) -> RootReport:
+    r, alpha, l, h2, C = pc.r, pc.alpha, pc.l, pc.h2, pc.C
+    if C <= h2:
+        # threshold curve non-positive everywhere: every chord is in outage
+        return RootReport((), (), CASE_ALL_OUTAGE, C, degenerate=1.0)
+
+    def g_mid(x: float) -> float:
+        return r * r - x * x - pc.omega(x) + h2
+
+    if alpha * pc.k2c - 2.0 * l >= 0.0:              # slope at +l
+        x_peak = l
+    else:
+        x_peak = min(_peak_abscissa(alpha, C, l), l)
+    if g_mid(x_peak) <= 0.0:
+        return RootReport((), (), CASE_NO_OUTAGE, C, degenerate=0.0)
+
+    # the outer lines meet the middle curve at -l and +l; at l = r there
+    # are no outer segments and g(-r), g(r) are middle-segment values
+    outer = l < r
+    left_line = r * r + l * l + h2 - C
+    right_line = r * r + l * l + h2 - pc.k2c
+    g_left = left_line - 2.0 * l * r if outer else g_mid(-l)
+    g_right = right_line - 2.0 * l * r if outer else g_mid(l)
+    g_roots = []
+    if g_left < 0.0:
+        if outer and g_mid(-l) > 0.0:
+            a = -left_line / (2.0 * l)
+        else:
+            a = find_root_bracketed(g_mid, -l, x_peak, tol=0.0)
+        g_roots.append(LabeledRoot(a, _interval_of(a, l)))
+    if x_peak < r and g_right < 0.0:
+        if outer and g_mid(l) > 0.0:
+            c = right_line / (2.0 * l)
+        else:
+            c = find_root_bracketed(g_mid, x_peak, l, tol=0.0)
+        g_roots.append(LabeledRoot(c, _interval_of(c, l)))
+
+    f_roots = []
+    if outer and pc.M2 < (r - l) ** 2:               # f(-r) < 0
+        f_roots.append(LabeledRoot(-l - math.sqrt(pc.M2), INTERVAL_LEFT))
+    if pc.K2 < (r - l) ** 2:                         # f(r) < 0
+        if pc.K2 <= 0.0:
+            b_f = -l + math.log(C / h2) / alpha
+        else:
+            b_f = l + math.sqrt(pc.K2)
+        f_roots.append(LabeledRoot(b_f, _interval_of(b_f, l)))
+
+    roots = g_roots + f_roots
+    if len(roots) == 2:
+        kind = ("f2", "g1f1", "g2")[len(g_roots)]
+        case = f"{kind}-{_SHORT[roots[0].interval]}-{_SHORT[roots[1].interval]}"
+    else:
+        # razor-edge sign pattern (roots pinned to interval ends); the
+        # outage falls back to numerical integration
+        case = CASE_UNCLASSIFIED
+    return RootReport(tuple(g_roots), tuple(f_roots), case, C)
+
+
+# ---------------------------------------------------------------------------
+# closed forms, one per root arrangement
+# ---------------------------------------------------------------------------
 
 
 def _case_g2_mid_mid(pc: _Pieces, a: float, c: float) -> float:
@@ -166,28 +325,21 @@ def _case_f2_left_right(pc: _Pieces, a: float, b: float) -> float:
         + pc.phi_term(-pc.l, pc.l)
 
 
-_G2_CASES = {
+# Each form takes the arrangement's two roots in x order.  There is no
+# "g2-left-mid": a left root needs g(-l) > 0, i.e. C < r^2 - l^2 + h^2,
+# and a middle root c > -l then needs r^2 + h^2 - c^2 = C exp(-alpha (c + l))
+# < C, which forces c^2 > l^2, i.e. c > l: the second root is never middle.
+_CLOSED_FORMS = {
     "g2-mid-mid": _case_g2_mid_mid,
     "g2-mid-right": _case_g2_mid_right,
     "g2-left-right": _case_g2_left_right,
-}
-_G1F1_CASES = {
     "g1f1-left-mid": _case_g1f1_left_mid,
     "g1f1-left-right": _case_g1f1_left_right,
     "g1f1-mid-mid": _case_g1f1_mid_mid,
     "g1f1-mid-right": _case_g1f1_mid_right,
-}
-_F2_CASES = {
     "f2-left-mid": _case_f2_left_mid,
     "f2-left-right": _case_f2_left_right,
 }
-# No "g2-left-mid": a left root needs g(-l) > 0, i.e. C < r^2 - l^2 + h^2,
-# and a middle root c > -l then needs r^2 + h^2 - c^2 = C exp(-alpha (c + l))
-# < C, which forces c^2 > l^2, i.e. c > l: the second root is never middle.
-_NUMERIC_CASES = {"unclassified"}
-
-_KNOWN_CASES = (set(_G2_CASES) | set(_G1F1_CASES) | set(_F2_CASES)
-                | _NUMERIC_CASES | {CASE_ALL_OUTAGE, CASE_NO_OUTAGE})
 
 
 def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
@@ -196,13 +348,12 @@ def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
     # scipy, and only this rare fallback needs scipy.integrate
     from scipy.integrate import quad
 
-    f, _ = crossing_functions(p, scenario)
-    l = p.half_length(scenario)
-    r = p.r
+    pc = _Pieces(p, scenario, derive_constants(p).C)
+    r, l = pc.r, pc.l
 
     def integrand(x: float) -> float:
         rho2 = max(r * r - x * x, 0.0)
-        fv = min(max(float(f(x)), 0.0), rho2)
+        fv = min(max(pc.f(x), 0.0), rho2)
         return math.sqrt(rho2) - math.sqrt(fv)
 
     cuts = sorted({-r, r} | {v for v in (-l, l) if -r < v < r})
@@ -218,25 +369,21 @@ def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
     the numerical fallback was used.  Raises RuntimeError if the classifier
     emits a case outside the known vocabulary.
     """
+    pc = _Pieces(p, scenario, derive_constants(p).C if report is None else report.C)
     if report is None:
-        report = classify_crossings(p, scenario)
-    if report.case_id not in _KNOWN_CASES:
-        raise RuntimeError(f"no evaluation path for case {report.case_id!r}")
-    if report.degenerate is not None:
-        return report.degenerate, report.case_id
-
-    pc = _Pieces(p, p.half_length(scenario), report.C)
+        report = _classify(pc)
     case = report.case_id
-    if case in _NUMERIC_CASES:
+    if case not in _CLOSED_FORMS and case not in (CASE_ALL_OUTAGE, CASE_NO_OUTAGE,
+                                                  CASE_UNCLASSIFIED):
+        raise RuntimeError(f"no evaluation path for case {case!r}")
+    if report.degenerate is not None:
+        return report.degenerate, case
+    if case == CASE_UNCLASSIFIED:
         logger.warning("case %s has no closed form; integrating numerically", case)
         return outage_numeric(p, scenario), case + "+numeric"
-    if case in _G2_CASES:
-        value = _G2_CASES[case](pc, report.g_roots[0].value, report.g_roots[1].value)
-    elif case in _G1F1_CASES:
-        value = _G1F1_CASES[case](pc, report.g_roots[0].value, report.f_roots[-1].value)
-    else:
-        value = _F2_CASES[case](pc, report.f_roots[0].value, report.f_roots[1].value)
 
+    first, last = report.g_roots + report.f_roots
+    value = _CLOSED_FORMS[case](pc, first.value, last.value)
     if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
         logger.warning("case %s produced %.3e outside [0, 1]; integrating numerically",
                        case, value)

@@ -8,8 +8,9 @@ dispatch from (scenario, metric) to an evaluator:
   to the segment (|y| at full coverage, the stadium CDF otherwise);
 * the lossless full-coverage rate is exact, the lossless partial-coverage
   rate a two-segment Gauss-Chebyshev sum of chord integrals;
-* lossy outage dispatches over the root arrangements of the
-  threshold/clearance curves (``_outage_lossy``);
+* lossy outage is ``_outage_lossy``: its crossing classifier names the
+  root arrangement of the threshold/clearance curves, and one table maps
+  each arrangement to its closed form;
 * the lossy rate, full or partial coverage, is one three-segment
   Gauss-Chebyshev sum over x of the analytic chord integral of the log-SNR;
 * a lossy scenario at alpha = 0 is its lossless twin.
@@ -171,7 +172,7 @@ def rate_pwnl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricR
         x2 = 0.5 * (r - l) * rule.nodes + 0.5 * (r + l)
         seg2 = np.sum(w * _segment_chord_terms(r * r - x2 * x2, e, h2 + (x2 - l) ** 2))
     total = (0.5 * l * seg1 + 0.5 * (r - l) * seg2) * rule.weight
-    value = 4.0 * total / (math.pi * r * r * math.log(2.0))
+    value = float(4.0 * total / (math.pi * r * r * math.log(2.0)))
     return MetricResult(value, Scenario.PWNL, quadrature_nodes=nodes)
 
 

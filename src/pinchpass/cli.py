@@ -168,9 +168,7 @@ def _sweep_row(cfg: SweepConfig, job: _RowJob, est) -> SweepRow:
         tol = cfg.mc.tolerance_outage if cfg.metric == "outage" else cfg.mc.tolerance_rate
         mc_mean, mc_stderr = est.mean, est.stderr
         abs_gap = abs(result.value - est.mean)
-        # bool(): the PWNL/PWL rates are numpy floats, and a numpy bool
-        # would be written as True/False instead of 1/0
-        passed = bool(abs_gap <= 3.0 * est.stderr + tol)
+        passed = abs_gap <= 3.0 * est.stderr + tol
     return SweepRow(cfg.variable, job.value, job.scenario, result.value,
                     mc_mean, mc_stderr, result.case_id or "", abs_gap, passed)
 

@@ -27,16 +27,6 @@ def _clamped_unit(u: float) -> float:
     raise ValueError(f"inverse-trig argument {u!r} outside [-1, 1]")
 
 
-def chord_half_height(x: float, r: float) -> float:
-    """Half-height sqrt(r^2 - x^2) of the disk chord at abscissa x."""
-    s = r * r - x * x
-    if s < 0.0:
-        if abs(x) - r <= _CLAMP_TOL * r:
-            return 0.0
-        raise ValueError(f"|x| = {abs(x)!r} exceeds radius {r!r}")
-    return math.sqrt(s)
-
-
 def cdf_abs_y(x: float, r: float) -> float:
     """CDF of the transverse offset |y| for a uniform point on a disk.
 
@@ -109,11 +99,6 @@ def cdf_horizontal_distance(x: float, r: float, l: float) -> float:
     if x * x < r * r - l * l:
         return 2.0 * theta(x, r, l) / (math.pi * r * r)
     return cdf_abs_y(x, r)
-
-
-def clamp_pa_position(x_u: float, l: float) -> float:
-    """Antenna abscissa minimizing the distance to a device at x_u."""
-    return min(max(x_u, -l), l)
 
 
 def sample_unit_disk(rng: np.random.Generator, size: int):

@@ -77,12 +77,6 @@ def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray
     return snr
 
 
-def snr_sample(scenario: Scenario, p: SystemParams, pos: tuple[float, float]) -> float:
-    """Scalar SNR for a single device position."""
-    x, y = pos
-    return float(snr_values(scenario, p, np.array([x]), np.array([y]))[0])
-
-
 def _chunk_layout(n_samples: int):
     full, rem = divmod(n_samples, CHUNK_SAMPLES)
     counts = [CHUNK_SAMPLES] * full

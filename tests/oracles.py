@@ -12,7 +12,6 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from pinchpass.numerics import crossing_functions
 from pinchpass.params import Scenario, SystemParams, derive_constants
 
 
@@ -115,9 +114,32 @@ def rate_fwl_series(p: SystemParams, nodes: int) -> float:
     return total / (p.alpha * p.r * nodes * math.log(2.0))
 
 
+def threshold_curves(p: SystemParams, scenario: Scenario):
+    """Vectorized threshold curve f and clearance g = r^2 - x^2 - f of a lossy
+    scenario, from the SNR definition.
+
+    The antenna sits at x_pa = clip(x, -l, l), fed from -l, so a device at
+    (x, y) is in outage when y^2 > f(x) = C exp(-alpha (x_pa + l)) - h^2
+    - (x - x_pa)^2; the chord at x holds outage points iff g(x) > 0.
+    """
+    l = p.half_length(scenario)
+    C = derive_constants(p).C
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        x_pa = np.clip(x, -l, l)
+        return C * np.exp(-p.alpha * (x_pa + l)) - p.h ** 2 - (x - x_pa) ** 2
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return p.r ** 2 - x * x - f(x)
+
+    return f, g
+
+
 def outage_by_integration(p: SystemParams, scenario: Scenario) -> float:
     """Outage probability by adaptive integration of the region area."""
-    f, _ = crossing_functions(p, scenario)
+    f, _ = threshold_curves(p, scenario)
     l = p.half_length(scenario)
     r = p.r
 
@@ -145,7 +167,7 @@ def scan_sign_changes(fn, r: float, n: int = 1_000_000) -> list[float]:
 
 def scan_crossings(p: SystemParams, scenario: Scenario, n: int = 1_000_000):
     """Dense-grid root counts/locations for the clearance and threshold curves."""
-    f, g = crossing_functions(p, scenario)
+    f, g = threshold_curves(p, scenario)
     return scan_sign_changes(g, p.r, n), scan_sign_changes(f, p.r, n)
 
 

@@ -29,7 +29,8 @@ from pinchpass import (
 from pinchpass.cli import main
 from pinchpass.geometry import cdf_abs_y, cdf_horizontal_distance, theta
 from pinchpass.montecarlo import estimate_many, estimate_outage, estimate_rate
-from pinchpass.numerics import ChebyshevRule, classify_crossings, dilog
+from pinchpass._outage_lossy import classify_crossings
+from pinchpass.numerics import ChebyshevRule, dilog
 from pinchpass.params import Scenario, SystemParams
 from oracles import (
     alternating_series_li2_minus1,

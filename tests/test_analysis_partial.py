@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,16 @@ def test_outage_pwl_every_case_against_integration(gamma_t_db, alpha, l, expecte
     result = outage_pwl(p)
     assert result.case_id == expected
     assert result.value == pytest.approx(outage_by_integration(p, Scenario.PWL), abs=1e-9)
+
+
+def test_integration_oracle_shares_no_library_code():
+    # the oracles may take parameters and constants from the library, but
+    # not the threshold curve, classifier or closed forms they check
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {m for m in modules if m.split(".")[0] == "pinchpass"} == {"pinchpass.params"}
 
 
 def test_outage_pwl_dispatch_exhaustive_over_random_draws():

@@ -40,6 +40,13 @@ def test_evaluate_equals_public_function(scenario, metric):
             assert got.scenario is scenario
 
 
+@pytest.mark.parametrize("scenario,metric", list(PUBLIC))
+def test_value_is_a_python_float(scenario, metric):
+    for alpha in (0.0, 0.02):
+        assert type(evaluate(scenario, metric, SystemParams.reference(alpha=alpha)).value) \
+            is float
+
+
 def test_lossy_scenario_at_zero_alpha_is_its_relabelled_twin():
     p = SystemParams.reference(alpha=0.0, l=9.0)
     for lossy, twin in ((Scenario.FWL, Scenario.FWNL), (Scenario.PWL, Scenario.PWNL)):

@@ -7,23 +7,14 @@ from scipy.stats import chi2
 from pinchpass.geometry import (
     cdf_abs_y,
     cdf_horizontal_distance,
-    chord_half_height,
-    clamp_pa_position,
     sample_uniform_disk,
     sample_unit_disk,
     scale_unit_disk,
     theta,
 )
+from pinchpass.montecarlo import snr_values
+from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import disk_samples, empirical_cdf, polar_disk_draw, segment_distances
-
-
-def test_chord_half_height_basics():
-    assert chord_half_height(0.0, 5.0) == 5.0
-    assert chord_half_height(5.0, 5.0) == 0.0
-    assert chord_half_height(3.0, 5.0) == pytest.approx(4.0, rel=1e-15)
-    assert chord_half_height(5.0 * (1 + 1e-13), 5.0) == 0.0
-    with pytest.raises(ValueError):
-        chord_half_height(5.1, 5.0)
 
 
 def test_cdf_abs_y_edges():
@@ -95,24 +86,18 @@ def test_cdf_monotone_and_branch_continuity():
             assert abs(above - below) <= 1e-9
 
 
-def test_clamp_pa_position():
-    assert clamp_pa_position(-30.0, 10.0) == -10.0
-    assert clamp_pa_position(3.0, 10.0) == 3.0
-    assert clamp_pa_position(10.0, 10.0) == 10.0
-    assert clamp_pa_position(17.0, 10.0) == 10.0
-
-
 def test_clamp_minimizes_distance_against_grid_search():
-    h, l = 10.0, 12.5
+    # the lossless SNR, with the antenna clamped to the guide, is at least
+    # the best SNR over 1000 antenna positions on [-l, l]
+    p = SystemParams.reference(gamma_t_db=104.0, h=10.0, l=12.5)
+    gain = derive_constants(p).eta * p.p_t / p.sigma2
     rng = np.random.default_rng(5)
-    candidates = np.linspace(-l, l, 1000)
-    for _ in range(50):
-        x_u = rng.uniform(-40.0, 40.0)
-        y_u = rng.uniform(-25.0, 25.0)
-        best = clamp_pa_position(x_u, l)
-        d_best = math.hypot(best - x_u, y_u) ** 2 + h * h
-        d_grid = (candidates - x_u) ** 2 + y_u * y_u + h * h
-        assert d_best <= float(d_grid.min()) + 1e-12
+    candidates = np.linspace(-p.l, p.l, 1000)
+    x_u = rng.uniform(-40.0, 40.0, 50)
+    y_u = rng.uniform(-25.0, 25.0, 50)
+    snr = snr_values(Scenario.PWNL, p, x_u, y_u)
+    grid = gain / ((candidates - x_u[:, None]) ** 2 + y_u[:, None] ** 2 + p.h ** 2)
+    assert np.all(snr >= grid.max(axis=1) * (1.0 - 1e-12))
 
 
 def test_sampler_moments_and_determinism():

@@ -11,7 +11,6 @@ from pinchpass.montecarlo import (
     estimate_many,
     estimate_outage,
     estimate_rate,
-    snr_sample,
     snr_values,
 )
 from pinchpass.params import Scenario, SystemParams, derive_constants
@@ -19,6 +18,10 @@ from oracles import polar_disk_draw
 
 SEED = 777
 JOBS = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
+
+
+def snr_sample(scenario: Scenario, p: SystemParams, pos: tuple[float, float]) -> float:
+    return float(snr_values(scenario, p, np.array([pos[0]]), np.array([pos[1]]))[0])
 
 
 def overhead_snr(p: SystemParams) -> float:

@@ -8,16 +8,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import lambertw
 
-from pinchpass._outage_lossy import _KNOWN_CASES, evaluate_lossy_outage
-from pinchpass.numerics import (
-    ChebyshevRule,
+from pinchpass._outage_lossy import (
+    CASE_ALL_OUTAGE,
+    CASE_NO_OUTAGE,
+    _CLOSED_FORMS,
     _peak_abscissa,
     classify_crossings,
-    crossing_functions,
-    dilog,
-    dilog_diff,
-    find_root_bracketed,
+    evaluate_lossy_outage,
 )
+from pinchpass.numerics import ChebyshevRule, dilog, dilog_diff, find_root_bracketed
 from pinchpass import outage_pwl
 from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
@@ -28,6 +27,7 @@ from oracles import (
     li2_by_quadrature,
     random_reference,
     scan_crossings,
+    threshold_curves,
 )
 
 
@@ -97,12 +97,6 @@ def test_semicircle_integral_exact_at_16_nodes():
     rule = ChebyshevRule.of_order(16)
     value = rule.integrate(lambda t: np.sqrt(1.0 - t * t))
     assert value == pytest.approx(math.pi / 2.0, abs=1e-14)
-
-
-def test_weighted_sum_reference_values():
-    rule = ChebyshevRule.of_order(32)
-    assert rule.weighted_sum(np.ones_like) == pytest.approx(math.pi, rel=1e-14)
-    assert rule.weighted_sum(lambda t: t) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_interval_map_against_adaptive_quadrature():
@@ -190,7 +184,7 @@ def test_classifier_degenerate_flags():
 def test_classifier_roots_satisfy_equations():
     for gamma_t_db, alpha, l, _ in CASE_PROBES:
         p = SystemParams.reference(gamma_t_db=gamma_t_db, alpha=alpha, l=l)
-        f, g = crossing_functions(p, Scenario.PWL)
+        f, g = threshold_curves(p, Scenario.PWL)
         report = classify_crossings(p, Scenario.PWL)
         for root in report.g_roots:
             assert abs(float(g(root.value))) <= 1e-9
@@ -205,7 +199,7 @@ def test_threshold_curve_left_of_guide_does_not_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = outage_pwl(p).value
-        f, _ = crossing_functions(p, Scenario.PWL)
+        f, _ = threshold_curves(p, Scenario.PWL)
         left = float(f(-p.r))
     assert value == pytest.approx(0.9593655761849202, abs=1e-12)
     assert left == derive_constants(p).C - p.h ** 2 - (p.l - p.r) ** 2
@@ -259,7 +253,7 @@ def test_classifier_on_extreme_set():
             tol = 1e-12 * (p.r ** 2 + C)
             for scenario in (Scenario.FWL, Scenario.PWL):
                 l = p.half_length(scenario)
-                f, g = crossing_functions(p, scenario)
+                f, g = threshold_curves(p, scenario)
                 report = classify_crossings(p, scenario)
                 cases[report.case_id] += 1
                 for root in report.g_roots:
@@ -275,7 +269,7 @@ def test_classifier_on_extreme_set():
                 value, case = evaluate_lossy_outage(p, scenario, report)
                 assert 0.0 <= value <= 1.0 and case == report.case_id
     # every closed form and both degenerate regimes, no numeric fallback
-    assert set(cases) == _KNOWN_CASES - {"unclassified"}
+    assert set(cases) == set(_CLOSED_FORMS) | {CASE_ALL_OUTAGE, CASE_NO_OUTAGE}
 
 
 def test_peak_abscissa_against_lambert_w():
@@ -294,7 +288,7 @@ def test_peak_abscissa_against_lambert_w():
 
 
 def test_g2_left_mid_never_occurs():
-    # see the proof at _outage_lossy._NUMERIC_CASES
+    # see the proof at _outage_lossy._CLOSED_FORMS
     rng = np.random.default_rng(4000)
     cases = Counter()
     left_roots = 0
