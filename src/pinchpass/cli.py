@@ -327,6 +327,13 @@ def build_params(options: dict[str, str]) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _tolerance(value, name: str) -> float:
+    tol = float(value)
+    if not 0.0 <= tol < float("inf"):
+        raise ConfigError(f"{name} must be finite and at least 0, got {value!r}")
+    return tol
+
+
 def load_sweep_config(path: str, args) -> SweepConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -358,8 +365,9 @@ def load_sweep_config(path: str, args) -> SweepConfig:
             n_samples=(args.mc_samples if args.mc_samples is not None
                        else int(float(mc_section.get("n_samples", DEFAULT_MC_SAMPLES)))),
             seed=seed,
-            tolerance_outage=float(mc_section.get("tolerance_outage", 1e-4)),
-            tolerance_rate=float(mc_section.get("tolerance_rate", 0.0)),
+            tolerance_outage=_tolerance(mc_section.get("tolerance_outage", 1e-4),
+                                        "mc.tolerance_outage"),
+            tolerance_rate=_tolerance(mc_section.get("tolerance_rate", 0.0), "mc.tolerance_rate"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid [mc] section: {exc}") from exc
@@ -508,7 +516,7 @@ def run_validation(args) -> int:
     seed = resolve_seed(args.seed)
     nodes = 2000 if args.nodes is None else args.nodes
     n_samples = 1_000_000 if args.mc_samples is None else args.mc_samples
-    tol_scale = args.tol_scale
+    tol_scale = _tolerance(args.tol_scale, "--tol-scale")
     rng = np.random.default_rng(seed)
     draws = np.column_stack([
         rng.uniform(10.0, 40.0, 6),     # r

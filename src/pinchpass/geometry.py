@@ -101,36 +101,45 @@ def cdf_horizontal_distance(x: float, r: float, l: float) -> float:
     return cdf_abs_y(x, r)
 
 
-def sample_unit_disk(rng: np.random.Generator, size: int):
+def sample_unit_disk(rng: np.random.Generator, size: int, out=None):
     """Draw ``size`` positions on the unit disk as (sqrt(u), cos(t), sin(t)).
 
     Inverse-CDF sampling in polar coordinates: the radius is sqrt(u) and
     the angle t = 2*pi*v, with all radius uniforms u drawn before all angle
     uniforms v, so every position consumes exactly two uniforms.
-    ``scale_unit_disk`` turns the draw into positions on any radius.
+    ``scale_unit_disk`` turns the draw into positions on any radius.  The
+    draw fills ``out`` (three contiguous arrays of length size) if given.
     """
-    root_u = rng.random(size)
+    root_u, cos_t, sin_t = (np.empty(size) for _ in range(3)) if out is None else out
+    rng.random(out=root_u)
     np.sqrt(root_u, out=root_u)
-    angle = rng.random(size)
-    angle *= 2.0 * math.pi
-    cos_t = np.cos(angle)
-    return root_u, cos_t, np.sin(angle, out=angle)
+    # the angle, turned into its sine in place
+    rng.random(out=sin_t)
+    sin_t *= 2.0 * math.pi
+    np.cos(sin_t, out=cos_t)
+    np.sin(sin_t, out=sin_t)
+    return root_u, cos_t, sin_t
 
 
-def scale_unit_disk(unit, radii):
+def scale_unit_disk(unit, radii, out=None):
     """Yield positions (x, y) on the disk of each radius in turn.
 
     ``unit`` is a ``sample_unit_disk`` draw, and x = (r*sqrt(u))*cos(t),
     y = (r*sqrt(u))*sin(t) for every radius r, so one draw serves several
-    radii.  The last radius is scaled into the draw's own arrays: a single
-    radius needs no memory beyond the draw, and the draw is spent after it.
+    radii.  Each radius but the last fills ``out`` (two arrays like the
+    draw) if given, else fresh ones; the last is scaled into the draw's own
+    arrays, so a single radius needs no memory beyond the draw it spends.
     """
     root_u, cos_t, sin_t = unit
     del unit
     *first, last = radii
     for r in first:
-        # bound to no local, so nothing here holds them once the caller is done
-        yield (r * root_u) * cos_t, (r * root_u) * sin_t
+        x, y = np.empty((2, *root_u.shape)) if out is None else out
+        np.multiply(root_u, r, out=x)
+        x *= cos_t
+        np.multiply(root_u, r, out=y)
+        y *= sin_t
+        yield x, y
     root_u *= last
     cos_t *= root_u
     sin_t *= root_u

@@ -16,6 +16,9 @@ single-job call, so every estimate it returns is bit-identical to the one
 ``estimate_outage``/``estimate_rate`` (one-job calls of the same kernel)
 give alone.  The CLI uses this to share a seed's draw across the variants
 of a figure (radii, attenuations) and the eight estimates of ``validate``.
+Each call, and each worker thread in it, owns one workspace of chunk-wide
+rows (5 for one radius, 8 for several), freed on return; chunks draw,
+scale, evaluate the SNR and reduce in its views and allocate no array.
 
 Only device positions are random.  The channel's free-space and in-guide
 phase rotations have unit modulus and cancel in the SNR, so they are
@@ -47,29 +50,32 @@ class McEstimate:
     seed: int
 
 
-def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray,
+               out=None) -> np.ndarray:
     """Received SNR (linear) for device positions (x, y) on the floor.
 
     One expression covers all four scenarios: the antenna clamps to the
     covered segment, the guided path runs from the feed at the -l end of
     the segment to the antenna, and lossless scenarios zero the attenuation
-    exponent.  Full coverage uses l = r.
+    exponent.  Full coverage uses l = r.  The SNR is written into the first
+    of ``out``, three arrays of the positions' shape whose other two are
+    scratch, or into fresh ones when it is omitted.
     """
     l = p.half_length(scenario)
     alpha = p.alpha if scenario.lossy else 0.0
     eta = derive_constants(p).eta
-    # eta*p_t*exp(-alpha*(x_pa + l)) / (sigma2*(y^2 + h^2 + dx^2)), computed
-    # in place: the Monte-Carlo chunk kernel's memory peak is here
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    x_pa = np.clip(x, -l, l)
-    dx = x - x_pa
+    snr, dx, dist2 = (np.empty(x.shape) for _ in range(3)) if out is None else out
+    # eta*p_t*exp(-alpha*(x_pa + l)) / (sigma2*(y^2 + h^2 + dx^2)), operation
+    # by operation; snr holds the antenna position x_pa until the exp
+    np.clip(x, -l, l, out=snr)
+    np.subtract(x, snr, out=dx)
     dx *= dx
-    x_pa += l
-    x_pa *= -alpha
-    snr = np.exp(x_pa)
-    del x_pa
+    snr += l
+    snr *= -alpha
+    np.exp(snr, out=snr)
     snr *= eta * p.p_t
-    dist2 = y * y
+    np.multiply(y, y, out=dist2)
     dist2 += p.h * p.h
     dist2 += dx
     dist2 *= p.sigma2
@@ -77,26 +83,21 @@ def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray
     return snr
 
 
-def _chunk_layout(n_samples: int):
+def _run_chunks(worker, n_samples: int, workers: int, rows: int):
+    # thread k runs chunks j = k, k + workers, ... in its own workspace
     full, rem = divmod(n_samples, CHUNK_SAMPLES)
-    counts = [CHUNK_SAMPLES] * full
-    if rem:
-        counts.append(rem)
-    return counts
+    jobs = list(enumerate([CHUNK_SAMPLES] * full + [rem] * (rem > 0)))
+    workers = min(workers, len(jobs))
 
+    def run(share):
+        workspace = np.empty((rows, jobs[0][1]))
+        return [worker(j, c, workspace[:, :c]) for j, c in share]
 
-def _run_chunks(worker, n_samples: int, workers: int):
-    counts = _chunk_layout(n_samples)
-    jobs = list(enumerate(counts))
     if workers <= 1:
-        return [worker(j, c) for j, c in jobs]
+        return run(jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda jc: worker(*jc), jobs))
-
-
-def _check_samples(n_samples: int) -> None:
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be at least 1000, got {n_samples!r}")
+        shares = list(pool.map(run, [jobs[k::workers] for k in range(workers)]))
+    return [shares[j % workers][j // workers] for j, _ in jobs]
 
 
 def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimate:
@@ -113,15 +114,17 @@ def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimat
     return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
 
 
-def _reduce(partial: dict, scenario: Scenario, p: SystemParams, metrics, snr) -> None:
-    # one chunk's partial sums; the SNR array is freed on return
+def _reduce(partial: dict, scenario: Scenario, p: SystemParams, metrics, snr, scratch) -> None:
+    # one chunk's partial sums; scratch is a spent row as long as the SNR
     if "outage" in metrics:
-        partial[scenario, "outage", p] = int(np.count_nonzero(snr <= p.gamma_th))
+        below = np.less_equal(snr, p.gamma_th, out=scratch.view(bool)[:snr.size])
+        partial[scenario, "outage", p] = int(np.count_nonzero(below))
     if "rate" in metrics:
         # 1 + snr in place: the outage count above has read the SNR
         np.add(snr, 1.0, out=snr)
         np.log2(snr, out=snr)
-        partial[scenario, "rate", p] = (float(np.sum(snr)), float(np.sum(snr * snr)))
+        squares = np.multiply(snr, snr, out=scratch)
+        partial[scenario, "rate", p] = (float(np.sum(snr)), float(np.sum(squares)))
 
 
 def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McEstimate]:
@@ -137,7 +140,8 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
     the same job gets alone, for any ``workers``.
     """
     jobs = list(jobs)
-    _check_samples(n_samples)
+    if n_samples < 1000:
+        raise ValueError(f"n_samples must be at least 1000, got {n_samples!r}")
     # radius -> (scenario, p) -> metrics
     plan: dict[float, dict[tuple[Scenario, SystemParams], set[str]]] = {}
     for scenario, metric, p in jobs:
@@ -147,16 +151,24 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
     if not plan:
         return []
 
-    def worker(index: int, count: int) -> dict:
+    radii = list(plan)
+    # workspace rows: the draw in 0-2; one radius is scaled into it, whose
+    # spent sqrt(u) row then holds the SNR, several get (x, y) rows 3-4
+    snr_rows = (0, 3, 4) if len(radii) == 1 else (5, 6, 7)
+
+    def worker(index: int, count: int, workspace: np.ndarray) -> dict:
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-        positions = scale_unit_disk(sample_unit_disk(rng, count), list(plan))
+        unit = sample_unit_disk(rng, count, out=workspace[:3])
+        snr_out = [workspace[row] for row in snr_rows]
         partial = {}
-        for (x, y), evaluations in zip(positions, plan.values()):
+        for (x, y), evaluations in zip(scale_unit_disk(unit, radii, out=workspace[3:5]),
+                                       plan.values()):
             for (scenario, p), metrics in evaluations.items():
-                _reduce(partial, scenario, p, metrics, snr_values(scenario, p, x, y))
+                snr = snr_values(scenario, p, x, y, out=snr_out)
+                _reduce(partial, scenario, p, metrics, snr, snr_out[1])
         return partial
 
-    chunks = _run_chunks(worker, n_samples, workers)
+    chunks = _run_chunks(worker, n_samples, workers, snr_rows[-1] + 1)
     return [_finish(metric, [chunk[scenario, metric, p] for chunk in chunks], n_samples, seed)
             for scenario, metric, p in jobs]
 

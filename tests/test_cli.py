@@ -199,6 +199,21 @@ def test_validate_zero_tolerance_negative_control(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_non_finite_or_negative_tolerances_rejected(tmp_path, capsys):
+    for scale in ("nan", "-1", "inf"):
+        assert main(["validate", "--mc-samples", "1000", "--tol-scale", scale]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--tol-scale" in captured.err and captured.out == ""
+    config = Path(write_config(tmp_path))
+    text = config.read_text()
+    for name in ("tolerance_outage", "tolerance_rate"):
+        for value in ("nan", "-1e-4", "inf"):
+            config.write_text(text.replace("[mc]\n", f"[mc]\n{name} = {value}\n"))
+            assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
+            assert f"mc.{name}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_optimal_length_command(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert main(["optimal-length", "--metric", "rate", "--alpha", "0.02",
@@ -259,9 +274,9 @@ def test_figure_variants_share_each_seed_draw(tmp_path, monkeypatch):
     draws = []
     sample_unit_disk = montecarlo.sample_unit_disk
 
-    def counting(rng, size):
+    def counting(rng, size, out=None):
         draws.append(size)
-        return sample_unit_disk(rng, size)
+        return sample_unit_disk(rng, size, out)
 
     monkeypatch.setattr(montecarlo, "sample_unit_disk", counting)
     n = 70_000   # one full chunk and a remainder

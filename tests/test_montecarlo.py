@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,7 +183,52 @@ def test_estimate_many_bit_identical_to_single_estimates(workers):
         assert estimate_many(shuffled, n, SEED, workers) == [single[job] for job in shuffled]
 
 
+def test_estimate_many_bit_identical_on_unaligned_workspace_rows():
+    # below one chunk the workspace rows are n_samples wide, so an odd count
+    # starts every row but the first off any SIMD vector boundary
+    base = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    jobs = [(s, m, p) for p in (base, base.with_(r=15.0, l=7.5)) for s, m in JOBS]
+    for job, est in zip(jobs, estimate_many(jobs, 1003, SEED)):
+        assert repr(est) == repr(reference_estimate(*job, 1003, SEED))
+
+
 def test_estimate_many_rejects_unknown_metric():
     p = SystemParams.reference()
     with pytest.raises(ValueError, match="metric"):
         estimate_many([(Scenario.FWNL, "outage", p), (Scenario.PWL, "snr", p)], 10_000, SEED)
+
+
+def _chunk_jobs(radii):
+    base = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    return [(s, m, base.with_(r=r, l=r / 2.0)) for r in radii for s, m in JOBS]
+
+
+def test_chunks_reuse_one_workspace_without_page_faults():
+    resource = pytest.importorskip("resource")
+    jobs, n = _chunk_jobs([25.0]), 16 * CHUNK_SAMPLES
+    estimate_many(jobs, n, SEED)        # first-use costs: code pages, generator setup
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimate_many(jobs, n, SEED)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # a fresh chunk-wide array touches 128 pages; allocating the draw and the
+    # SNR's arrays afresh in every chunk faulted 900-1,200 pages per chunk
+    assert faults / 16 < CHUNK_SAMPLES * 8 / 4096
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 8.1)])
+def test_chunk_workspace_peak_memory(radii, rows, workers):
+    # one workspace per thread: 5 chunk-wide rows for one radius (the draw,
+    # whose spent sqrt(u) row holds the SNR, and two SNR temporaries), 8 for
+    # several.  Allocating per chunk peaked at 5.02 and 8.03 rows per
+    # thread; the bound adds 0.08 rows for bookkeeping
+    jobs, row = _chunk_jobs(radii), CHUNK_SAMPLES * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_many(jobs, 16 * CHUNK_SAMPLES, SEED, workers)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / row <= rows * workers
+    assert (end - start) / row < 0.1    # the workspace is freed on return
