@@ -7,15 +7,16 @@ sums are reduced in chunk order (an integer sum for outage, exact
 (seed, n_samples) no matter how many workers execute the chunks or in which
 order they finish.
 
-One chunk kernel, ``estimate_many``, serves every estimate.  It takes a list
-of (scenario, metric, params) jobs sharing one seed, draws each chunk's
-positions once on the unit disk, scales them once per distinct radius,
-evaluates the SNR once per distinct (scenario, params) and reduces only the
-metrics asked for.  Positions, SNR and reductions are exactly those of a
-single-job call, so every estimate it returns is bit-identical to the one
-``estimate_outage``/``estimate_rate`` (one-job calls of the same kernel)
-give alone.  The CLI uses this to share a seed's draw across the variants
-of a figure (radii, attenuations) and the eight estimates of ``validate``.
+One chunk kernel, ``estimate_many``, serves every estimate.  It plans jobs
+(scenario, metric, params) sharing one seed by radius, geometry (l, h,
+sigma2) and job: a chunk's positions are drawn once on the unit disk and
+scaled once per radius, the path loss sigma2*(y^2 + h^2 + dx^2) is written
+once per geometry, and each job adds its guided gain
+eta*p_t*exp(-alpha*(x_pa + l)), one divide and its reductions.  The clip at
+l = r (the draws have |x| <= r, so dx is +0.0) and the exp at alpha = 0
+(exp(-0.0) = 1.0) are exact identities and skipped, so every estimate is
+bit-identical to its one-job call (``estimate_outage``, ``estimate_rate``).
+The CLI shares draws this way across a figure's variants and ``validate``.
 Each call, and each worker thread in it, owns one workspace of chunk-wide
 rows (5 for one radius, 8 for several), freed on return; chunks draw,
 scale, evaluate the SNR and reduce in its views and allocate no array.
@@ -57,28 +58,41 @@ def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray
     One expression covers all four scenarios: the antenna clamps to the
     covered segment, the guided path runs from the feed at the -l end of
     the segment to the antenna, and lossless scenarios zero the attenuation
-    exponent.  Full coverage uses l = r.  The SNR is written into the first
-    of ``out``, three arrays of the positions' shape whose other two are
-    scratch, or into fresh ones when it is omitted.
+    exponent.  Full coverage uses l = r, and the antenna position is always
+    clipped.  The SNR is written into the first of ``out``, three arrays of
+    the positions' shape whose other two are scratch, or fresh ones.
     """
     l = p.half_length(scenario)
-    alpha = p.alpha if scenario.lossy else 0.0
-    eta = derive_constants(p).eta
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     snr, dx, dist2 = (np.empty(x.shape) for _ in range(3)) if out is None else out
-    # eta*p_t*exp(-alpha*(x_pa + l)) / (sigma2*(y^2 + h^2 + dx^2)), operation
-    # by operation; snr holds the antenna position x_pa until the exp
-    np.clip(x, -l, l, out=snr)
-    np.subtract(x, snr, out=dx)
-    dx *= dx
-    snr += l
+    _path_loss(x, y, l, p.h, p.sigma2, True, dist2, snr, dx)
+    return _guided_snr(snr, l, *_guide(scenario, p), dist2, snr)
+
+
+def _guide(scenario: Scenario, p: SystemParams) -> tuple[float, float]:
+    return p.alpha if scenario.lossy else 0.0, derive_constants(p).eta * p.p_t
+
+
+def _path_loss(x, y, l, h, sigma2, clip, dist2, x_pa, dx) -> None:
+    # sigma2*(y^2 + h^2 + dx^2) into dist2, x_pa = clip(x, -l, l) and dx = x - x_pa;
+    # without clip the caller has |x| <= l, so dx^2 is +0.0 and adds nothing
+    np.multiply(y, y, out=dist2)
+    dist2 += h * h
+    if clip:
+        np.subtract(x, np.clip(x, -l, l, out=x_pa), out=dx)
+        dist2 += np.multiply(dx, dx, out=dx)
+    dist2 *= sigma2
+
+
+def _guided_snr(x_pa, l, alpha, gain, dist2, snr) -> np.ndarray:
+    # gain*exp(-alpha*(x_pa + l)) / dist2 into snr, which may hold x_pa; as
+    # exp(-0.0) = 1.0, it is gain / dist2 bit for bit at alpha = 0
+    if alpha == 0.0:
+        return np.divide(gain, dist2, out=snr)
+    np.add(x_pa, l, out=snr)
     snr *= -alpha
     np.exp(snr, out=snr)
-    snr *= eta * p.p_t
-    np.multiply(y, y, out=dist2)
-    dist2 += p.h * p.h
-    dist2 += dx
-    dist2 *= p.sigma2
+    snr *= gain
     snr /= dist2
     return snr
 
@@ -134,38 +148,44 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
     binomial standard error sqrt(m(1-m)/n)) or ``"rate"`` (sample mean of
     log2(1 + SNR), standard error the sample standard deviation over
     sqrt(n)).  Each chunk's positions are drawn once on the unit disk and
-    scaled once per distinct radius ``p.r``, the SNR is evaluated once per
-    distinct ``(scenario, p)``, and only the requested metrics are reduced.
-    Results come back in job order; each equals, bit for bit, the estimate
-    the same job gets alone, for any ``workers``.
+    scaled once per distinct radius ``p.r``, the path loss is written once
+    per geometry and each job's SNR from it, and only the requested metrics
+    are reduced.  Results come back in job order; each equals, bit for bit,
+    the estimate the same job gets alone, for any ``workers``.
     """
     jobs = list(jobs)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples!r}")
-    # radius -> (scenario, p) -> metrics
-    plan: dict[float, dict[tuple[Scenario, SystemParams], set[str]]] = {}
+    # radius -> geometry (l, h, sigma2) -> (scenario, p) -> (alpha, eta*p_t, metrics)
+    plan: dict[float, dict[tuple, dict[tuple[Scenario, SystemParams], tuple]]] = {}
     for scenario, metric, p in jobs:
         if metric not in ("outage", "rate"):
             raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
-        plan.setdefault(p.r, {}).setdefault((scenario, p), set()).add(metric)
+        group = plan.setdefault(p.r, {}).setdefault((p.half_length(scenario), p.h, p.sigma2), {})
+        group.setdefault((scenario, p), (*_guide(scenario, p), set()))[2].add(metric)
     if not plan:
         return []
 
-    radii = list(plan)
     # workspace rows: the draw in 0-2; one radius is scaled into it, whose
     # spent sqrt(u) row then holds the SNR, several get (x, y) rows 3-4
-    snr_rows = (0, 3, 4) if len(radii) == 1 else (5, 6, 7)
+    snr_rows = (0, 3, 4) if len(plan) == 1 else (5, 6, 7)
 
     def worker(index: int, count: int, workspace: np.ndarray) -> dict:
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
         unit = sample_unit_disk(rng, count, out=workspace[:3])
-        snr_out = [workspace[row] for row in snr_rows]
+        snr_row, scratch, dist2 = (workspace[row] for row in snr_rows)
         partial = {}
-        for (x, y), evaluations in zip(scale_unit_disk(unit, radii, out=workspace[3:5]),
-                                       plan.values()):
-            for (scenario, p), metrics in evaluations.items():
-                snr = snr_values(scenario, p, x, y, out=snr_out)
-                _reduce(partial, scenario, p, metrics, snr, snr_out[1])
+        for (x, y), (r, geometries) in zip(scale_unit_disk(unit, plan, out=workspace[3:5]),
+                                           plan.items()):
+            for (l, h, sigma2), evaluations in geometries.items():
+                # the draws have |x| <= r, so the clip is the identity at l = r;
+                # below, the path loss leaves x_pa in the SNR row for the first job
+                _path_loss(x, y, l, h, sigma2, l < r, dist2, snr_row, scratch)
+                for k, ((scenario, p), (alpha, gain, metrics)) in enumerate(evaluations.items()):
+                    if l < r and k and alpha:
+                        np.clip(x, -l, l, out=snr_row)
+                    snr = _guided_snr(snr_row if l < r else x, l, alpha, gain, dist2, snr_row)
+                    _reduce(partial, scenario, p, metrics, snr, scratch)
         return partial
 
     chunks = _run_chunks(worker, n_samples, workers, snr_rows[-1] + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299_792_458.0
 """Exact speed of light, m/s."""
@@ -161,8 +162,7 @@ class SystemParams:
         return cls(**base)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Shorthand constants computed once from :class:`SystemParams`.
 
     eta    free-space loss factor at 1 m reference distance, m^2
@@ -190,4 +190,4 @@ def derive_constants(p: SystemParams) -> DerivedConstants:
     B = eta * p.p_t + p.sigma2 * p.h * p.h
     Gamma = math.sqrt(1.0 + p.sigma2 * p.r * p.r / B)
     Lambda = math.sqrt(1.0 + (p.r / p.h) ** 2)
-    return DerivedConstants(eta=eta, A=A, B=B, C=C, Gamma=Gamma, Lambda=Lambda)
+    return DerivedConstants(eta, A, B, C, Gamma, Lambda)

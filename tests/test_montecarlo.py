@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pinchpass import outage_fwnl, rate_fwnl
+from pinchpass import montecarlo, outage_fwnl, rate_fwnl
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
@@ -58,6 +58,8 @@ def test_snr_vectorized_branches_match_scalar():
 
 def test_snr_values_bitwise_equal_to_one_expression():
     x, y = polar_disk_draw(np.random.default_rng(SEED), 40.0, 100_000)
+    # and positions off the disk, where full coverage must clip too
+    x, y = np.append(x, [-55.0, -40.5, 41.0, 1e3]), np.append(y, [3.0, 0.0, -0.5, 2.0])
     for p in (SystemParams.reference(gamma_t_db=104.0, r=40.0, l=9.0),
               SystemParams.reference(gamma_t_db=97.0, r=40.0, h=3.0, alpha=0.05, l=30.0)):
         for scenario in Scenario:
@@ -192,6 +194,77 @@ def test_estimate_many_bit_identical_on_unaligned_workspace_rows():
         assert repr(est) == repr(reference_estimate(*job, 1003, SEED))
 
 
+def _plan_paths():
+    # job sets that take each branch of the chunk plan
+    base = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    full = base.with_(l=base.r)
+    return {
+        "alphas on one geometry": [(Scenario.PWNL, base), (Scenario.PWL, base),
+                                   (Scenario.PWL, base.with_(alpha=0.04)),
+                                   (Scenario.FWL, base.with_(alpha=0.01))],
+        "two h at one radius": [(Scenario.PWL, base), (Scenario.PWL, base.with_(h=4.0)),
+                                (Scenario.FWNL, base.with_(h=4.0))],
+        "alpha = 0": [(Scenario.FWL, base.with_(alpha=0.0)), (Scenario.PWL, base.with_(alpha=0.0)),
+                      (Scenario.FWNL, base)],
+        "l = r": [(Scenario.PWNL, full), (Scenario.PWL, full), (Scenario.FWL, full)],
+        "two radii": [(Scenario.PWL, base), (Scenario.FWL, base.with_(r=15.0, l=7.5)),
+                      (Scenario.PWL, base.with_(r=15.0, l=7.5))],
+        "two powers": [(Scenario.PWL, base), (Scenario.PWL, base.with_(p_t=4.0 * base.p_t)),
+                       (Scenario.FWNL, base.with_(p_t=0.5 * base.p_t))],
+    }
+
+
+@pytest.mark.parametrize("n", [1003, 2 * CHUNK_SAMPLES + 17])
+def test_estimate_many_bit_identical_on_every_plan_path(n):
+    sets = _plan_paths()
+    sets["all at once"] = [pair for pairs in sets.values() for pair in pairs]
+    reference = {}
+    for name, pairs in sets.items():
+        jobs = [(s, m, p) for s, p in pairs for m in ("outage", "rate")]
+        for job in jobs:
+            if job not in reference:
+                reference[job] = repr(reference_estimate(*job, n, SEED))
+        for workers in (1, 2):
+            estimates = estimate_many(jobs, n, SEED, workers)
+            assert [repr(e) for e in estimates] == [reference[job] for job in jobs], name
+
+
+def test_chunk_plan_skips_identities_and_shares_path_loss(monkeypatch):
+    calls = dict.fromkeys(("exp", "clip", "path loss"), 0)
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "exp", counting("exp", np.exp))
+    monkeypatch.setattr(np, "clip", counting("clip", np.clip))
+    monkeypatch.setattr(montecarlo, "_path_loss", counting("path loss", montecarlo._path_loss))
+
+    def per_chunk(pairs):
+        calls.update(dict.fromkeys(calls, 0))
+        estimate_many([(s, m, p) for s, p in pairs for m in ("outage", "rate")],
+                      2 * CHUNK_SAMPLES + 17, SEED)
+        return tuple(count / 3 for count in calls.values())
+
+    base = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    # (exp, clip, path loss) per chunk: one exp per lossy job with alpha > 0,
+    # no clip at l = r, and a lone PWL reuses its path loss's clip
+    assert per_chunk([(Scenario.PWL, base)]) == (1, 1, 1)
+    assert per_chunk([(Scenario.FWL, base)]) == (1, 0, 1)
+    assert per_chunk([(s, base) for s in Scenario]) == (2, 2, 2)
+    # no exp for lossless or alpha = 0 jobs; FWNL and FWL share l = r, PWNL and PWL l
+    assert per_chunk([(Scenario.FWNL, base), (Scenario.FWL, base.with_(alpha=0.0)),
+                      (Scenario.PWNL, base), (Scenario.PWL, base.with_(alpha=0.0))]) == (0, 1, 2)
+    # one path loss for every job on one (l, h, sigma2), a second for a new h;
+    # a lossy job after another job in its geometry clips again
+    shared = _plan_paths()["alphas on one geometry"][:3] + [
+        (Scenario.PWL, base.with_(p_t=2.0 * base.p_t))]
+    assert per_chunk(shared) == (3, 4, 1)
+    assert per_chunk(shared + [(Scenario.PWL, base.with_(h=4.0))]) == (4, 5, 2)
+
+
 def test_estimate_many_rejects_unknown_metric():
     p = SystemParams.reference()
     with pytest.raises(ValueError, match="metric"):
@@ -219,9 +292,11 @@ def test_chunks_reuse_one_workspace_without_page_faults():
 @pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 8.1)])
 def test_chunk_workspace_peak_memory(radii, rows, workers):
     # one workspace per thread: 5 chunk-wide rows for one radius (the draw,
-    # whose spent sqrt(u) row holds the SNR, and two SNR temporaries), 8 for
-    # several.  Allocating per chunk peaked at 5.02 and 8.03 rows per
-    # thread; the bound adds 0.08 rows for bookkeeping
+    # whose spent sqrt(u) row holds each job's SNR in turn, the path loss a
+    # geometry's jobs share, and a scratch row for dx and the reductions), 8
+    # for several (with (x, y) rows and their own SNR rows).  Allocating per
+    # chunk peaked at 5.02 and 8.03 rows per thread; the bound adds 0.08
+    # rows for bookkeeping
     jobs, row = _chunk_jobs(radii), CHUNK_SAMPLES * 8
     tracemalloc.start()
     try:
