@@ -6,9 +6,12 @@ exceeds the threshold curve f(x), so the lossy outage is one integral,
 where the clearance g = rho^2 - f is positive (rho the chord half-height).
 This module owns that decision end to end: ``_Pieces`` writes f once, the
 crossing classifier locates the zeros of g and f on Python floats and
-names their arrangement, and one table maps each arrangement to its
-antiderivative-based closed form.  Arrangements without one (razor-edge
-sign patterns) integrate the region numerically.
+names their arrangement.  Each of the nine arrangements with a closed form
+has two roots a < b (two of g, one of each, or two of f) and one composed
+value: a head (the chord strip over [a, b], over [a, r], or 1), plus the
+outer-segment caps beyond -l at a and beyond +l at b, plus the Phi term
+over [max(a, -l), min(b, l)].  Razor-edge sign patterns have no closed
+form and integrate the region numerically.
 """
 
 from __future__ import annotations
@@ -150,21 +153,13 @@ class _Pieces:
         # the -(4 / (alpha pi r^2)) [Phi]_{x_lo}^{x_hi} contribution
         return -4.0 / (self.alpha * self.pr2) * self.phi_diff(x_lo, x_hi)
 
-    def right_cap(self, x: float) -> float:
-        # integral of sqrt(K^2 - (u-l)^2) from l to x
-        k2 = self.K2
-        k = _sqrt_clamped(k2, self.scale)
-        u = x - self.l
-        return 0.5 * u * _sqrt_clamped(k2 - u * u, self.scale) \
-            + 0.5 * k2 * _asin_clamped(u / k if k > 0.0 else 1.0)
-
-    def left_cap(self, x: float) -> float:
-        # integral building block sqrt(M^2 - (u+l)^2) on the left segment
-        m2 = self.M2
-        m = _sqrt_clamped(m2, self.scale)
-        u = x + self.l
-        return 0.5 * u * _sqrt_clamped(m2 - u * u, self.scale) \
-            + 0.5 * m2 * _asin_clamped(u / m if m > 0.0 else -1.0)
+    def cap(self, u: float, q2: float, edge: float) -> float:
+        # integral of sqrt(q2 - v^2) from 0 to u, the square root of f on an
+        # outer segment (q2 = M2 left of -l, K2 right of +l) at offset u
+        # from the guide end; asin takes the edge value when q2 is 0
+        q = _sqrt_clamped(q2, self.scale)
+        return 0.5 * u * _sqrt_clamped(q2 - u * u, self.scale) \
+            + 0.5 * q2 * _asin_clamped(u / q if q > 0.0 else edge)
 
 
 # ---------------------------------------------------------------------------
@@ -263,83 +258,43 @@ def _classify(pc: _Pieces) -> RootReport:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, one per root arrangement
+# closed form, composed per root arrangement
 # ---------------------------------------------------------------------------
 
-
-def _case_g2_mid_mid(pc: _Pieces, a: float, c: float) -> float:
-    return pc.strip(a, c) + pc.phi_term(a, c)
-
-
-def _case_g2_mid_right(pc: _Pieces, a: float, c: float) -> float:
-    return pc.strip(a, c) - 2.0 / pc.pr2 * pc.right_cap(c) + pc.phi_term(a, pc.l)
-
-
-def _case_g2_left_right(pc: _Pieces, a: float, c: float) -> float:
-    return (pc.strip(a, c) + 2.0 / pc.pr2 * pc.left_cap(a)
-            - 2.0 / pc.pr2 * pc.right_cap(c) + pc.phi_term(-pc.l, pc.l))
+# The nine arrangements with a closed form.  There is no "g2-left-mid": a
+# left root needs g(-l) > 0, i.e. C < r^2 - l^2 + h^2, and a middle root
+# c > -l then needs r^2 + h^2 - c^2 = C exp(-alpha (c + l)) < C, which
+# forces c^2 > l^2, i.e. c > l: the second root is never middle.
+_CLOSED_FORMS = frozenset({
+    "g2-mid-mid", "g2-mid-right", "g2-left-right",
+    "g1f1-left-mid", "g1f1-left-right", "g1f1-mid-mid", "g1f1-mid-right",
+    "f2-left-mid", "f2-left-right",
+})
 
 
-def _case_g1f1_left_mid(pc: _Pieces, a: float, b: float) -> float:
-    r = pc.r
-    return (0.5 + 2.0 / pc.pr2 * (pc.left_cap(a) - 0.5 * a * pc.rho(a)
-                                  - 0.5 * r * r * _asin_clamped(a / r))
-            + pc.phi_term(-pc.l, b))
-
-
-def _case_g1f1_left_right(pc: _Pieces, a: float, b: float) -> float:
-    r = pc.r
-    quarter = math.pi * r * r / 4.0
-    return 2.0 / pc.pr2 * (quarter - 0.5 * a * pc.rho(a)
-                           - 0.5 * r * r * _asin_clamped(a / r)
-                           + pc.left_cap(a) - pc.right_cap(b)) \
-        + pc.phi_term(-pc.l, pc.l)
-
-
-def _case_g1f1_mid_mid(pc: _Pieces, a: float, b: float) -> float:
-    r = pc.r
-    return (r * r * (math.pi / 2.0 - _asin_clamped(a / r)) - a * pc.rho(a)) / pc.pr2 \
-        + pc.phi_term(a, b)
-
-
-def _case_g1f1_mid_right(pc: _Pieces, a: float, b: float) -> float:
-    r = pc.r
-    quarter = math.pi * r * r / 4.0
-    return 2.0 / pc.pr2 * (quarter - 0.5 * a * pc.rho(a)
-                           - 0.5 * r * r * _asin_clamped(a / r)
-                           - pc.right_cap(b)) \
-        + pc.phi_term(a, pc.l)
-
-
-def _case_f2_left_mid(pc: _Pieces, a: float, b: float) -> float:
-    m = _sqrt_clamped(pc.M2, pc.scale)
-    return 1.0 + 2.0 / pc.pr2 * (0.5 * pc.M2 * _asin_clamped((a + pc.l) / m)) \
-        + pc.phi_term(-pc.l, b)
-
-
-def _case_f2_left_right(pc: _Pieces, a: float, b: float) -> float:
-    m = _sqrt_clamped(pc.M2, pc.scale)
-    k = _sqrt_clamped(pc.K2, pc.scale)
-    return 1.0 + 2.0 / pc.pr2 * (0.5 * pc.M2 * _asin_clamped((a + pc.l) / m)
-                                 - 0.5 * pc.K2 * _asin_clamped((b - pc.l) / k)) \
-        + pc.phi_term(-pc.l, pc.l)
-
-
-# Each form takes the arrangement's two roots in x order.  There is no
-# "g2-left-mid": a left root needs g(-l) > 0, i.e. C < r^2 - l^2 + h^2,
-# and a middle root c > -l then needs r^2 + h^2 - c^2 = C exp(-alpha (c + l))
-# < C, which forces c^2 > l^2, i.e. c > l: the second root is never middle.
-_CLOSED_FORMS = {
-    "g2-mid-mid": _case_g2_mid_mid,
-    "g2-mid-right": _case_g2_mid_right,
-    "g2-left-right": _case_g2_left_right,
-    "g1f1-left-mid": _case_g1f1_left_mid,
-    "g1f1-left-right": _case_g1f1_left_right,
-    "g1f1-mid-mid": _case_g1f1_mid_mid,
-    "g1f1-mid-right": _case_g1f1_mid_right,
-    "f2-left-mid": _case_f2_left_mid,
-    "f2-left-right": _case_f2_left_right,
-}
+def _closed_form(pc: _Pieces, kind: str, a: float, b: float) -> float:
+    # head + (2 / (pi r^2)) (L(a) - R(b)) + the Phi term over the guided
+    # part of [a, b]; the caps L, R are the outer-segment integrals beyond
+    # -l and +l and vanish when their root lies under the guide
+    l = pc.l
+    left = right = 0.0
+    if kind == "f2":
+        # f < 0 outside [a, b]: whole chords there are in outage, and each
+        # cap sits at a zero of f, where only its asin term remains
+        head = 1.0
+        if a < -l:
+            left = 0.5 * pc.M2 * _asin_clamped((a + l) / _sqrt_clamped(pc.M2, pc.scale))
+        if b > l:
+            right = 0.5 * pc.K2 * _asin_clamped((b - l) / _sqrt_clamped(pc.K2, pc.scale))
+    else:
+        # with one root of each, outage runs from the g root a to the edge
+        # and b is the f root
+        head = pc.strip(a, b if kind == "g2" else pc.r)
+        if a < -l:
+            left = pc.cap(a + l, pc.M2, -1.0)
+        if b > l:
+            right = pc.cap(b - l, pc.K2, 1.0)
+    return head + 2.0 / pc.pr2 * (left - right) + pc.phi_term(max(a, -l), min(b, l))
 
 
 def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
@@ -363,7 +318,7 @@ def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
 
 def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
                           report: RootReport | None = None) -> tuple[float, str]:
-    """Dispatch the classified root arrangement to its closed form.
+    """Evaluate the classified root arrangement with the composed closed form.
 
     Returns (outage, case_id); the case id gains a ``+numeric`` suffix when
     the numerical fallback was used.  Raises RuntimeError if the classifier
@@ -383,7 +338,7 @@ def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
         return outage_numeric(p, scenario), case + "+numeric"
 
     first, last = report.g_roots + report.f_roots
-    value = _CLOSED_FORMS[case](pc, first.value, last.value)
+    value = _closed_form(pc, case.split("-", 1)[0], first.value, last.value)
     if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
         logger.warning("case %s produced %.3e outside [0, 1]; integrating numerically",
                        case, value)

@@ -226,10 +226,11 @@ def rate_fwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricRe
 def outage_pwl(p: SystemParams) -> MetricResult:
     """Outage probability, partial coverage, lossy guide.
 
-    Dispatches on the crossing classifier across the nine closed-form root
-    arrangements and the two degenerate regimes; arrangements without a
-    closed form fall back to direct numerical integration (flagged in the
-    case id).
+    The crossing classifier names the arrangement of the boundary roots
+    a < b; each of the nine closed-form arrangements is one composed sum of
+    a head term, the outer caps beyond -l and +l, and the Phi term over the
+    guided part of [a, b].  The degenerate regimes give 0 or 1; razor-edge
+    arrangements integrate numerically (flagged in the case id).
     """
     return evaluate(Scenario.PWL, "outage", p)
 

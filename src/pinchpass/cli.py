@@ -27,7 +27,7 @@ Configuration file (INI, ``key = value``)::
     gamma_th = 100               ; linear; alternatively gamma_th_db
     alpha = 0.02
     l = 12.5
-    paper_c = true               ; rounded c = 3e8 m/s
+    c = 3e8                      ; the default; 299792458 for the exact value
 
     [mc]
     enabled = true
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import logging
 import os
 import sys
@@ -191,16 +192,13 @@ def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
         # bind every grid value first: an invalid one fails before any work
         points = [(float(v), apply_swept(cfg.base, cfg.variable, float(v)))
                   for v in cfg.grid()]
-        row = 0
-        for i, (value, p) in enumerate(points):
-            for scenario in cfg.scenarios:
-                if cfg.mc.enabled:
-                    seed = cfg.mc.seed + i * len(cfg.scenarios) + cfg.scenarios.index(scenario)
-                    job = _RowJob(c, row, value, scenario, p, seed)
-                    shared.setdefault((seed, cfg.mc.n_samples), []).append(job)
-                else:
-                    alone.append([_RowJob(c, row, value, scenario, p, None)])
-                row += 1
+        for row, ((value, p), scenario) in enumerate(itertools.product(points, cfg.scenarios)):
+            seed = cfg.mc.seed + row if cfg.mc.enabled else None
+            job = _RowJob(c, row, value, scenario, p, seed)
+            if seed is None:
+                alone.append([job])
+            else:
+                shared.setdefault((seed, cfg.mc.n_samples), []).append(job)
 
     def evaluate(group: list[_RowJob]) -> list[SweepRow]:
         first = group[0]
@@ -281,7 +279,7 @@ def summarize(rows: list[SweepRow]) -> str:
 # ---------------------------------------------------------------------------
 
 _PARAM_KEYS = {"r", "h", "f_c", "sigma2_dbm", "sigma2", "gamma_t_db", "p_t",
-               "gamma_th", "gamma_th_db", "alpha", "l", "paper_c", "c"}
+               "gamma_th", "gamma_th_db", "alpha", "l", "c"}
 
 
 def build_params(options: dict[str, str]) -> SystemParams:
@@ -314,8 +312,6 @@ def build_params(options: dict[str, str]) -> SystemParams:
         kwargs["gamma_th"] = db_to_linear(as_float("gamma_th_db"))
     if "p_t" in options and "gamma_t_db" in options:
         raise ConfigError("give params.p_t or params.gamma_t_db, not both")
-    if options.get("paper_c", "").strip().lower() in ("1", "true", "yes", "on"):
-        kwargs.setdefault("c", 3.0e8)
 
     gamma_t_db = as_float("gamma_t_db") if "gamma_t_db" in options else 105.0
     try:
@@ -353,8 +349,6 @@ def load_sweep_config(path: str, args) -> SweepConfig:
         raise ConfigError(f"sweep.scenarios: {exc}") from exc
 
     base = build_params(dict(parser["params"]) if parser.has_section("params") else {})
-    if args.paper_c:
-        base = base.with_(c=3.0e8)
 
     mc_section = dict(parser["mc"]) if parser.has_section("mc") else {}
     seed = resolve_seed(args.seed, mc_section.get("seed"))
@@ -557,45 +551,56 @@ def run_validation(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="Monte-Carlo seed (overrides environment and config)")
-    common.add_argument("--mc-samples", type=int, default=None,
-                        help="Monte-Carlo sample count per estimate")
-    common.add_argument("--nodes", type=int, default=None,
-                        help="Gauss-Chebyshev node count for rate evaluations")
-    common.add_argument("--out", default=None, help="output file or directory")
-    common.add_argument("--paper-c", action="store_true",
-                        help="use the rounded speed of light c = 3e8 m/s")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads: sweep row groups, or validate's MC chunks")
+    # each subcommand takes only the flags it reads, so argparse rejects
+    # the rest with exit 2 and names them
+    nodes = argparse.ArgumentParser(add_help=False)
+    nodes.add_argument("--nodes", type=int, default=None,
+                       help="Gauss-Chebyshev node count for rate evaluations")
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--seed", type=int, default=None,
+                    help="Monte-Carlo seed (overrides environment and config)")
+    mc.add_argument("--mc-samples", type=int, default=None,
+                    help="Monte-Carlo sample count per estimate")
+    mc.add_argument("--workers", type=_workers, default=1,
+                    help="worker threads: sweep row groups, or validate's MC chunks")
 
     parser = argparse.ArgumentParser(
         prog="pinchpass",
         description="Outage/rate analysis for pinching-antenna coverage of a circular region.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[nodes, mc],
                              help="run a sweep described by a config file")
     p_sweep.add_argument("--config", required=True, help="INI config file")
+    p_sweep.add_argument("--out", default=None,
+                         help="output CSV (overrides the config's [output] path)")
     p_sweep.add_argument("--gnuplot", action="store_true",
                          help="also write a gnuplot script next to the CSV")
 
-    p_fig = sub.add_parser("figure", parents=[common],
+    p_fig = sub.add_parser("figure", parents=[nodes, mc],
                            help="run a bundled preset (ids 2-7)")
     p_fig.add_argument("id", type=int, help="figure preset id, 2-7")
+    p_fig.add_argument("--out", default=None, help="output directory for the CSVs")
     p_fig.add_argument("--no-mc", action="store_true",
                        help="skip the Monte-Carlo columns")
     p_fig.add_argument("--gnuplot", action="store_true")
 
-    p_val = sub.add_parser("validate", parents=[common],
+    p_val = sub.add_parser("validate", parents=[nodes, mc],
                            help="closed-form vs Monte-Carlo agreement report")
     p_val.add_argument("--tol-scale", type=float, default=1.0,
                        help="scale factor on every tolerance (0 fails everything)")
 
-    p_opt = sub.add_parser("optimal-length", parents=[common],
+    p_opt = sub.add_parser("optimal-length", parents=[nodes],
                            help="search the best waveguide half-length")
+    p_opt.add_argument("--out", default=None, help="also write the searched curve as CSV")
     p_opt.add_argument("--metric", choices=("outage", "rate"), default="rate")
     p_opt.add_argument("--gamma-t-db", type=float, default=105.0)
     p_opt.add_argument("--alpha", type=float, default=0.02)
@@ -625,20 +630,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_optimal_length(args) -> int:
-    try:
-        p = SystemParams.reference(gamma_t_db=args.gamma_t_db, r=args.r, h=args.h,
-                                   alpha=args.alpha, l=args.r / 2.0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # a ValueError here is a rejected setting: main reports it with exit 2
+    p = SystemParams.reference(gamma_t_db=args.gamma_t_db, r=args.r, h=args.h,
+                               alpha=args.alpha, l=args.r / 2.0)
     start = args.l_start if args.l_start is not None else max(0.01, args.r / 50.0)
     stop = args.l_stop if args.l_stop is not None else args.r
-    try:
-        result = optimal_length_search(
-            p, metric=args.metric, grid_spec=(start, stop, args.l_steps),
-            nodes=DEFAULT_QUADRATURE_NODES if args.nodes is None else args.nodes,
-            refine=not args.no_refine)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = optimal_length_search(
+        p, metric=args.metric, grid_spec=(start, stop, args.l_steps),
+        nodes=DEFAULT_QUADRATURE_NODES if args.nodes is None else args.nodes,
+        refine=not args.no_refine)
     if args.out:
         rows = [SweepRow("l", l, Scenario.PWL if p.alpha > 0 else Scenario.PWNL,
                          v, None, None, "", None, None) for l, v in result.grid]
@@ -654,8 +654,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers < 1:
-            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handlers = {

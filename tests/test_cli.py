@@ -18,8 +18,12 @@ from pinchpass.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    McConfig,
+    SweepConfig,
     SweepRow,
+    apply_swept,
     main,
+    run_sweep,
     write_csv,
 )
 from pinchpass.params import Scenario, SystemParams
@@ -40,7 +44,6 @@ sigma2_dbm = -90
 gamma_th = 100
 alpha = 0.02
 l = 12.5
-paper_c = true
 
 [mc]
 enabled = {mc_enabled}
@@ -116,6 +119,45 @@ def test_sweep_rejects_unknown_key_and_missing_file(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
     assert main(["sweep", "--config", str(tmp_path / "missing.ini")]) == EXIT_CONFIG
+
+
+def test_removed_paper_c_key_is_an_unknown_key(tmp_path, capsys):
+    # the exact speed of light is `c = 299792458`; the reference uses 3e8
+    cfg = Path(write_config(tmp_path))
+    cfg.write_text(cfg.read_text().replace("[params]\n", "[params]\npaper_c = true\n"))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "paper_c" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["validate", "--out", "x"], "--out"),
+    (["optimal-length", "--seed", "1"], "--seed"),
+    (["optimal-length", "--mc-samples", "5"], "--mc-samples"),
+    (["optimal-length", "--workers", "3"], "--workers"),
+    (["figure", "7", "--no-mc", "--paper-c"], "--paper-c"),
+    (["sweep", "--config", "unread.ini", "--paper-c"], "--paper-c"),
+])
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, flag, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_row_k_draws_from_seed_plus_k():
+    # a repeated scenario gets its own row's seed
+    cfg = SweepConfig(metric="outage", variable="gamma_t_db", start=105.0, stop=110.0,
+                      steps=2, scenarios=(Scenario.FWL, Scenario.FWL, Scenario.PWL),
+                      base=SystemParams.reference(), mc=McConfig(n_samples=20000, seed=31415))
+    [rows] = run_sweep([cfg])
+    assert [row.scenario for row in rows] == list(cfg.scenarios) * 2
+    for k, row in enumerate(rows):
+        p = apply_swept(cfg.base, cfg.variable, row.swept_value)
+        assert row.mc_mean == montecarlo.estimate_outage(row.scenario, p, 20000, 31415 + k).mean
+    assert rows[0].mc_mean != rows[1].mc_mean
 
 
 def test_sweep_reports_io_error(tmp_path):

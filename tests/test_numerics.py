@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -11,10 +12,13 @@ from scipy.special import lambertw
 from pinchpass._outage_lossy import (
     CASE_ALL_OUTAGE,
     CASE_NO_OUTAGE,
+    CASE_UNCLASSIFIED,
+    RootReport,
     _CLOSED_FORMS,
     _peak_abscissa,
     classify_crossings,
     evaluate_lossy_outage,
+    outage_numeric,
 )
 from pinchpass.numerics import ChebyshevRule, dilog, dilog_diff, find_root_bracketed
 from pinchpass import outage_pwl
@@ -301,3 +305,15 @@ def test_g2_left_mid_never_occurs():
     assert sum(cases.values()) == 4000
     assert "g2-left-mid" not in cases
     assert "g2-left-right" in cases and left_roots > 0
+
+
+def test_dispatch_guards_on_hand_built_reports():
+    # no seeded draw reaches the fallback or the vocabulary guard
+    p = SystemParams.reference(alpha=0.02)
+    report = classify_crossings(p, Scenario.PWL)
+    unclassified = RootReport((), (), CASE_UNCLASSIFIED, report.C)
+    assert evaluate_lossy_outage(p, Scenario.PWL, unclassified) \
+        == (outage_numeric(p, Scenario.PWL), "unclassified+numeric")
+    with pytest.raises(RuntimeError, match="g2-left-mid"):
+        evaluate_lossy_outage(p, Scenario.PWL,
+                              dataclasses.replace(report, case_id="g2-left-mid"))
