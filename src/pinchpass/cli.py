@@ -42,6 +42,11 @@ Configuration file (INI, ``key = value``)::
     [output]
     path = sweep.csv
 
+``CONFIG_SCHEMA`` admits only these sections and keys (and ``params.sigma2``,
+``p_t``, ``gamma_th_db``); ``sweep.start``/``stop``/``steps`` are required,
+integers take integer literals and booleans 1/yes/true/on or 0/no/false/off.
+Any other name, or a value of the wrong type, exits 2 naming ``section.key``.
+
 Seed precedence: ``--seed`` flag, then the PINCHPASS_SEED environment
 variable, then the config value.  Exit codes: 0 success, 1 validation
 failure, 2 configuration error, 3 I/O error.
@@ -71,8 +76,6 @@ from .params import (
     dbm_to_watts,
 )
 
-logger = logging.getLogger(__name__)
-
 CSV_HEADER = "swept_var,swept_value,scenario,closed_form,mc_mean,mc_stderr,case_id,abs_gap,pass"
 SEED_ENV_VAR = "PINCHPASS_SEED"
 DEFAULT_SEED = 20260810
@@ -96,6 +99,20 @@ class McConfig:
     seed: int = DEFAULT_SEED
     tolerance_outage: float = 1e-4
     tolerance_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        # checked with Monte-Carlo off too: no sample count is accepted and ignored
+        if self.n_samples < montecarlo.MIN_SAMPLES:
+            raise ConfigError(f"mc.n_samples (--mc-samples) must be at least "
+                              f"{montecarlo.MIN_SAMPLES}, got {self.n_samples!r}")
+        _check_tolerance(self.tolerance_outage, "mc.tolerance_outage")
+        _check_tolerance(self.tolerance_rate, "mc.tolerance_rate")
+
+
+def _check_tolerance(value: float, name: str) -> float:
+    if not 0.0 <= value < float("inf"):
+        raise ConfigError(f"{name} must be finite and at least 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -227,9 +244,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g")
 
 
 def write_csv(rows: list[SweepRow], path: str) -> None:
@@ -275,134 +290,117 @@ def summarize(rows: list[SweepRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration file parsing
+# configuration file schema
 # ---------------------------------------------------------------------------
 
-_PARAM_KEYS = {"r", "h", "f_c", "sigma2_dbm", "sigma2", "gamma_t_db", "p_t",
-               "gamma_th", "gamma_th_db", "alpha", "l", "c"}
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}; expected one of {', '.join(states)}")
+    return states[text.lower()]
 
 
-def build_params(options: dict[str, str]) -> SystemParams:
-    """System parameters from a flat key=value mapping (see module docstring)."""
-    unknown = set(options) - _PARAM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown [params] keys: {sorted(unknown)}")
-
-    def as_float(key: str) -> float:
-        try:
-            return float(options[key])
-        except ValueError as exc:
-            raise ConfigError(f"params.{key} is not a number: {options[key]!r}") from exc
-
-    kwargs = {}
-    for key in ("r", "h", "f_c", "alpha", "l", "c"):
-        if key in options:
-            kwargs[key] = as_float(key)
-    if "sigma2" in options and "sigma2_dbm" in options:
-        raise ConfigError("give params.sigma2 or params.sigma2_dbm, not both")
-    if "sigma2" in options:
-        kwargs["sigma2"] = as_float("sigma2")
-    elif "sigma2_dbm" in options:
-        kwargs["sigma2"] = dbm_to_watts(as_float("sigma2_dbm"))
-    if "gamma_th" in options and "gamma_th_db" in options:
-        raise ConfigError("give params.gamma_th or params.gamma_th_db, not both")
-    if "gamma_th" in options:
-        kwargs["gamma_th"] = as_float("gamma_th")
-    elif "gamma_th_db" in options:
-        kwargs["gamma_th"] = db_to_linear(as_float("gamma_th_db"))
-    if "p_t" in options and "gamma_t_db" in options:
-        raise ConfigError("give params.p_t or params.gamma_t_db, not both")
-
-    gamma_t_db = as_float("gamma_t_db") if "gamma_t_db" in options else 105.0
-    try:
-        p = SystemParams.reference(gamma_t_db=gamma_t_db, **kwargs)
-        if "p_t" in options:
-            p = p.with_(p_t=as_float("p_t"))
-        return p
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _scenarios(text: str) -> tuple[Scenario, ...]:
+    return tuple(Scenario.parse(name) for name in text.split(",") if name.strip())
 
 
-def _tolerance(value, name: str) -> float:
-    tol = float(value)
-    if not 0.0 <= tol < float("inf"):
-        raise ConfigError(f"{name} must be finite and at least 0, got {value!r}")
-    return tol
+# section -> key -> converter of the key's text; int() rejects fractions and
+# exponents.  Ranges are checked by what the values build (SweepConfig,
+# SystemParams, McConfig), so the table checks only names and types.
+CONFIG_SCHEMA = {
+    "sweep": dict(metric=str, variable=str, start=float, stop=float, steps=int,
+                  scenarios=_scenarios),
+    "params": dict.fromkeys(("r", "h", "f_c", "sigma2_dbm", "sigma2", "gamma_t_db", "p_t",
+                             "gamma_th", "gamma_th_db", "alpha", "l", "c"), float),
+    "mc": dict(enabled=_boolean, n_samples=int, seed=int, tolerance_outage=float,
+               tolerance_rate=float),
+    "quadrature": dict(nodes=int),
+    "output": dict(path=str),
+}
+REQUIRED_KEYS = (("sweep", "start"), ("sweep", "stop"), ("sweep", "steps"))
 
 
-def load_sweep_config(path: str, args) -> SweepConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+def read_config(path: str) -> dict[str, dict]:
+    """Typed values of an INI config file, checked against ``CONFIG_SCHEMA``.
+
+    Returns every schema section, holding the keys the file sets.  An
+    unknown section or key, a missing required key and a value its
+    converter rejects raise ``ConfigError`` naming it.
+    """
+    # no default section: [DEFAULT] is an unknown section, not keys copied
+    # into every other one
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path!r}")
-    if not parser.has_section("sweep"):
-        raise ConfigError("config is missing the [sweep] section")
-    sweep = parser["sweep"]
-    scenario_text = sweep.get("scenarios", "")
-    names = [s for s in (t.strip() for t in scenario_text.split(",")) if s]
+    config = {section: {} for section in CONFIG_SCHEMA}
+    for section in parser.sections():
+        if section not in CONFIG_SCHEMA:
+            raise ConfigError(f"unknown section [{section}]; expected {', '.join(CONFIG_SCHEMA)}")
+        keys = CONFIG_SCHEMA[section]
+        for key in parser.options(section):
+            if key not in keys:
+                raise ConfigError(f"{section}.{key}: unknown key; expected {', '.join(keys)}")
+            try:
+                config[section][key] = keys[key](parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+    for section, key in REQUIRED_KEYS:
+        if key not in config[section]:
+            raise ConfigError(f"{section}.{key}: required key missing")
+    return config
+
+
+def build_params(options: dict[str, float]) -> SystemParams:
+    """System parameters from the typed [params] values (see module docstring)."""
+    for key, alternative in (("sigma2", "sigma2_dbm"), ("gamma_th", "gamma_th_db"),
+                             ("p_t", "gamma_t_db")):
+        if key in options and alternative in options:
+            raise ConfigError(f"give params.{key} or params.{alternative}, not both")
+    kwargs = {key: options[key] for key in ("r", "h", "f_c", "alpha", "l", "c", "sigma2",
+                                            "gamma_th") if key in options}
+    if "sigma2_dbm" in options:
+        kwargs["sigma2"] = dbm_to_watts(options["sigma2_dbm"])
+    if "gamma_th_db" in options:
+        kwargs["gamma_th"] = db_to_linear(options["gamma_th_db"])
     try:
-        scenarios = tuple(Scenario.parse(name) for name in names)
+        p = SystemParams.reference(gamma_t_db=options.get("gamma_t_db", 105.0), **kwargs)
+        return p.with_(p_t=options["p_t"]) if "p_t" in options else p
     except ValueError as exc:
-        raise ConfigError(f"sweep.scenarios: {exc}") from exc
-
-    base = build_params(dict(parser["params"]) if parser.has_section("params") else {})
-
-    mc_section = dict(parser["mc"]) if parser.has_section("mc") else {}
-    seed = resolve_seed(args.seed, mc_section.get("seed"))
-    try:
-        mc = McConfig(
-            enabled=mc_section.get("enabled", "true").strip().lower()
-            in ("1", "true", "yes", "on"),
-            n_samples=(args.mc_samples if args.mc_samples is not None
-                       else int(float(mc_section.get("n_samples", DEFAULT_MC_SAMPLES)))),
-            seed=seed,
-            tolerance_outage=_tolerance(mc_section.get("tolerance_outage", 1e-4),
-                                        "mc.tolerance_outage"),
-            tolerance_rate=_tolerance(mc_section.get("tolerance_rate", 0.0), "mc.tolerance_rate"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [mc] section: {exc}") from exc
-
-    nodes = args.nodes if args.nodes is not None else int(
-        parser.get("quadrature", "nodes", fallback=str(DEFAULT_QUADRATURE_NODES)))
-    out_path = args.out or parser.get("output", "path", fallback="sweep.csv")
-
-    try:
-        return SweepConfig(
-            metric=sweep.get("metric", "outage").strip(),
-            variable=sweep.get("variable", "gamma_t_db").strip(),
-            start=sweep.getfloat("start"),
-            stop=sweep.getfloat("stop"),
-            steps=sweep.getint("steps"),
-            scenarios=scenarios,
-            base=base,
-            mc=mc,
-            nodes=nodes,
-            out_path=out_path,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid [sweep] section: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
-def resolve_seed(cli_seed: int | None, config_seed=None) -> int:
+def load_sweep_config(path: str, args) -> SweepConfig:
+    """The sweep a config file describes, with the command's flags applied."""
+    config = read_config(path)
+    mc = config["mc"]
+    if args.mc_samples is not None:
+        mc["n_samples"] = args.mc_samples
+    mc["seed"] = resolve_seed(args.seed, mc.get("seed", DEFAULT_SEED))
+    nodes = config["quadrature"].get("nodes", DEFAULT_QUADRATURE_NODES)
+    # the [sweep] keys are SweepConfig's fields
+    return SweepConfig(**{"metric": "outage", "variable": "gamma_t_db", "scenarios": (),
+                          **config["sweep"]},
+                       base=build_params(config["params"]), mc=McConfig(**mc),
+                       nodes=nodes if args.nodes is None else args.nodes,
+                       out_path=args.out or config["output"].get("path", "sweep.csv"))
+
+
+def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
     """Seed precedence: CLI flag, then environment, then config, then default."""
     if cli_seed is not None:
         return cli_seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if config_seed is not None:
-        try:
-            return int(float(config_seed))
-        except ValueError as exc:
-            raise ConfigError(f"mc.seed must be an integer, got {config_seed!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return config_seed
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +446,6 @@ def run_figure(figure_id: int, args) -> list[str]:
         raise ConfigError(f"unknown figure id {figure_id!r}; expected 2-7")
     preset = FIGURE_PRESETS[figure_id]
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     mc = McConfig(enabled=not args.no_mc,
                   n_samples=(DEFAULT_MC_SAMPLES if args.mc_samples is None
                              else args.mc_samples),
@@ -465,6 +462,7 @@ def run_figure(figure_id: int, args) -> list[str]:
                     out_path=os.path.join(out_dir, f"figure{figure_id}_{suffix}.csv"))
         for suffix, overrides in preset["variants"]
     ]
+    os.makedirs(out_dir, exist_ok=True)
     for cfg, rows in zip(configs, run_sweep(configs, workers=args.workers)):
         write_csv(rows, cfg.out_path)
         if args.gnuplot:
@@ -510,7 +508,7 @@ def run_validation(args) -> int:
     seed = resolve_seed(args.seed)
     nodes = 2000 if args.nodes is None else args.nodes
     n_samples = 1_000_000 if args.mc_samples is None else args.mc_samples
-    tol_scale = _tolerance(args.tol_scale, "--tol-scale")
+    tol_scale = _check_tolerance(args.tol_scale, "--tol-scale")
     rng = np.random.default_rng(seed)
     draws = np.column_stack([
         rng.uniform(10.0, 40.0, 6),     # r

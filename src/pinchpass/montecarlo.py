@@ -39,6 +39,7 @@ from .geometry import sample_unit_disk, scale_unit_disk
 from .params import Scenario, SystemParams, derive_constants
 
 CHUNK_SAMPLES = 1 << 16
+MIN_SAMPLES = 1000   # fewest samples an estimate accepts
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,8 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
     the estimate the same job gets alone, for any ``workers``.
     """
     jobs = list(jobs)
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be at least 1000, got {n_samples!r}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples!r}")
     # radius -> geometry (l, h, sigma2) -> (scenario, p) -> (alpha, eta*p_t, metrics)
     plan: dict[float, dict[tuple, dict[tuple[Scenario, SystemParams], tuple]]] = {}
     for scenario, metric, p in jobs:

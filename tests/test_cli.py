@@ -1,8 +1,11 @@
+import argparse
 import ast
+import itertools
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath
@@ -10,19 +13,25 @@ import numpy as np
 import pytest
 
 import pinchpass
-from pinchpass import dilog, dilog_diff, evaluate, montecarlo
+from pinchpass import cli, dilog, dilog_diff, evaluate, montecarlo
 from pinchpass.cli import (
+    CONFIG_SCHEMA,
     CSV_HEADER,
     DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    ConfigError,
     McConfig,
     SweepConfig,
     SweepRow,
     apply_swept,
+    build_params,
+    entry,
+    load_sweep_config,
     main,
+    read_config,
     run_sweep,
     write_csv,
 )
@@ -147,6 +156,110 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv, flag, tmp_path, mon
     assert not list(tmp_path.iterdir())
 
 
+SWEEP = ["sweep", "--config", "sweep.ini"]
+
+
+@pytest.mark.parametrize("argv,old,new,field", [
+    # type and name errors the schema catches
+    pytest.param(SWEEP, "enabled = true", "enabled = ture", "mc.enabled", id="boolean-typo"),
+    pytest.param(SWEEP, "seed = 31415", "seed = 31415\nn_sample = 5", "mc.n_sample",
+                 id="unknown-key"),
+    pytest.param(SWEEP, "[output]", "[plot]\nstyle = lines\n\n[output]", "[plot]",
+                 id="unknown-section"),
+    pytest.param(SWEEP, "[output]", "[DEFAULT]\nr = 30\n\n[output]", "[DEFAULT]",
+                 id="default-section"),
+    pytest.param(SWEEP, "[output]", "[outputx]", "[outputx]", id="misspelled-section"),
+    pytest.param(SWEEP, "seed = 31415", "seed = 1.7", "mc.seed", id="fractional-seed"),
+    pytest.param(SWEEP, "n_samples = 20000", "n_samples = 2e4", "mc.n_samples",
+                 id="exponent-integer"),
+    pytest.param(SWEEP, "[output]", "[quadrature]\nnodes = abc\n\n[output]", "quadrature.nodes",
+                 id="non-integer-nodes"),
+    pytest.param(SWEEP, "start = 95\n", "", "sweep.start", id="missing-start"),
+    pytest.param(SWEEP, "steps = 5", "steps = 2.5", "sweep.steps", id="fractional-steps"),
+    pytest.param(SWEEP, "r = 25.0", "r = abc", "params.r", id="non-number"),
+    pytest.param(SWEEP, "scenarios = FWNL, FWL, PWNL, PWL", "scenarios = FWNL, XWL",
+                 "sweep.scenarios", id="unknown-scenario"),
+    # a sample count below the minimum, with Monte-Carlo off
+    pytest.param(["figure", "7", "--no-mc", "--mc-samples", "5", "--seed", "3"],
+                 "", "", "--mc-samples", id="figure-no-mc-samples"),
+    pytest.param(SWEEP + ["--mc-samples", "5"], "enabled = true", "enabled = false", "--mc-samples",
+                 id="sweep-mc-off-samples"),
+    # conflicts and ranges checked by what the values build
+    pytest.param(SWEEP, "sigma2_dbm = -90", "sigma2_dbm = -90\nsigma2 = 1e-12", "params.sigma2",
+                 id="sigma2-twice"),
+    pytest.param(SWEEP, "gamma_th = 100", "gamma_th = 100\ngamma_th_db = 20", "params.gamma_th",
+                 id="gamma_th-twice"),
+    pytest.param(SWEEP, "l = 12.5", "l = 12.5\np_t = 1\ngamma_t_db = 100", "params.p_t",
+                 id="p_t-twice"),
+    pytest.param(SWEEP, "r = 25.0", "r = -25.0", "SystemParams.r", id="negative-radius"),
+    pytest.param(SWEEP, "metric = outage", "metric = snr", "sweep.metric", id="bad-metric"),
+    pytest.param(SWEEP, "variable = gamma_t_db", "variable = h", "sweep.variable",
+                 id="bad-variable"),
+    pytest.param(SWEEP, "steps = 5", "steps = 1", "sweep.steps", id="one-step"),
+    pytest.param(SWEEP, "stop = 115", "stop = 90", "sweep.stop", id="stop-below-start"),
+    pytest.param(SWEEP, "variable = gamma_t_db", "variable = l", "swept value l=95",
+                 id="swept-value-out-of-range"),
+    pytest.param(SWEEP, "scenarios = FWNL, FWL, PWNL, PWL", "scenarios =", "sweep.scenarios",
+                 id="no-scenarios"),
+    pytest.param(SWEEP, "", "", "PINCHPASS_SEED", id="env-seed"),
+])
+def test_configuration_error_exits_2_naming_its_field(argv, old, new, field, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # every other case runs with a valid seed in the environment
+    monkeypatch.setenv("PINCHPASS_SEED", "1.5" if field == "PINCHPASS_SEED" else "7")
+    text = BASE_CONFIG.format(mc_enabled="true", out="out.csv")
+    assert old in text
+    (tmp_path / "sweep.ini").write_text(text.replace(old, new, 1))
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_params_alternative_spellings_build_the_same_system():
+    reference = SystemParams.reference()
+    assert build_params({}) == reference
+    assert build_params({"gamma_th_db": 20.0}) == reference.with_(gamma_th=100.0)
+    assert build_params({"sigma2": 1e-12, "p_t": 1e-3}) == reference.with_(sigma2=1e-12, p_t=1e-3)
+
+
+def test_unknown_swept_variable_rejected_by_the_library():
+    with pytest.raises(ConfigError, match="unknown swept variable 'h'"):
+        apply_swept(SystemParams.reference(), "h", 5.0)
+
+
+def _readme_example() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("Sweep config (INI):")[1].split("```ini\n")[1].split("```")[0]
+
+
+def _docstring_example() -> str:
+    lines = cli.__doc__.split("::\n", 1)[1].splitlines()
+    return textwrap.dedent("\n".join(
+        itertools.takewhile(lambda line: not line or line.startswith("    "), lines)))
+
+
+@pytest.mark.parametrize("example", [_readme_example, _docstring_example])
+def test_documented_config_examples_pass_the_schema(example, tmp_path):
+    path = tmp_path / "example.ini"
+    path.write_text(example())
+    config = read_config(str(path))
+    assert all(config[section] for section in CONFIG_SCHEMA)
+    flags = argparse.Namespace(mc_samples=None, seed=None, nodes=None, out=None)
+    assert load_sweep_config(str(path), flags).scenarios == tuple(Scenario)
+
+
+def test_readme_lists_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(): line for line in readme.splitlines()
+            if line.startswith("| `[")}
+    assert set(rows) == {f"`[{section}]`" for section in CONFIG_SCHEMA}
+    for section, keys in CONFIG_SCHEMA.items():
+        for key in keys:
+            assert f"`{key}`" in rows[f"`[{section}]`"], f"{section}.{key}"
+
+
 def test_sweep_row_k_draws_from_seed_plus_k():
     # a repeated scenario gets its own row's seed
     cfg = SweepConfig(metric="outage", variable="gamma_t_db", start=105.0, stop=110.0,
@@ -220,6 +333,32 @@ def test_figure7_rate_curves_have_interior_maximum(tmp_path):
         values = [float(r[3]) for r in rows]
         best = max(values)
         assert best > values[0] and best > values[-1]
+
+
+def test_figure_gnuplot_writes_one_script_per_variant(tmp_path):
+    assert main(["figure", "3", "--no-mc", "--gnuplot", "--out", str(tmp_path)]) == EXIT_OK
+    scripts = sorted(path.name for path in tmp_path.glob("*.gp"))
+    assert scripts == ["figure3_a0.01.gp", "figure3_a0.02.gp", "figure3_a0.04.gp"]
+    assert "figure3_a0.02.csv" in (tmp_path / "figure3_a0.02.gp").read_text()
+
+
+def test_figure_nodes_flag_reaches_the_rate_quadrature(tmp_path):
+    assert main(["figure", "7", "--no-mc", "--nodes", "2000", "--out", str(tmp_path)]) == EXIT_OK
+    base = SystemParams.reference(gamma_t_db=105.0, alpha=0.02)
+    for row in read_rows(tmp_path / "figure7_a0.02.csv"):
+        p = base.with_(l=float(row[1]))
+        assert row[3] == format(evaluate(Scenario.PWL, "rate", p, 2000).value, ".12g")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["optimal-length", "--l-steps", "5", "--no-refine"], EXIT_OK),
+    (["validate", "--out", "x"], EXIT_CONFIG),
+])
+def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["pinchpass", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == code
 
 
 def test_figure_unknown_id(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from scipy.stats import chi2
 
 from pinchpass.geometry import (
+    _clamped_unit,
+    _lens_area,
     cdf_abs_y,
     cdf_horizontal_distance,
     sample_uniform_disk,
@@ -53,6 +55,27 @@ def test_theta_domain_error():
         theta(5.0, 25.0, 12.5)   # below r - l
     with pytest.raises(ValueError):
         theta(24.0, 25.0, 12.5)  # above sqrt(r^2 - l^2)
+    for l in (0.0, 25.0):        # the middle branch needs 0 < l < r
+        with pytest.raises(ValueError, match="0 < l < r"):
+            theta(5.0, 25.0, l)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _clamped_unit(1.0 + 1e-6), r"outside \[-1, 1\]"),
+    # externally separated unit circles: both acos arguments overshoot 1 by
+    # ~5e-11, inside the clamp, but the squared triangle area is -1.6e-9
+    (lambda: _lens_area(1.0, 1.0, 2.0 + 1e-10), "does not partially overlap"),
+])
+def test_geometry_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_geometry_clamps_rounding_overshoot():
+    assert _clamped_unit(-1.0 - 1e-12) == -1.0
+    assert _clamped_unit(1.0 + 1e-12) == 1.0
+    # a tangency gap of 1e-14 leaves a squared area within the clamp: no lens
+    assert _lens_area(1.0, 1.0, 2.0 + 1e-14) == 0.0
 
 
 def test_cdf_horizontal_distance_edges_and_degenerate():

@@ -129,6 +129,10 @@ def test_minimum_sample_count_enforced():
         estimate_outage(Scenario.FWNL, p, 999, SEED)
 
 
+def test_estimate_many_without_jobs_draws_nothing():
+    assert estimate_many([], 10_000, SEED) == []
+
+
 def reference_snr(scenario, p, x, y):
     """The SNR as one expression, with its temporaries (snr_values reuses them)."""
     l = p.half_length(scenario)
