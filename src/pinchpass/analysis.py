@@ -6,17 +6,16 @@ dispatch from (scenario, metric) to an evaluator:
 
 * lossless outage is the complement of the CDF of the horizontal distance
   to the segment (|y| at full coverage, the stadium CDF otherwise);
-* the lossless full-coverage rate is exact, the lossless partial-coverage
-  rate a two-segment Gauss-Chebyshev sum of chord integrals;
 * lossy outage is ``_outage_lossy``: its crossing classifier names the
-  root arrangement of the threshold/clearance curves, and one table maps
-  each arrangement to its closed form;
-* the lossy rate, full or partial coverage, is one three-segment
-  Gauss-Chebyshev sum over x of the analytic chord integral of the log-SNR;
+  root arrangement of the threshold/clearance curves, and one composed
+  closed form evaluates every arrangement;
+* the lossless full-coverage rate is exact; every other rate is one
+  Gauss-Chebyshev kernel over x of the analytic chord integral of the
+  log-SNR (two segments lossless, three lossy);
 * a lossy scenario at alpha = 0 is its lossless twin.
 
-The search for the half-length that optimizes either metric runs on the
-same entry point.
+The search for the half-length that optimizes either metric uses the same
+evaluators; its rate grid is one kernel call per block of half-lengths.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def evaluate(scenario: Scenario, metric: str, p: SystemParams,
         if metric == "outage":
             value, case = evaluate_lossy_outage(p, scenario)
             return MetricResult(value, scenario, case_id=case)
-        value = _rate_lossy(p, p.half_length(scenario), nodes)
+        value = float(_rate_chord(p, p.half_length(scenario), nodes, p.alpha))
         return MetricResult(value, scenario, quadrature_nodes=nodes)
     if scenario.full_coverage:
         return outage_fwnl(p) if metric == "outage" else rate_fwnl(p)
@@ -138,17 +137,48 @@ def outage_pwnl(p: SystemParams) -> MetricResult:
     return MetricResult(value, Scenario.PWNL, case_id=case)
 
 
-def _segment_chord_terms(rho2: np.ndarray, gain: np.ndarray | float,
-                         base2: np.ndarray | float) -> np.ndarray:
+def _segment_chord_terms(rho2: np.ndarray, base2: np.ndarray | float,
+                         gain: np.ndarray | float) -> np.ndarray:
     # chord integral of ln(1 + gain/(y^2 + base2)) over |y| <= rho, halved:
     #   rho ln(1 + gain/(rho^2+base2)) + 2 sqrt(base2+gain) atan(rho/sqrt(base2+gain))
-    #   - 2 sqrt(base2) atan(rho/sqrt(base2))
+    #   - 2 sqrt(base2) atan(rho/sqrt(base2));
+    # gains stacked on a leading axis share one pass of the gain-free terms
     rho = np.sqrt(np.maximum(rho2, 0.0))
     lifted = np.sqrt(base2 + gain)
     base = np.sqrt(base2)
     return (rho * np.log1p(gain / (rho2 + base2))
             + 2.0 * lifted * np.arctan(rho / lifted)
             - 2.0 * base * np.arctan(rho / base))
+
+
+def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
+    # the Gauss-Chebyshev chord quadrature of the PWNL and PWL rates (FWL at
+    # l = r) under attenuation alpha, at a float l or at a 1-D array of
+    # half-lengths in one pass: those run down a column, the nodes along a
+    # row, and an array always takes the outer segments (zero width at l = r).
+    # Over the symmetric nodes the far side (beyond +l) mirrors the near side
+    # (before -l), so both share one geometry and differ only in gain:
+    # e exp(-2 alpha l) far, e near.  A lossless covered span is even in x,
+    # so its rule spends the nodes on [0, l], and far = near.
+    r, h2 = p.r, p.h * p.h
+    e = derive_constants(p).eta * p.p_t / p.sigma2
+    rule = ChebyshevRule.of_order(nodes)
+    t, w = rule.nodes, rule.node_sines
+    batch = isinstance(l, np.ndarray)
+    lc = l[:, None] if batch else l
+
+    lossless = alpha == 0.0
+    x1 = 0.5 * lc * t + 0.5 * lc if lossless else lc * t
+    mid_gain = e if lossless else e * np.exp(-alpha * (x1 + lc))
+    mid = _segment_chord_terms(r * r - x1 * x1, h2, mid_gain) @ w
+    far = near = 0.0
+    if batch or l < r:
+        x2 = 0.5 * (r - lc) * t + 0.5 * (r + lc)
+        gain = e if lossless else e * np.exp(np.multiply.outer((-2.0 * alpha, 0.0), l))[..., None]
+        sums = _segment_chord_terms(r * r - x2 * x2, h2 + (x2 - lc) ** 2, gain) @ w
+        far, near = (sums, sums) if lossless else sums
+    total = 2.0 * l * mid + (r - l) * far + (r - l) * near
+    return total / (nodes * r * r * math.log(2.0))
 
 
 def rate_pwnl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
@@ -159,50 +189,13 @@ def rate_pwnl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricR
     vertical offset in the link distance.
     """
     _check_nodes(nodes)
-    r, l, h = p.r, p.l, p.h
-    e = derive_constants(p).eta * p.p_t / p.sigma2
-    rule = ChebyshevRule.of_order(nodes)
-    w = rule.node_sines
-    h2 = h * h
-
-    x1 = 0.5 * l * rule.nodes + 0.5 * l
-    seg1 = np.sum(w * _segment_chord_terms(r * r - x1 * x1, e, h2))
-    seg2 = 0.0
-    if l < r:
-        x2 = 0.5 * (r - l) * rule.nodes + 0.5 * (r + l)
-        seg2 = np.sum(w * _segment_chord_terms(r * r - x2 * x2, e, h2 + (x2 - l) ** 2))
-    total = (0.5 * l * seg1 + 0.5 * (r - l) * seg2) * rule.weight
-    value = float(4.0 * total / (math.pi * r * r * math.log(2.0)))
-    return MetricResult(value, Scenario.PWNL, quadrature_nodes=nodes)
+    return MetricResult(float(_rate_chord(p, p.l, nodes, 0.0)), Scenario.PWNL,
+                        quadrature_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
 # lossy closed forms
 # ---------------------------------------------------------------------------
-
-
-def _rate_lossy(p: SystemParams, l: float, nodes: int) -> float:
-    # the three-segment chord quadrature of rate_pwl; at l = r (full
-    # coverage) only the covered span remains
-    r, h = p.r, p.h
-    e = derive_constants(p).eta * p.p_t / p.sigma2
-    rule = ChebyshevRule.of_order(nodes)
-    t, w = rule.nodes, rule.node_sines
-    h2 = h * h
-
-    x1 = l * t
-    mid = np.sum(w * _segment_chord_terms(r * r - x1 * x1,
-                                          e * np.exp(-p.alpha * (x1 + l)), h2))
-    far = near = 0.0
-    if l < r:
-        x2 = 0.5 * (r - l) * t + 0.5 * (r + l)
-        far = np.sum(w * _segment_chord_terms(r * r - x2 * x2,
-                                              e * math.exp(-2.0 * p.alpha * l),
-                                              h2 + (x2 - l) ** 2))
-        x3 = 0.5 * (r - l) * t - 0.5 * (r + l)
-        near = np.sum(w * _segment_chord_terms(r * r - x3 * x3, e, h2 + (x3 + l) ** 2))
-    total = 2.0 * l * mid + (r - l) * far + (r - l) * near
-    return float(total / (nodes * r * r * math.log(2.0)))
 
 
 def outage_fwl(p: SystemParams) -> MetricResult:
@@ -298,10 +291,19 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     if steps > 1 and (stop - start) / (steps - 1) < 0.01:
         raise ValueError("half-length grid step below 0.01 m")
 
-    value_at = lambda l: evaluate(Scenario.PWL, metric, p.with_(l=l), nodes).value
     grid = np.linspace(start, stop, steps)
     sign = 1.0 if metric == "outage" else -1.0
-    values = [value_at(float(l)) for l in grid]
+    if metric == "rate":
+        # evaluate's PWL (PWNL at alpha = 0) rate kernel, one call per grid
+        # block of at most 65,536 node evaluations, so memory stays flat
+        _check_nodes(nodes)
+        value_at = lambda l: float(_rate_chord(p, l, nodes, p.alpha))
+        block = max(1, 65_536 // nodes)
+        values = np.concatenate([_rate_chord(p, grid[i:i + block], nodes, p.alpha)
+                                 for i in range(0, steps, block)]).tolist()
+    else:
+        value_at = lambda l: evaluate(Scenario.PWL, metric, p.with_(l=l)).value
+        values = [value_at(float(l)) for l in grid]
     best_idx = int(np.argmin([sign * v for v in values]))
     best_l = float(grid[best_idx])
     best_value = values[best_idx]

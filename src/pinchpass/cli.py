@@ -363,10 +363,12 @@ def build_params(options: dict[str, float]) -> SystemParams:
             raise ConfigError(f"give params.{key} or params.{alternative}, not both")
     kwargs = {key: options[key] for key in ("r", "h", "f_c", "alpha", "l", "c", "sigma2",
                                             "gamma_th") if key in options}
-    if "sigma2_dbm" in options:
-        kwargs["sigma2"] = dbm_to_watts(options["sigma2_dbm"])
-    if "gamma_th_db" in options:
-        kwargs["gamma_th"] = db_to_linear(options["gamma_th_db"])
+    for key, name, to_linear in (("sigma2_dbm", "sigma2", dbm_to_watts),
+                                 ("gamma_th_db", "gamma_th", db_to_linear)):
+        if key in options:
+            kwargs[name] = to_linear(options[key])
+            if not 0.0 < kwargs[name] < np.inf:
+                raise ConfigError(f"params.{key}: {name} = {kwargs[name]!r}")
     try:
         p = SystemParams.reference(gamma_t_db=options.get("gamma_t_db", 105.0), **kwargs)
         return p.with_(p_t=options["p_t"]) if "p_t" in options else p

@@ -25,8 +25,8 @@ DEFAULT_QUADRATURE_NODES = 200
 
 
 def dbm_to_watts(power_dbm: float) -> float:
-    """Convert a power from dBm to watts."""
-    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    """Convert a power from dBm to watts (inf beyond the float range)."""
+    return db_to_linear(power_dbm - 30.0)
 
 
 def watts_to_dbm(power_watts: float) -> float:
@@ -35,8 +35,11 @@ def watts_to_dbm(power_watts: float) -> float:
 
 
 def db_to_linear(ratio_db: float) -> float:
-    """Convert a dB ratio to a linear ratio."""
-    return 10.0 ** (ratio_db / 10.0)
+    """Convert a dB ratio to a linear ratio (inf beyond the float range)."""
+    try:
+        return 10.0 ** (ratio_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(ratio: float) -> float:
@@ -147,12 +150,15 @@ class SystemParams:
         transmit SNR p_t/sigma2.
         """
         sigma2 = overrides.pop("sigma2", dbm_to_watts(-90.0))
+        snr = db_to_linear(gamma_t_db)
+        if not 0.0 < snr < math.inf:
+            raise ValueError(f"invalid gamma_t_db = {gamma_t_db!r}: p_t/sigma2 = {snr!r}")
         base = dict(
             r=25.0,
             h=10.0,
             f_c=28.0e9,
             sigma2=sigma2,
-            p_t=sigma2 * db_to_linear(gamma_t_db),
+            p_t=sigma2 * snr,
             alpha=0.02,
             l=12.5,
             gamma_th=100.0,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pinchpass import (
+    evaluate,
     optimal_length_search,
     outage_fwl,
     outage_fwnl,
@@ -206,6 +207,21 @@ def test_optimal_length_decreases_with_attenuation():
         best.append(res.best_l)
     assert all(b <= a + 1e-6 for a, b in zip(best, best[1:]))
     assert best[-1] < best[0] - 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.0])
+@pytest.mark.parametrize("nodes,grid_spec", [
+    (200, (0.5, 25.0, 50)),
+    (2000, (0.5, 25.0, 50)),
+    (2000, (0.25, 25.0, 100)),      # 100 x 2000 node evaluations: four kernel blocks
+])
+def test_batched_rate_grid_matches_per_point_evaluate(alpha, nodes, grid_spec):
+    p = SystemParams.reference(gamma_t_db=105.0, alpha=alpha)
+    res = optimal_length_search(p, metric="rate", grid_spec=grid_spec, nodes=nodes)
+    assert len(res.grid) == grid_spec[2] and res.grid[-1][0] == p.r
+    for l, value in res.grid + ((res.best_l, res.best_value),):
+        want = evaluate(Scenario.PWL, "rate", p.with_(l=l), nodes).value
+        assert type(value) is float and value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_single_point_grid_returned_as_is():

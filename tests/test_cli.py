@@ -202,6 +202,13 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
     pytest.param(SWEEP, "scenarios = FWNL, FWL, PWNL, PWL", "scenarios =", "sweep.scenarios",
                  id="no-scenarios"),
     pytest.param(SWEEP, "", "", "PINCHPASS_SEED", id="env-seed"),
+    # dB values whose linear ratio overflows a float
+    pytest.param(["optimal-length", "--gamma-t-db", "4000"], "", "", "gamma_t_db",
+                 id="gamma_t_db-overflow"),
+    pytest.param(SWEEP, "sigma2_dbm = -90", "sigma2_dbm = 4000", "params.sigma2_dbm",
+                 id="sigma2_dbm-overflow"),
+    pytest.param(SWEEP, "stop = 115", "stop = 4000", "swept value gamma_t_db=4000",
+                 id="swept-gamma_t_db-overflow"),
 ])
 def test_configuration_error_exits_2_naming_its_field(argv, old, new, field, tmp_path,
                                                        monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -74,6 +75,9 @@ def test_dilog_diff_matches_direct_and_stays_stable():
     eps = z * 1e-9
     expected = -math.log1p(-z) / z * (-eps)
     assert dilog_diff(z - eps, z) == pytest.approx(expected, rel=1e-6)
+    for z_hi, z_lo in ((0.5, -1.0), (-1.0, 1e-300)):
+        with pytest.raises(ValueError, match="dilog_diff is defined for non-positive arguments"):
+            dilog_diff(z_hi, z_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +93,9 @@ def test_rule_nodes_decreasing_symmetric():
 
 
 def test_rule_is_cached_and_read_only():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"node count must be positive, got {n}"):
+            ChebyshevRule.of_order(n)
     rule = ChebyshevRule.of_order(23)
     assert ChebyshevRule.of_order(23) is rule
     with pytest.raises(ValueError, match="read-only"):
@@ -135,8 +142,11 @@ def test_root_simple_cases():
     assert find_root_bracketed(lambda x: x * x - 2.0, 1.0, 2.0) \
         == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert find_root_bracketed(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="sign"):
+    with pytest.raises(ValueError, match=re.escape("f(lo) and f(hi) have the same sign")):
         find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+    for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"need lo < hi, got [{lo}, {hi}]")):
+            find_root_bracketed(lambda x: x, lo, hi)
 
 
 def test_root_matches_lossless_crossing_closed_form():
