@@ -4,26 +4,21 @@ A device at abscissa x is in outage when its squared transverse offset
 exceeds the threshold curve f(x), so the lossy outage is one integral,
 (2 / (pi r^2)) * integral of rho(x) - sqrt(max(f(x), 0)) over the x-range
 where the clearance g = rho^2 - f is positive (rho the chord half-height).
-This module owns that decision end to end: ``_Pieces`` writes f once, the
-crossing classifier locates the zeros of g and f on Python floats and
-names their arrangement.  Each of the nine arrangements with a closed form
-has two roots a < b (two of g, one of each, or two of f) and one composed
-value: a head (the chord strip over [a, b], over [a, r], or 1), plus the
-outer-segment caps beyond -l at a and beyond +l at b, plus the Phi term
-over [max(a, -l), min(b, l)].  Razor-edge sign patterns have no closed
-form and integrate the region numerically.
+This module owns it end to end: ``_Pieces`` writes f once, and the crossing
+classifier finds one zero of g or f on each side of the clearance peak and
+names the arrangement of the two, a < b.  One composed closed form covers
+all nine arrangements: a head (the chord strip over [a, b], over [a, r],
+or 1), plus the outer-segment caps beyond -l at a and beyond +l at b, plus
+the Phi term over [max(a, -l), min(b, l)].
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .numerics import find_root_bracketed
 from .params import Scenario, SystemParams, derive_constants
-
-logger = logging.getLogger(__name__)
 
 _RANGE_SLACK = 1e-9
 
@@ -35,7 +30,6 @@ _SHORT = {INTERVAL_LEFT: "left", INTERVAL_MID: "mid", INTERVAL_RIGHT: "right"}
 
 CASE_ALL_OUTAGE = "all-outage"
 CASE_NO_OUTAGE = "no-outage"
-CASE_UNCLASSIFIED = "unclassified"
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,9 @@ class RootReport:
     ``g_roots`` are the crossings of the threshold curve with the squared
     chord height (the edges of the outage x-range); ``f_roots`` are the
     zeros of the threshold curve itself (beyond which whole chords are in
-    outage).  ``case_id`` names the dispatched closed form; ``degenerate``
-    carries the shortcut outage value 0.0/1.0 when no roots are needed.
+    outage); they hold two roots in x order, whose arrangement ``case_id``
+    names.  ``degenerate`` carries the shortcut outage value 0.0/1.0 (no
+    roots, case ``all-outage``/``no-outage``) when no roots are needed.
     ``C`` is the derived constant the roots were found with.
     """
 
@@ -75,17 +70,13 @@ def _sqrt_clamped(value: float, scale: float) -> float:
     # roots sit exactly on the domain edge in exact arithmetic
     if value < 0.0:
         if value < -1e-12 * scale:
-            raise ValueError(f"square-root argument {value!r} beyond clamp window")
+            raise ArithmeticError(f"square-root argument {value!r} beyond clamp window")
         return 0.0
     return math.sqrt(value)
 
 
 def _asin_clamped(u: float) -> float:
-    if u < -1.0:
-        u = -1.0
-    elif u > 1.0:
-        u = 1.0
-    return math.asin(u)
+    return math.asin(min(max(u, -1.0), 1.0))
 
 
 class _Pieces:
@@ -120,15 +111,6 @@ class _Pieces:
 
     def omega(self, x: float) -> float:
         return self.C * math.exp(-self.alpha * (x + self.l))
-
-    def f(self, x: float) -> float:
-        # the threshold curve: the squared transverse offset at x beyond
-        # which a device is in outage
-        if x < -self.l:
-            return self.M2 - (x + self.l) ** 2
-        if x <= self.l:
-            return self.omega(x) - self.h2
-        return self.K2 - (x - self.l) ** 2
 
     def strip(self, a: float, c: float) -> float:
         # area fraction between the chord and nothing over [a, c]
@@ -193,8 +175,9 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     g = r^2 + l^2 + h^2 - C exp(-2 alpha l) - 2lx on the right, so a root
     there is one division; a root on the middle segment is bracketed
     between its end and the peak.  The threshold curve f peaks at x = -l
-    and its zeros have closed forms.  Every closed-form case has exactly
-    two roots in x order: two of g, one of each, or two of f.
+    and its zeros have closed forms.  Each side of the peak holds exactly
+    one root, of g or of f, so there are two in x order: two of g, one of
+    each, or two of f.
     """
     return _classify(_Pieces(p, scenario, derive_constants(p).C))
 
@@ -222,38 +205,36 @@ def _classify(pc: _Pieces) -> RootReport:
     right_line = r * r + l * l + h2 - pc.k2c
     g_left = left_line - 2.0 * l * r if outer else g_mid(-l)
     g_right = right_line - 2.0 * l * r if outer else g_mid(l)
-    g_roots = []
+    # One sign per side picks the root.  The chord has zero height at +-r,
+    # so g(+-r) = -f(+-r): a side holds a g root when g < 0 at its edge and
+    # an f root otherwise.  In floats too there are always two: at l = r,
+    # g(-r) = h^2 - C < 0 and g_mid(r) is -K2 bit for bit; rounding is
+    # monotone and k2c <= C, so g_right >= g_left, and a left f root forces
+    # a right one.  No "g2-left-mid": a left root needs g(-l) > 0, i.e.
+    # C < r^2 - l^2 + h^2, and a middle root c > -l then needs
+    # r^2 + h^2 - c^2 = C exp(-alpha (c + l)) < C, so c^2 > l^2 and c > l.
+    g_roots, f_roots = [], []
     if g_left < 0.0:
         if outer and g_mid(-l) > 0.0:
             a = -left_line / (2.0 * l)
         else:
             a = find_root_bracketed(g_mid, -l, x_peak, tol=0.0)
         g_roots.append(LabeledRoot(a, _interval_of(a, l)))
+    else:
+        f_roots.append(LabeledRoot(-l - math.sqrt(pc.M2), INTERVAL_LEFT))
     if x_peak < r and g_right < 0.0:
         if outer and g_mid(l) > 0.0:
             c = right_line / (2.0 * l)
         else:
             c = find_root_bracketed(g_mid, x_peak, l, tol=0.0)
         g_roots.append(LabeledRoot(c, _interval_of(c, l)))
-
-    f_roots = []
-    if outer and pc.M2 < (r - l) ** 2:               # f(-r) < 0
-        f_roots.append(LabeledRoot(-l - math.sqrt(pc.M2), INTERVAL_LEFT))
-    if pc.K2 < (r - l) ** 2:                         # f(r) < 0
-        if pc.K2 <= 0.0:
-            b_f = -l + math.log(C / h2) / alpha
-        else:
-            b_f = l + math.sqrt(pc.K2)
+    else:
+        b_f = -l + math.log(C / h2) / alpha if pc.K2 <= 0.0 else l + math.sqrt(pc.K2)
         f_roots.append(LabeledRoot(b_f, _interval_of(b_f, l)))
 
-    roots = g_roots + f_roots
-    if len(roots) == 2:
-        kind = ("f2", "g1f1", "g2")[len(g_roots)]
-        case = f"{kind}-{_SHORT[roots[0].interval]}-{_SHORT[roots[1].interval]}"
-    else:
-        # razor-edge sign pattern (roots pinned to interval ends); the
-        # outage falls back to numerical integration
-        case = CASE_UNCLASSIFIED
+    first, last = g_roots + f_roots
+    kind = ("f2", "g1f1", "g2")[len(g_roots)]
+    case = f"{kind}-{_SHORT[first.interval]}-{_SHORT[last.interval]}"
     return RootReport(tuple(g_roots), tuple(f_roots), case, C)
 
 
@@ -261,24 +242,14 @@ def _classify(pc: _Pieces) -> RootReport:
 # closed form, composed per root arrangement
 # ---------------------------------------------------------------------------
 
-# The nine arrangements with a closed form.  There is no "g2-left-mid": a
-# left root needs g(-l) > 0, i.e. C < r^2 - l^2 + h^2, and a middle root
-# c > -l then needs r^2 + h^2 - c^2 = C exp(-alpha (c + l)) < C, which
-# forces c^2 > l^2, i.e. c > l: the second root is never middle.
-_CLOSED_FORMS = frozenset({
-    "g2-mid-mid", "g2-mid-right", "g2-left-right",
-    "g1f1-left-mid", "g1f1-left-right", "g1f1-mid-mid", "g1f1-mid-right",
-    "f2-left-mid", "f2-left-right",
-})
 
-
-def _closed_form(pc: _Pieces, kind: str, a: float, b: float) -> float:
+def _closed_form(pc: _Pieces, n_g: int, a: float, b: float) -> float:
     # head + (2 / (pi r^2)) (L(a) - R(b)) + the Phi term over the guided
-    # part of [a, b]; the caps L, R are the outer-segment integrals beyond
-    # -l and +l and vanish when their root lies under the guide
+    # part of [a, b], n_g of the roots being of g; the caps L, R are the
+    # outer-segment integrals beyond -l and +l, 0 for a root under the guide
     l = pc.l
     left = right = 0.0
-    if kind == "f2":
+    if n_g == 0:
         # f < 0 outside [a, b]: whole chords there are in outage, and each
         # cap sits at a zero of f, where only its asin term remains
         head = 1.0
@@ -289,7 +260,7 @@ def _closed_form(pc: _Pieces, kind: str, a: float, b: float) -> float:
     else:
         # with one root of each, outage runs from the g root a to the edge
         # and b is the f root
-        head = pc.strip(a, b if kind == "g2" else pc.r)
+        head = pc.strip(a, b if n_g == 2 else pc.r)
         if a < -l:
             left = pc.cap(a + l, pc.M2, -1.0)
         if b > l:
@@ -297,50 +268,23 @@ def _closed_form(pc: _Pieces, kind: str, a: float, b: float) -> float:
     return head + 2.0 / pc.pr2 * (left - right) + pc.phi_term(max(a, -l), min(b, l))
 
 
-def outage_numeric(p: SystemParams, scenario: Scenario) -> float:
-    """Direct integration of the outage region (fallback and test oracle)."""
-    # imported here, as spence in numerics: `import pinchpass` loads no
-    # scipy, and only this rare fallback needs scipy.integrate
-    from scipy.integrate import quad
-
-    pc = _Pieces(p, scenario, derive_constants(p).C)
-    r, l = pc.r, pc.l
-
-    def integrand(x: float) -> float:
-        rho2 = max(r * r - x * x, 0.0)
-        fv = min(max(pc.f(x), 0.0), rho2)
-        return math.sqrt(rho2) - math.sqrt(fv)
-
-    cuts = sorted({-r, r} | {v for v in (-l, l) if -r < v < r})
-    total = sum(quad(integrand, lo, hi, limit=200)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
-    return 2.0 * total / (math.pi * r * r)
-
-
 def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
                           report: RootReport | None = None) -> tuple[float, str]:
     """Evaluate the classified root arrangement with the composed closed form.
 
-    Returns (outage, case_id); the case id gains a ``+numeric`` suffix when
-    the numerical fallback was used.  Raises RuntimeError if the classifier
-    emits a case outside the known vocabulary.
+    Returns (outage, case_id).  A value outside [0, 1] beyond rounding
+    slack is a numerical error and raises ArithmeticError naming the case.
     """
     pc = _Pieces(p, scenario, derive_constants(p).C if report is None else report.C)
     if report is None:
         report = _classify(pc)
     case = report.case_id
-    if case not in _CLOSED_FORMS and case not in (CASE_ALL_OUTAGE, CASE_NO_OUTAGE,
-                                                  CASE_UNCLASSIFIED):
-        raise RuntimeError(f"no evaluation path for case {case!r}")
     if report.degenerate is not None:
         return report.degenerate, case
-    if case == CASE_UNCLASSIFIED:
-        logger.warning("case %s has no closed form; integrating numerically", case)
-        return outage_numeric(p, scenario), case + "+numeric"
 
     first, last = report.g_roots + report.f_roots
-    value = _closed_form(pc, case.split("-", 1)[0], first.value, last.value)
+    value = _closed_form(pc, len(report.g_roots), first.value, last.value)
     if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
-        logger.warning("case %s produced %.3e outside [0, 1]; integrating numerically",
-                       case, value)
-        return outage_numeric(p, scenario), case + "+numeric"
+        raise ArithmeticError(f"lossy outage closed form for case {case!r} "
+                              f"gave {value!r}, outside [0, 1]")
     return min(max(value, 0.0), 1.0), case

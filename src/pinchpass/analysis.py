@@ -202,7 +202,8 @@ def outage_fwl(p: SystemParams) -> MetricResult:
     """Outage probability, full coverage, lossy guide.
 
     Dispatches on the crossing classifier: one boundary crossing plus a
-    threshold zero, two crossings, or the degenerate all/none regimes.
+    threshold zero, two crossings, two threshold zeros, or the degenerate
+    all/none regimes; every arrangement has a closed form.
     """
     return evaluate(Scenario.FWL, "outage", p)
 
@@ -222,8 +223,7 @@ def outage_pwl(p: SystemParams) -> MetricResult:
     The crossing classifier names the arrangement of the boundary roots
     a < b; each of the nine closed-form arrangements is one composed sum of
     a head term, the outer caps beyond -l and +l, and the Phi term over the
-    guided part of [a, b].  The degenerate regimes give 0 or 1; razor-edge
-    arrangements integrate numerically (flagged in the case id).
+    guided part of [a, b].  The degenerate regimes give 0 or 1.
     """
     return evaluate(Scenario.PWL, "outage", p)
 

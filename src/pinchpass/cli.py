@@ -57,7 +57,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import itertools
-import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -650,7 +649,6 @@ def _cmd_optimal_length(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

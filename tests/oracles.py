@@ -2,13 +2,14 @@
 
 Everything here recomputes expected values by a route different from the
 library code under test: brute-force sampling, dense sign scans, series
-summation, and adaptive quadrature.
+summation, and adaptive quadrature (double precision and 30-digit).
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -169,6 +170,42 @@ def scan_crossings(p: SystemParams, scenario: Scenario, n: int = 1_000_000):
     """Dense-grid root counts/locations for the clearance and threshold curves."""
     f, g = threshold_curves(p, scenario)
     return scan_sign_changes(g, p.r, n), scan_sign_changes(f, p.r, n)
+
+
+def outage_by_mpmath(p: SystemParams, scenario: Scenario, dps: int = 30,
+                     n_scan: int = 20_000) -> float:
+    """Outage probability by tanh-sinh quadrature at ``dps`` digits.
+
+    The integrand rho - sqrt(clip(f, 0, rho^2)) is evaluated in mpmath from
+    the SNR definition and split at +-l and at every zero of f and g that
+    the sign scan finds, each refined by ``mpmath.findroot`` in its scan
+    bracket, so each piece is smooth inside.
+    """
+    l = p.half_length(scenario)
+    with mpmath.workdps(dps):
+        r, h, alpha, C = (mpmath.mpf(v) for v in (p.r, p.h, p.alpha, derive_constants(p).C))
+        l_mp = mpmath.mpf(l)
+
+        def f(x):
+            x_pa = min(max(x, -l_mp), l_mp)
+            return C * mpmath.exp(-alpha * (x_pa + l_mp)) - h * h - (x - x_pa) ** 2
+
+        def g(x):
+            return r * r - x * x - f(x)
+
+        def integrand(x):
+            rho2 = max(r * r - x * x, 0)
+            return mpmath.sqrt(rho2) - mpmath.sqrt(min(max(f(x), 0), rho2))
+
+        step = 2.0 * p.r / (n_scan - 1)
+        cuts = {-r, r} | {v for v in (-l_mp, l_mp) if -r < v < r}
+        for fn, roots in zip((g, f), scan_crossings(p, scenario, n_scan)):
+            for x in roots:
+                root = mpmath.findroot(fn, (x - step, x + step), solver="anderson")
+                if -r < root < r:
+                    cuts.add(root)
+        total = mpmath.quad(integrand, sorted(cuts))
+        return float(2 * total / (mpmath.pi * r * r))
 
 
 def interval_label(x: float, l: float) -> str:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from pinchpass._outage_lossy import outage_numeric
 from pinchpass import outage_fwl, outage_fwnl, rate_fwl, rate_fwnl
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
@@ -123,7 +122,7 @@ def test_outage_fwl_closed_form_at_large_alpha_r(gamma_t_db, r, h, alpha, l_frac
         warnings.simplefilter("error")
         res = outage_fwl(p)
     assert res.case_id == "g1f1-mid-mid"
-    assert res.value == pytest.approx(outage_numeric(p, Scenario.FWL), abs=1e-6)
+    assert res.value == pytest.approx(outage_by_integration(p, Scenario.FWL), abs=1e-6)
 
 
 def test_rate_fwl_matches_series_dilog_reference():

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,9 @@ from pinchpass import (
     rate_pwnl,
 )
 from pinchpass.montecarlo import estimate_outage, estimate_rate
-from pinchpass.params import Scenario, SystemParams
-from oracles import outage_by_integration, random_reference
-from test_numerics import CASE_PROBES
+from pinchpass.params import Scenario, SystemParams, derive_constants
+from oracles import outage_by_integration, outage_by_mpmath, random_reference
+from test_numerics import CASE_PROBES, CLOSED_FORM_CASES
 
 SEED = 4321
 
@@ -106,7 +107,7 @@ def test_outage_pwl_dispatch_exhaustive_over_random_draws():
         p = random_reference(rng)
         result = outage_pwl(p)
         assert 0.0 <= result.value <= 1.0
-        assert "+numeric" not in result.case_id  # closed forms cover the draws
+        assert result.case_id in CLOSED_FORM_CASES + ("all-outage", "no-outage")
         seen.add(result.case_id)
     assert {"all-outage", "no-outage"} <= seen
     assert len(seen) >= 8
@@ -136,6 +137,33 @@ def test_outage_pwl_continuous_across_case_seams():
         assert abs(above - below) < 1e-6
         seams += 1
     assert seams >= 3  # the sweep must actually cross several dispatch cases
+
+
+def _ulp_steps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def test_outage_pwl_closed_form_ulp_by_ulp_across_the_outer_edges():
+    # At an outer edge the threshold zero sits on the disk boundary: f(-r) = 0
+    # where C - h^2 = (r - l)^2, and f(r) = 0 where C = ((r - l)^2 + h^2)
+    # exp(2 alpha l).  Stepping p_t (C is proportional to it) ulp by ulp
+    # across each edge, every configuration still has two roots and a closed
+    # form.  The 1e-8 bound, fixed before the run, leaves room for the
+    # closed forms' asin imprecision at a threshold zero (up to ~5e-9).
+    rng = np.random.default_rng(SEED + 7)
+    for _ in range(3):
+        p = random_reference(rng)
+        C, h2, gap2 = derive_constants(p).C, p.h * p.h, (p.r - p.l) ** 2
+        for C_edge in (gap2 + h2, (gap2 + h2) * math.exp(2.0 * p.alpha * p.l)):
+            p_t = p.p_t * C_edge / C
+            for k in range(-4, 5):
+                q = p.with_(p_t=_ulp_steps(p_t, k))
+                result = outage_pwl(q)
+                assert result.case_id in CLOSED_FORM_CASES
+                assert result.value == pytest.approx(outage_by_mpmath(q, Scenario.PWL),
+                                                     abs=1e-8, rel=0.0)
 
 
 def test_rate_pwl_reduces_to_lossless_and_full():

@@ -500,8 +500,8 @@ def _run_fresh(code: str) -> str:
 
 
 def test_import_closed_forms_and_mc_leave_scipy_unloaded():
-    # scipy.special alone adds ~0.35 s to a fresh interpreter; only dilog,
-    # dilog_diff and the numeric outage fallback import scipy, on first use
+    # scipy.special alone adds ~0.35 s to a fresh interpreter; only dilog and
+    # dilog_diff import scipy, on first use
     code = """
 import sys, pinchpass, pinchpass.cli
 from pinchpass import Scenario, SystemParams, estimate_many, evaluate, optimal_length_search

@@ -13,13 +13,11 @@ from scipy.special import lambertw
 from pinchpass._outage_lossy import (
     CASE_ALL_OUTAGE,
     CASE_NO_OUTAGE,
-    CASE_UNCLASSIFIED,
-    RootReport,
-    _CLOSED_FORMS,
+    _Pieces,
     _peak_abscissa,
+    _sqrt_clamped,
     classify_crossings,
     evaluate_lossy_outage,
-    outage_numeric,
 )
 from pinchpass.numerics import ChebyshevRule, dilog, dilog_diff, find_root_bracketed
 from pinchpass import outage_pwl
@@ -163,6 +161,14 @@ def test_root_matches_lossless_crossing_closed_form():
 # crossing classifier
 # ---------------------------------------------------------------------------
 
+# the nine root arrangements of the composed closed form; "g2-left-mid"
+# cannot occur (see the proof in _outage_lossy._classify)
+CLOSED_FORM_CASES = (
+    "g2-mid-mid", "g2-mid-right", "g2-left-right",
+    "g1f1-left-mid", "g1f1-left-right", "g1f1-mid-mid", "g1f1-mid-right",
+    "f2-left-mid", "f2-left-right",
+)
+
 CASE_PROBES = [
     # (gamma_t_db, alpha, l, expected case)
     (110.0, 0.005, 12.5, "g2-mid-mid"),
@@ -282,8 +288,8 @@ def test_classifier_on_extreme_set():
                 assert slope_term == pytest.approx(2.0 * x_star, rel=1e-12, abs=1e-300)
                 value, case = evaluate_lossy_outage(p, scenario, report)
                 assert 0.0 <= value <= 1.0 and case == report.case_id
-    # every closed form and both degenerate regimes, no numeric fallback
-    assert set(cases) == set(_CLOSED_FORMS) | {CASE_ALL_OUTAGE, CASE_NO_OUTAGE}
+    # every closed form and both degenerate regimes
+    assert set(cases) == set(CLOSED_FORM_CASES) | {CASE_ALL_OUTAGE, CASE_NO_OUTAGE}
 
 
 def test_peak_abscissa_against_lambert_w():
@@ -302,7 +308,7 @@ def test_peak_abscissa_against_lambert_w():
 
 
 def test_g2_left_mid_never_occurs():
-    # see the proof at _outage_lossy._CLOSED_FORMS
+    # see the proof in _outage_lossy._classify
     rng = np.random.default_rng(4000)
     cases = Counter()
     left_roots = 0
@@ -317,13 +323,35 @@ def test_g2_left_mid_never_occurs():
     assert "g2-left-right" in cases and left_roots > 0
 
 
-def test_dispatch_guards_on_hand_built_reports():
-    # no seeded draw reaches the fallback or the vocabulary guard
-    p = SystemParams.reference(alpha=0.02)
+def test_closed_form_outside_unit_interval_raises():
+    # numerical error is detected, not recovered: a hand-built report with
+    # its two g roots swapped integrates the outage region backwards
+    p = SystemParams.reference(gamma_t_db=110.0, alpha=0.005, l=12.5)
     report = classify_crossings(p, Scenario.PWL)
-    unclassified = RootReport((), (), CASE_UNCLASSIFIED, report.C)
-    assert evaluate_lossy_outage(p, Scenario.PWL, unclassified) \
-        == (outage_numeric(p, Scenario.PWL), "unclassified+numeric")
-    with pytest.raises(RuntimeError, match="g2-left-mid"):
-        evaluate_lossy_outage(p, Scenario.PWL,
-                              dataclasses.replace(report, case_id="g2-left-mid"))
+    assert report.case_id == "g2-mid-mid"
+    swapped = dataclasses.replace(report, g_roots=report.g_roots[::-1])
+    with pytest.raises(ArithmeticError, match=r"g2-mid-mid.*outside \[0, 1\]"):
+        evaluate_lossy_outage(p, Scenario.PWL, swapped)
+
+
+def test_sqrt_clamp_window():
+    # rounding below zero within 1e-12 of the scale is a root on its domain
+    # edge; anything further is a numerical error
+    assert _sqrt_clamped(-1e-13, 1.0) == 0.0
+    assert _sqrt_clamped(4.0, 1.0) == 2.0
+    with pytest.raises(ArithmeticError, match="beyond clamp window"):
+        _sqrt_clamped(-1e-11, 1.0)
+
+
+def test_phi_is_flat_where_delta_clamps_to_zero():
+    # at a threshold zero under the guide both Delta ends clamp to 0, and the
+    # Phi difference is 0 rather than the 0/0 of its cancellation-free form
+    p = SystemParams.reference(gamma_t_db=104.0, alpha=0.03, l=12.5)
+    pc = _Pieces(p, Scenario.PWL, derive_constants(p).C)
+    x = -pc.l + math.log(pc.C / pc.h2) / pc.alpha
+    while pc.omega(x) > pc.h2:
+        x = math.nextafter(x, math.inf)
+    x_next = math.nextafter(x, math.inf)
+    assert -pc.l < x < x_next < pc.l
+    assert pc.phi_diff(x, x) == 0.0
+    assert pc.phi_diff(x, x_next) == 0.0
