@@ -107,16 +107,20 @@ class _Pieces:
         self.K2 = self.k2c - self.h2                        # f at +l
 
     def rho(self, x: float) -> float:
-        return _sqrt_clamped(self.r * self.r - x * x, self.r * self.r)
+        # (r - x)(r + x), not r^2 - x^2: near x = +-r one factor is exact, so
+        # the chord height keeps its relative accuracy at the disk edge
+        return _sqrt_clamped((self.r - x) * (self.r + x), self.r * self.r)
 
     def omega(self, x: float) -> float:
         return self.C * math.exp(-self.alpha * (x + self.l))
 
     def strip(self, a: float, c: float) -> float:
-        # area fraction between the chord and nothing over [a, c]
+        # area fraction between the chord and nothing over [a, c]; the angle
+        # is atan2(x, rho), not asin(x / r), whose slope blows up at x = +-r
         r = self.r
-        return (r * r * (_asin_clamped(c / r) - _asin_clamped(a / r))
-                + c * self.rho(c) - a * self.rho(a)) / self.pr2
+        rho_a, rho_c = self.rho(a), self.rho(c)
+        return (r * r * (math.atan2(c, rho_c) - math.atan2(a, rho_a))
+                + c * rho_c - a * rho_a) / self.pr2
 
     def phi_diff(self, x_lo: float, x_hi: float) -> float:
         # Phi(x_hi) - Phi(x_lo) with Phi = h*atan(Delta/h) - Delta, written

@@ -49,7 +49,7 @@ Any other name, or a value of the wrong type, exits 2 naming ``section.key``.
 
 Seed precedence: ``--seed`` flag, then the PINCHPASS_SEED environment
 variable, then the config value.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 I/O error.
+failure, 2 configuration error, 3 I/O error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 
 class ConfigError(Exception):
@@ -670,6 +671,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        # a library value that failed its own check, e.g. a closed form
+        # outside [0, 1]: a defect of the library, not of the configuration
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import itertools
 import math
 import os
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 
 import pinchpass
-from pinchpass import cli, dilog, dilog_diff, evaluate, montecarlo
+from pinchpass import _outage_lossy, cli, dilog, dilog_diff, evaluate, montecarlo
 from pinchpass.cli import (
     CONFIG_SCHEMA,
     CSV_HEADER,
     DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigError,
@@ -104,6 +106,42 @@ def test_sweep_without_mc_leaves_columns_empty(tmp_path):
     for row in read_rows(tmp_path / "out.csv"):
         assert row[4] == "" and row[5] == "" and row[7] == "" and row[8] == ""
         assert row[3] != ""
+
+
+def test_numerical_error_exits_4_naming_the_case(tmp_path, monkeypatch, capsys):
+    # a closed form outside [0, 1] is a library defect: it is neither a
+    # configuration error (2) nor a failed validation (1)
+    classify = _outage_lossy._classify
+
+    def swapped(pc):
+        report = classify(pc)
+        if len(report.g_roots) != 2:
+            return report
+        return dataclasses.replace(report, g_roots=report.g_roots[::-1])
+
+    monkeypatch.setattr(_outage_lossy, "_classify", swapped)
+    path = tmp_path / "g2.ini"
+    path.write_text(textwrap.dedent(f"""
+        [sweep]
+        start = 110
+        stop = 111
+        steps = 2
+        scenarios = PWL
+
+        [params]
+        alpha = 0.005
+        l = 12.5
+
+        [mc]
+        enabled = false
+
+        [output]
+        path = {tmp_path / "g2.csv"}
+        """))
+    assert main(["sweep", "--config", str(path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "g2-mid-mid" in err
+    assert not (tmp_path / "g2.csv").exists()
 
 
 def test_sweep_rejects_empty_scenarios(tmp_path, capsys):

@@ -14,6 +14,8 @@ from pinchpass._outage_lossy import (
     CASE_ALL_OUTAGE,
     CASE_NO_OUTAGE,
     _Pieces,
+    _classify,
+    _closed_form,
     _peak_abscissa,
     _sqrt_clamped,
     classify_crossings,
@@ -332,6 +334,27 @@ def test_closed_form_outside_unit_interval_raises():
     swapped = dataclasses.replace(report, g_roots=report.g_roots[::-1])
     with pytest.raises(ArithmeticError, match=r"g2-mid-mid.*outside \[0, 1\]"):
         evaluate_lossy_outage(p, Scenario.PWL, swapped)
+
+
+def test_fwl_just_above_the_all_outage_edge_is_one():
+    # with C a few hundred ulps above h^2 both FWL roots sit within ulps of
+    # -r and the outage is 1 to ~1e-20; the strip must stay accurate there
+    p = SystemParams.reference(r=21.501066423565547, h=3.543302326829342,
+                               alpha=0.002437885536358403, p_t=0.0017270690447568039)
+    assert evaluate_lossy_outage(p, Scenario.FWL) == (1.0, "g1f1-mid-mid")
+    h2 = p.h * p.h
+    p_t = p.p_t * h2 / derive_constants(p).C
+    for _ in range(400):
+        p_t = math.nextafter(p_t, math.inf)
+        q = p.with_(p_t=p_t)
+        pc = _Pieces(q, Scenario.FWL, derive_constants(q).C)
+        report = _classify(pc)
+        if report.degenerate is not None:
+            assert report.degenerate == 1.0
+            continue
+        first, last = report.g_roots + report.f_roots
+        value = _closed_form(pc, len(report.g_roots), first.value, last.value)
+        assert abs(value - 1.0) <= 1e-12, (q.p_t, report.case_id, value)
 
 
 def test_sqrt_clamp_window():
