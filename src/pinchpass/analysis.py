@@ -271,20 +271,21 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
 
 
 def optimal_length_search(p: SystemParams, metric: str = "rate",
-                          grid_spec: tuple[float, float, int] | None = None,
+                          grid_spec: tuple[float | None, float | None, int | None] | None = None,
                           nodes: int = DEFAULT_QUADRATURE_NODES,
                           refine: bool = True) -> LengthSearchResult:
     """Search the half-length grid for the best metric value.
 
     Evaluates the closed-form PWL metric (outage minimized, rate maximized;
-    PWNL at alpha = 0) on an inclusive linspace grid over (0, r], then
-    optionally sharpens the grid optimum by golden-section search between
-    its neighbors down to 1e-3 m.
+    PWNL at alpha = 0) on an inclusive linspace grid (start, stop, steps)
+    over (0, r], then optionally sharpens the grid optimum by golden-section
+    search between its neighbors down to 1e-3 m.  A ``None`` grid_spec, or
+    entry of it, takes the default (max(0.01, r/50), r, 50).
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
-    if grid_spec is None:
-        grid_spec = (max(0.01, p.r / 50.0), p.r, 50)
+    grid_spec = tuple(default if value is None else value for value, default
+                      in zip(grid_spec or (None,) * 3, (max(0.01, p.r / 50.0), p.r, 50)))
     start, stop, steps = grid_spec
     if not (0.0 < start <= stop <= p.r) or steps < 1:
         raise ValueError(f"invalid half-length grid {grid_spec!r}")

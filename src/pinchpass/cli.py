@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``sweep``          run a configured parameter sweep and write a CSV table
-* ``figure``         run one of the bundled presets (ids 2-7) reproducing the
-                     summary curves of the reference configuration
+* ``figure``         run one or more bundled presets (ids 2-7) reproducing the
+                     summary curves of the reference configuration, as one sweep
 * ``validate``       closed-form vs Monte-Carlo agreement report
 * ``optimal-length`` grid plus golden-section search of the best half-length
 
@@ -136,6 +136,9 @@ class SweepConfig:
                               f"got {self.variable!r}")
         if self.steps < 2:
             raise ConfigError(f"sweep.steps must be at least 2, got {self.steps!r}")
+        # checked for outage sweeps too: no node count is accepted and ignored
+        if self.nodes < 2:
+            raise ConfigError(f"quadrature.nodes (--nodes) must be at least 2, got {self.nodes!r}")
         if not self.scenarios:
             raise ConfigError("sweep.scenarios must list at least one scenario")
         if not self.stop >= self.start:
@@ -376,20 +379,34 @@ def build_params(options: dict[str, float]) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _sweep_config(args, fields: dict, base: SystemParams, mc: dict,
+                  nodes: int = DEFAULT_QUADRATURE_NODES, **output) -> SweepConfig:
+    """The sweep of ``fields`` (SweepConfig's sweep fields) over ``base``.
+
+    The command's --mc-samples and --seed flags override the ``mc``
+    settings and --nodes overrides ``nodes``; unset values take
+    ``McConfig``'s defaults.
+    """
+    if args.mc_samples is not None:
+        mc = dict(mc, n_samples=args.mc_samples)
+    mc = dict(mc, seed=resolve_seed(args.seed, mc.get("seed", DEFAULT_SEED)))
+    return SweepConfig(**fields, base=base, mc=McConfig(**mc), nodes=_nodes(args, nodes),
+                       **output)
+
+
 def load_sweep_config(path: str, args) -> SweepConfig:
     """The sweep a config file describes, with the command's flags applied."""
     config = read_config(path)
-    mc = config["mc"]
-    if args.mc_samples is not None:
-        mc["n_samples"] = args.mc_samples
-    mc["seed"] = resolve_seed(args.seed, mc.get("seed", DEFAULT_SEED))
-    nodes = config["quadrature"].get("nodes", DEFAULT_QUADRATURE_NODES)
     # the [sweep] keys are SweepConfig's fields
-    return SweepConfig(**{"metric": "outage", "variable": "gamma_t_db", "scenarios": (),
-                          **config["sweep"]},
-                       base=build_params(config["params"]), mc=McConfig(**mc),
-                       nodes=nodes if args.nodes is None else args.nodes,
-                       out_path=args.out or config["output"].get("path", "sweep.csv"))
+    return _sweep_config(args, {"metric": "outage", "variable": "gamma_t_db", "scenarios": (),
+                                **config["sweep"]},
+                         build_params(config["params"]), config["mc"], **config["quadrature"],
+                         out_path=args.out or config["output"].get("path", "sweep.csv"))
+
+
+def _nodes(args, default: int = DEFAULT_QUADRATURE_NODES) -> int:
+    """The quadrature node count: the --nodes flag, else the command's default."""
+    return default if args.nodes is None else args.nodes
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
@@ -409,68 +426,38 @@ def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
 # figure presets
 # ---------------------------------------------------------------------------
 
-_ALL = (Scenario.FWNL, Scenario.FWL, Scenario.PWNL, Scenario.PWL)
-_LOSSY = (Scenario.FWL, Scenario.PWL)
-
-# Preset notes: the reference configuration fixes r = 25 m, alpha = 0.02,
-# l = r/2.  Ids 2/5 compare region radii (half-length follows as r/2, not
-# stated by the source curves); ids 4/7 sweep the half-length at a fixed
-# transmit SNR (105 dB shown for outage; 105 dB adopted for rate as well).
+# Preset notes: each preset holds SweepConfig's sweep fields and, per
+# variant, the overrides of SystemParams.reference (r = 25 m, alpha = 0.02,
+# l = r/2, 105 dB).  Ids 2/5 compare region radii (half-length follows as
+# r/2, not stated by the source curves); ids 4/7 sweep the half-length at
+# the reference transmit SNR (105 dB shown for outage; adopted for rate as
+# well).  Ids 5-7 are the rate curves of ids 2-4.
 FIGURE_PRESETS: dict[int, dict] = {
     2: dict(metric="outage", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
-            scenarios=_ALL,
+            scenarios=tuple(Scenario),
             variants=[("r15", dict(r=15.0, l=7.5)), ("r25", dict(r=25.0, l=12.5))]),
     3: dict(metric="outage", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
-            scenarios=_LOSSY,
+            scenarios=(Scenario.FWL, Scenario.PWL),
             variants=[(f"a{a}", dict(alpha=a)) for a in (0.01, 0.02, 0.04)]),
     4: dict(metric="outage", variable="l", start=1.0, stop=25.0, steps=25,
-            scenarios=(Scenario.PWL,), gamma_t_db=105.0,
-            variants=[(f"a{a}", dict(alpha=a)) for a in (0.01, 0.02, 0.03, 0.04)]),
-    5: dict(metric="rate", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
-            scenarios=_ALL,
-            variants=[("r15", dict(r=15.0, l=7.5)), ("r25", dict(r=25.0, l=12.5))]),
-    6: dict(metric="rate", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
-            scenarios=_LOSSY,
-            variants=[(f"a{a}", dict(alpha=a)) for a in (0.01, 0.02, 0.04)]),
-    7: dict(metric="rate", variable="l", start=1.0, stop=25.0, steps=25,
-            scenarios=(Scenario.PWL,), gamma_t_db=105.0,
+            scenarios=(Scenario.PWL,),
             variants=[(f"a{a}", dict(alpha=a)) for a in (0.01, 0.02, 0.03, 0.04)]),
 }
+FIGURE_PRESETS.update({i + 3: dict(preset, metric="rate") for i, preset in FIGURE_PRESETS.items()})
 
 
-def run_figure(figure_id: int, args) -> list[str]:
-    """Run one preset; returns the written CSV paths (one per variant).
-
-    All variants go to one ``run_sweep`` call, so row k of every variant
-    shares its Monte-Carlo draw.
-    """
-    if figure_id not in FIGURE_PRESETS:
-        raise ConfigError(f"unknown figure id {figure_id!r}; expected 2-7")
-    preset = FIGURE_PRESETS[figure_id]
-    out_dir = args.out or "."
-    mc = McConfig(enabled=not args.no_mc,
-                  n_samples=(DEFAULT_MC_SAMPLES if args.mc_samples is None
-                             else args.mc_samples),
-                  seed=resolve_seed(args.seed))
-    configs = [
-        SweepConfig(metric=preset["metric"], variable=preset["variable"],
-                    start=preset["start"], stop=preset["stop"],
-                    steps=preset["steps"], scenarios=preset["scenarios"],
-                    base=SystemParams.reference(gamma_t_db=preset.get("gamma_t_db", 105.0),
-                                                **overrides),
-                    mc=mc,
-                    nodes=(DEFAULT_QUADRATURE_NODES if args.nodes is None
-                           else args.nodes),
-                    out_path=os.path.join(out_dir, f"figure{figure_id}_{suffix}.csv"))
-        for suffix, overrides in preset["variants"]
-    ]
-    os.makedirs(out_dir, exist_ok=True)
-    for cfg, rows in zip(configs, run_sweep(configs, workers=args.workers)):
-        write_csv(rows, cfg.out_path)
-        if args.gnuplot:
-            write_gnuplot(cfg.out_path, cfg.metric, cfg.scenarios)
-        print(f"{cfg.out_path}: {summarize(rows)}")
-    return [cfg.out_path for cfg in configs]
+def figure_configs(figure_ids, args) -> list[SweepConfig]:
+    """Each preset's sweeps, one per variant, flags applied; a repeated id runs once."""
+    configs = []
+    for figure_id in dict.fromkeys(figure_ids):
+        if figure_id not in FIGURE_PRESETS:
+            raise ConfigError(f"unknown figure id {figure_id!r}; expected 2-7")
+        fields = dict(FIGURE_PRESETS[figure_id])
+        for suffix, overrides in fields.pop("variants"):
+            out_path = os.path.join(args.out or ".", f"figure{figure_id}_{suffix}.csv")
+            configs.append(_sweep_config(args, fields, SystemParams.reference(**overrides),
+                                         {"enabled": not args.no_mc}, out_path=out_path))
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +465,7 @@ def run_figure(figure_id: int, args) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_checks(draws: np.ndarray, nodes: int):
+def _lattice_checks(params: list[SystemParams], nodes: int):
     """Consistency identities between the four scenarios on random draws.
 
     The half-length degeneracies hold to rounding; the attenuation
@@ -486,11 +473,8 @@ def _lattice_checks(draws: np.ndarray, nodes: int):
     first order in alpha, so they carry an absolute 1e-6 band instead.
     """
     checks = []
-    for row in draws:
-        r, h, alpha, l_frac, gt = row
-        p = SystemParams.reference(gamma_t_db=gt, r=r, h=h, alpha=alpha,
-                                   l=max(l_frac * r, 0.01))
-        full = p.with_(l=r)
+    for p in params:
+        full = p.with_(l=p.r)
         tiny = p.with_(alpha=1e-9)
         for name, q, left, right, outage_tol in (
                 ("PWNL(l=r)=FWNL", full, Scenario.PWNL, Scenario.FWNL, 1e-9),
@@ -508,7 +492,7 @@ def _lattice_checks(draws: np.ndarray, nodes: int):
 def run_validation(args) -> int:
     """Lattice identities plus Monte-Carlo agreement; exit 1 on any failure."""
     seed = resolve_seed(args.seed)
-    nodes = 2000 if args.nodes is None else args.nodes
+    nodes = _nodes(args, 2000)
     n_samples = 1_000_000 if args.mc_samples is None else args.mc_samples
     tol_scale = _check_tolerance(args.tol_scale, "--tol-scale")
     rng = np.random.default_rng(seed)
@@ -519,16 +503,16 @@ def run_validation(args) -> int:
         rng.uniform(0.1, 1.0, 6),       # l / r
         rng.uniform(95.0, 120.0, 6),    # transmit SNR dB
     ])
+    params = [SystemParams.reference(gamma_t_db=gt, r=r, h=h, alpha=alpha,
+                                     l=max(l_frac * r, 0.01))
+              for r, h, alpha, l_frac, gt in draws]
 
     # every check is computed before the report starts, so a rejected
     # setting ends the command before any line is printed
     checks = [(name, got, ref, base_tol * tol_scale)
-              for name, got, ref, base_tol in _lattice_checks(draws, nodes)]
-    for i, row in enumerate(draws):
-        r, h, alpha, l_frac, gt = row
-        p = SystemParams.reference(gamma_t_db=gt, r=r, h=h, alpha=alpha,
-                                   l=max(l_frac * r, 0.01))
-        jobs = [(scenario, metric, p) for scenario in _ALL for metric in ("outage", "rate")]
+              for name, got, ref, base_tol in _lattice_checks(params, nodes)]
+    for i, p in enumerate(params):
+        jobs = [(scenario, metric, p) for scenario in Scenario for metric in ("outage", "rate")]
         estimates = montecarlo.estimate_many(jobs, n_samples, seed + i, args.workers)
         for (scenario, metric, _), est in zip(jobs, estimates):
             checks.append((f"MC {scenario.name} {metric} #{i}",
@@ -551,25 +535,28 @@ def run_validation(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _workers(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+def _at_least(minimum: int):
+    """An argparse type: an integer count of at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads, so argparse rejects
     # the rest with exit 2 and names them
     nodes = argparse.ArgumentParser(add_help=False)
-    nodes.add_argument("--nodes", type=int, default=None,
-                       help="Gauss-Chebyshev node count for rate evaluations")
+    nodes.add_argument("--nodes", type=_at_least(2), default=None,
+                       help="Gauss-Chebyshev node count for rate evaluations (at least 2)")
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--seed", type=int, default=None,
                     help="Monte-Carlo seed (overrides environment and config)")
     mc.add_argument("--mc-samples", type=int, default=None,
                     help="Monte-Carlo sample count per estimate")
-    mc.add_argument("--workers", type=_workers, default=1,
+    mc.add_argument("--workers", type=_at_least(1), default=1,
                     help="worker threads: sweep row groups, or validate's MC chunks")
 
     parser = argparse.ArgumentParser(
@@ -586,8 +573,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also write a gnuplot script next to the CSV")
 
     p_fig = sub.add_parser("figure", parents=[nodes, mc],
-                           help="run a bundled preset (ids 2-7)")
-    p_fig.add_argument("id", type=int, help="figure preset id, 2-7")
+                           help="run bundled presets (ids 2-7) as one sweep")
+    p_fig.add_argument("ids", metavar="id", type=int, nargs="+",
+                       help="figure preset ids, 2-7; a repeated id runs once")
     p_fig.add_argument("--out", default=None, help="output directory for the CSVs")
     p_fig.add_argument("--no-mc", action="store_true",
                        help="skip the Monte-Carlo columns")
@@ -602,43 +590,45 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="search the best waveguide half-length")
     p_opt.add_argument("--out", default=None, help="also write the searched curve as CSV")
     p_opt.add_argument("--metric", choices=("outage", "rate"), default="rate")
-    p_opt.add_argument("--gamma-t-db", type=float, default=105.0)
-    p_opt.add_argument("--alpha", type=float, default=0.02)
-    p_opt.add_argument("--r", type=float, default=25.0)
-    p_opt.add_argument("--h", type=float, default=10.0)
-    p_opt.add_argument("--l-start", type=float, default=None)
-    p_opt.add_argument("--l-stop", type=float, default=None)
-    p_opt.add_argument("--l-steps", type=int, default=50)
+    for name in ("--gamma-t-db", "--alpha", "--r", "--h", "--l-start", "--l-stop"):
+        p_opt.add_argument(name, type=float, default=None)
+    p_opt.add_argument("--l-steps", type=int, default=None)
     p_opt.add_argument("--no-refine", action="store_true",
                        help="skip the golden-section refinement")
     return parser
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_sweep_config(args.config, args)
-    [rows] = run_sweep([cfg], workers=args.workers)
-    write_csv(rows, cfg.out_path)
-    if args.gnuplot:
-        write_gnuplot(cfg.out_path, cfg.metric, cfg.scenarios)
-    print(f"{cfg.out_path}: {summarize(rows)}")
+def _write_sweeps(configs: list[SweepConfig], args) -> int:
+    """Run the sweeps in one ``run_sweep`` call (shared draws); write each CSV."""
+    for cfg, rows in zip(configs, run_sweep(configs, workers=args.workers)):
+        write_csv(rows, cfg.out_path)
+        if args.gnuplot:
+            write_gnuplot(cfg.out_path, cfg.metric, cfg.scenarios)
+        print(f"{cfg.out_path}: {summarize(rows)}")
     return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
+    return _write_sweeps([load_sweep_config(args.config, args)], args)
 
 
 def _cmd_figure(args) -> int:
-    run_figure(args.id, args)
-    return EXIT_OK
+    configs = figure_configs(args.ids, args)
+    os.makedirs(args.out or ".", exist_ok=True)
+    return _write_sweeps(configs, args)
 
 
 def _cmd_optimal_length(args) -> int:
-    # a ValueError here is a rejected setting: main reports it with exit 2
-    p = SystemParams.reference(gamma_t_db=args.gamma_t_db, r=args.r, h=args.h,
-                               alpha=args.alpha, l=args.r / 2.0)
-    start = args.l_start if args.l_start is not None else max(0.01, args.r / 50.0)
-    stop = args.l_stop if args.l_stop is not None else args.r
-    result = optimal_length_search(
-        p, metric=args.metric, grid_spec=(start, stop, args.l_steps),
-        nodes=DEFAULT_QUADRATURE_NODES if args.nodes is None else args.nodes,
-        refine=not args.no_refine)
+    # a ValueError here is a rejected setting: main reports it with exit 2;
+    # unset flags take SystemParams.reference's values, half-length r/2
+    given = {key: getattr(args, key) for key in ("gamma_t_db", "alpha", "r", "h")
+             if getattr(args, key) is not None}
+    if "r" in given:
+        given["l"] = given["r"] / 2.0
+    p = SystemParams.reference(**given)
+    result = optimal_length_search(p, metric=args.metric, nodes=_nodes(args),
+                                   grid_spec=(args.l_start, args.l_stop, args.l_steps),
+                                   refine=not args.no_refine)
     if args.out:
         rows = [SweepRow("l", l, Scenario.PWL if p.alpha > 0 else Scenario.PWNL,
                          v, None, None, "", None, None) for l, v in result.grid]

@@ -222,6 +222,13 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  "", "", "--mc-samples", id="figure-no-mc-samples"),
     pytest.param(SWEEP + ["--mc-samples", "5"], "enabled = true", "enabled = false", "--mc-samples",
                  id="sweep-mc-off-samples"),
+    # a node count below 2 where only outages are evaluated
+    pytest.param(["figure", "2", "--no-mc", "--nodes", "-5"], "", "", "--nodes",
+                 id="figure-outage-nodes"),
+    pytest.param(["optimal-length", "--metric", "outage", "--nodes", "0"], "", "", "--nodes",
+                 id="optimal-length-outage-nodes"),
+    pytest.param(SWEEP, "[output]", "[quadrature]\nnodes = 1\n\n[output]", "quadrature.nodes",
+                 id="sweep-outage-nodes"),
     # conflicts and ranges checked by what the values build
     pytest.param(SWEEP, "sigma2_dbm = -90", "sigma2_dbm = -90\nsigma2 = 1e-12", "params.sigma2",
                  id="sigma2-twice"),
@@ -406,6 +413,33 @@ def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
     assert exit_info.value.code == code
 
 
+def test_figure_ids_run_as_one_sweep_with_the_bytes_of_single_runs(tmp_path, monkeypatch,
+                                                                   capsys):
+    seeds = []
+    estimate_many = montecarlo.estimate_many
+
+    def counting(jobs, n_samples, seed, workers=1):
+        seeds.append(seed)
+        return estimate_many(jobs, n_samples, seed, workers)
+
+    monkeypatch.setattr(montecarlo, "estimate_many", counting)
+    flags = ["--mc-samples", "1000", "--seed", "12345"]
+    assert main(["figure", "2", "3", "4", "5", "6", "7", "2", "--out", str(tmp_path / "all"),
+                 *flags]) == EXIT_OK
+    # a repeated id runs once; one estimate_many call per seed, 60 rows of figure 2
+    assert len(capsys.readouterr().out.splitlines()) == 18
+    assert sorted(seeds) == list(range(12345, 12345 + 60))
+    seeds.clear()
+    for fig in range(2, 8):
+        assert main(["figure", str(fig), "--out", str(tmp_path / "one"), *flags]) == EXIT_OK
+    assert len(seeds) == 230
+    names = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert len(names) == 18
+    assert sorted(path.name for path in (tmp_path / "all").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_figure_unknown_id(tmp_path, capsys):
     assert main(["figure", "9", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "figure id" in capsys.readouterr().err
@@ -449,6 +483,20 @@ def test_optimal_length_command(tmp_path, capsys):
     assert "best half-length" in text
     assert len(read_rows(out)) == 25
     assert main(["optimal-length", "--l-start", "30"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags,params,metric", [
+    ([], {}, "rate"),
+    # r below the reference half-length: the half-length follows as r/2
+    (["--metric", "outage", "--r", "12", "--h", "5", "--alpha", "0.03", "--gamma-t-db", "110"],
+     dict(r=12.0, h=5.0, alpha=0.03, gamma_t_db=110.0, l=6.0), "outage"),
+])
+def test_optimal_length_unset_flags_take_the_library_defaults(flags, params, metric, capsys):
+    assert main(["optimal-length", *flags]) == EXIT_OK
+    result = pinchpass.optimal_length_search(SystemParams.reference(**params), metric)
+    assert len(result.grid) == 50
+    assert capsys.readouterr().out == (f"best half-length {result.best_l:.3f} m with {metric} "
+                                       f"{result.best_value:.9g}\n")
 
 
 def test_figure_pass_flags_are_one_or_zero(tmp_path):

@@ -77,8 +77,10 @@ def test_rejected_node_counts_still_raise(tmp_path, capsys):
         # the exact lossless full-coverage rate and the outages take no nodes
         assert evaluate(Scenario.FWNL, "rate", p, 1) == rate_fwnl(p)
         assert evaluate(Scenario.PWL, "outage", p, 1) == outage_pwl(p)
+    # the CLI rejects such a count when it parses --nodes, before any work
     assert main(["validate", "--nodes", "1"]) == EXIT_CONFIG
-    assert "need at least 2 nodes, got 1" in capsys.readouterr().err
+    assert "argument --nodes: must be at least 2, got 1" in capsys.readouterr().err
     assert main(["figure", "6", "--nodes", "1", "--no-mc", "--out", str(tmp_path)]) \
         == EXIT_CONFIG
-    assert "need at least 2 nodes, got 1" in capsys.readouterr().err
+    assert "argument --nodes: must be at least 2, got 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
