@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .geometry import _sqrt_clamped, seg
 from .numerics import find_root_bracketed
 from .params import Scenario, SystemParams, derive_constants
 
@@ -66,15 +67,6 @@ def _interval_of(x: float, l: float) -> str:
     return INTERVAL_RIGHT
 
 
-def _sqrt_clamped(value: float, scale: float) -> float:
-    # roots sit exactly on the domain edge in exact arithmetic
-    if value < 0.0:
-        if value < -1e-12 * scale:
-            raise ArithmeticError(f"square-root argument {value!r} beyond clamp window")
-        return 0.0
-    return math.sqrt(value)
-
-
 def _asin_clamped(u: float) -> float:
     return math.asin(min(max(u, -1.0), 1.0))
 
@@ -106,21 +98,12 @@ class _Pieces:
         self.M2 = self.C - self.h2                          # f at the -l peak
         self.K2 = self.k2c - self.h2                        # f at +l
 
-    def rho(self, x: float) -> float:
-        # (r - x)(r + x), not r^2 - x^2: near x = +-r one factor is exact, so
-        # the chord height keeps its relative accuracy at the disk edge
-        return _sqrt_clamped((self.r - x) * (self.r + x), self.r * self.r)
-
     def omega(self, x: float) -> float:
         return self.C * math.exp(-self.alpha * (x + self.l))
 
     def strip(self, a: float, c: float) -> float:
-        # area fraction between the chord and nothing over [a, c]; the angle
-        # is atan2(x, rho), not asin(x / r), whose slope blows up at x = +-r
-        r = self.r
-        rho_a, rho_c = self.rho(a), self.rho(c)
-        return (r * r * (math.atan2(c, rho_c) - math.atan2(a, rho_a))
-                + c * rho_c - a * rho_a) / self.pr2
+        # area fraction between the chord and nothing over [a, c]
+        return seg(self.r, a, c) / self.pr2
 
     def phi_diff(self, x_lo: float, x_hi: float) -> float:
         # Phi(x_hi) - Phi(x_lo) with Phi = h*atan(Delta/h) - Delta, written

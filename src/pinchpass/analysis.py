@@ -4,8 +4,9 @@ The antenna clamps to a centered waveguide segment of half-length l; full
 coverage is the same geometry at l = r.  :func:`evaluate` is the one
 dispatch from (scenario, metric) to an evaluator:
 
-* lossless outage is the complement of the CDF of the horizontal distance
-  to the segment (|y| at full coverage, the stadium CDF otherwise);
+* lossless outage is 1 - P(D <= sqrt(A)), D the horizontal distance to
+  the segment (|y| at full coverage): the covered area is a sum of chord
+  strips ``geometry.seg``, the primitive of the lossy chord strip too;
 * lossy outage is ``_outage_lossy``: its crossing classifier names the
   root arrangement of the threshold/clearance curves, and one composed
   closed form evaluates every arrangement;
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._outage_lossy import evaluate_lossy_outage
-from .geometry import cdf_abs_y, cdf_horizontal_distance
+from .geometry import seg
 from .numerics import ChebyshevRule
 from .params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams, derive_constants
 
@@ -87,19 +88,45 @@ def evaluate(scenario: Scenario, metric: str, p: SystemParams,
 # ---------------------------------------------------------------------------
 
 
+def _outage_lossless(p: SystemParams, scenario: Scenario, l: float) -> MetricResult:
+    # Outage holds where D^2 >= A, D the horizontal distance to the segment
+    # [-l, l], so the value is 1 - P(D <= q), q = sqrt(A), saturated at
+    # A <= 0 and A >= r^2.  {D <= q} is a stadium (a 2l x 2q rectangle
+    # capped by half-disks of radius q); the case id names how the disk
+    # clips it: not at all, at the caps (beyond x*, where a cap circle meets
+    # the disk edge, the chord of the disk bounds it) or to a band |y| <= q
+    # (every chord beyond x0 = sqrt(r^2 - q^2) whole).  Full coverage is the
+    # band at l = r, case id "interior".
+    A = derive_constants(p).A
+    r = p.r
+    if A <= 0.0:
+        return MetricResult(1.0, scenario, case_id="all-outage")
+    if A >= r * r:
+        return MetricResult(0.0, scenario, case_id="no-outage")
+    q = math.sqrt(A)
+    if q < r - l:
+        case, covered = "stadium", 4.0 * q * l + math.pi * q * q
+    elif q * q < r * r - l * l:
+        # l <= x* <= r and x* - l <= q in exact arithmetic, since q >= r - l;
+        # near that seam the rounding of q moves x* by ~ulp(r) r / l
+        x_star = min(((r - q) * (r + q) + l * l) / (2.0 * l), r)
+        case = "stadium-caps"
+        covered = 4.0 * l * q + 2.0 * seg(q, 0.0, min(x_star - l, q)) + 2.0 * seg(r, x_star, r)
+    else:
+        x0 = math.sqrt((r - q) * (r + q))
+        case = "band" if scenario is Scenario.PWNL else CASE_INTERIOR
+        covered = 4.0 * x0 * q + 2.0 * seg(r, x0, r)
+    # just below A = r^2 the covered fraction rounds up to 1 + 2^-52 at most
+    return MetricResult(max(1.0 - covered / (math.pi * r * r), 0.0), scenario, case_id=case)
+
+
 def outage_fwnl(p: SystemParams) -> MetricResult:
     """Outage probability, full coverage, lossless guide.
 
-    Outage holds where y^2 >= A, so the probability is the complement of
-    the |y| CDF at sqrt(A), with saturation at A <= 0 and A >= r^2.
+    Outage holds where y^2 >= A: the band |y| <= sqrt(A) is covered, with
+    saturation at A <= 0 and A >= r^2.
     """
-    A = derive_constants(p).A
-    if A >= p.r * p.r:
-        return MetricResult(0.0, Scenario.FWNL, case_id="no-outage")
-    if A <= 0.0:
-        return MetricResult(1.0, Scenario.FWNL, case_id="all-outage")
-    value = 1.0 - cdf_abs_y(math.sqrt(A), p.r)
-    return MetricResult(value, Scenario.FWNL, case_id=CASE_INTERIOR)
+    return _outage_lossless(p, Scenario.FWNL, p.r)
 
 
 def rate_fwnl(p: SystemParams) -> MetricResult:
@@ -116,25 +143,11 @@ def rate_fwnl(p: SystemParams) -> MetricResult:
 def outage_pwnl(p: SystemParams) -> MetricResult:
     """Outage probability, partial coverage, lossless guide.
 
-    Outage holds where D^2 >= A, so the probability is the complement of
-    the stadium CDF at sqrt(A); the case id names the active CDF branch.
-    Equals the full-coverage expression when l = r.
+    Outage holds where D^2 >= A, D the horizontal distance to the segment;
+    the case id names how the disk clips the covered stadium ("stadium",
+    "stadium-caps", "band").  Equals the full-coverage value when l = r.
     """
-    A = derive_constants(p).A
-    r, l = p.r, p.l
-    if A <= 0.0:
-        return MetricResult(1.0, Scenario.PWNL, case_id="all-outage")
-    if A >= r * r:
-        return MetricResult(0.0, Scenario.PWNL, case_id="no-outage")
-    root = math.sqrt(A)
-    if root < r - l:
-        case = "stadium"
-    elif root * root < r * r - l * l:
-        case = "stadium-caps"
-    else:
-        case = "band"
-    value = 1.0 - cdf_horizontal_distance(root, r, l)
-    return MetricResult(value, Scenario.PWNL, case_id=case)
+    return _outage_lossless(p, Scenario.PWNL, p.l)
 
 
 def _segment_chord_terms(rho2: np.ndarray, base2: np.ndarray | float,

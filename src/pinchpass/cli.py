@@ -44,12 +44,14 @@ Configuration file (INI, ``key = value``)::
 
 ``CONFIG_SCHEMA`` admits only these sections and keys (and ``params.sigma2``,
 ``p_t``, ``gamma_th_db``); ``sweep.start``/``stop``/``steps`` are required,
-integers take integer literals and booleans 1/yes/true/on or 0/no/false/off.
-Any other name, or a value of the wrong type, exits 2 naming ``section.key``.
+``sweep.scenarios`` defaults to all four, integers take integer literals and
+booleans 1/yes/true/on or 0/no/false/off.  Any other name, or a value of the
+wrong type, exits 2 naming ``section.key``.
 
 Seed precedence: ``--seed`` flag, then the PINCHPASS_SEED environment
-variable, then the config value.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 I/O error, 4 numerical error.
+variable, then the config value; the seed in force must lie in [0, 2**64).
+Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 I/O
+error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -398,8 +400,8 @@ def load_sweep_config(path: str, args) -> SweepConfig:
     """The sweep a config file describes, with the command's flags applied."""
     config = read_config(path)
     # the [sweep] keys are SweepConfig's fields
-    return _sweep_config(args, {"metric": "outage", "variable": "gamma_t_db", "scenarios": (),
-                                **config["sweep"]},
+    return _sweep_config(args, {"metric": "outage", "variable": "gamma_t_db",
+                                "scenarios": tuple(Scenario), **config["sweep"]},
                          build_params(config["params"]), config["mc"], **config["quadrature"],
                          out_path=args.out or config["output"].get("path", "sweep.csv"))
 
@@ -410,16 +412,24 @@ def _nodes(args, default: int = DEFAULT_QUADRATURE_NODES) -> int:
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
-    """Seed precedence: CLI flag, then environment, then config, then default."""
-    if cli_seed is not None:
-        return cli_seed
+    """Seed precedence: CLI flag, then environment, then config, then default.
+
+    The seed in force must lie in [0, 2**64), so the row seeds ``seed + k``
+    stay valid generator keys; an error names where the seed came from.
+    """
     env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return config_seed
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+    if cli_seed is not None:
+        seed, source = cli_seed, "--seed"
+    elif env is not None:
+        try:
+            seed, source = int(env), SEED_ENV_VAR
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+    else:
+        seed, source = config_seed, "mc.seed"
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{source} must be in [0, 2**64), got {seed!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

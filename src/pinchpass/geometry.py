@@ -1,11 +1,10 @@
 """Planar geometry of the disk region.
 
-Distance distributions for a device dropped uniformly on the disk: the
-transverse offset ``|y|`` from the waveguide axis (full coverage) and the
-horizontal distance ``D`` to the nearest point of a centered segment of
-half-length ``l`` (partial coverage).  The sub-level set ``{D <= x}`` is a
-stadium (a 2l x 2x rectangle capped by two half-disks of radius x), so the
-CDF of D is the area of stadium-intersect-disk over the disk area.
+Every outage is an area of the disk summed over chords.  Its chord strips,
+and the clipped caps of a lossless outage, go through one primitive:
+``seg(R, a, c)``, twice the area under a circle of radius R between the
+abscissas a and c.  The positions the Monte-Carlo oracle draws uniformly
+on the disk live here too.
 """
 
 from __future__ import annotations
@@ -14,91 +13,29 @@ import math
 
 import numpy as np
 
-_CLAMP_TOL = 1e-12
 
-
-def _clamped_unit(u: float) -> float:
-    # arccos/arcsin arguments land exactly on the domain edge at branch
-    # boundaries; clamp small overshoot, reject anything larger.
-    if -1.0 <= u <= 1.0:
-        return u
-    if abs(u) <= 1.0 + 1e-9:
-        return math.copysign(1.0, u)
-    raise ValueError(f"inverse-trig argument {u!r} outside [-1, 1]")
-
-
-def cdf_abs_y(x: float, r: float) -> float:
-    """CDF of the transverse offset |y| for a uniform point on a disk.
-
-    P(|y| <= x) is the area of the band ``|y| <= x`` clipped to the disk of
-    radius r, over the disk area.  Total function: 0 below 0, 1 above r.
-    """
-    if x <= 0.0:
+def _sqrt_clamped(value: float, scale: float) -> float:
+    # roots sit exactly on the domain edge in exact arithmetic
+    if value < 0.0:
+        if value < -1e-12 * scale:
+            raise ArithmeticError(f"square-root argument {value!r} beyond clamp window")
         return 0.0
-    if x >= r:
-        return 1.0
-    return 2.0 * (x * math.sqrt(r * r - x * x) + r * r * math.asin(x / r)) / (math.pi * r * r)
+    return math.sqrt(value)
 
 
-def _lens_area(r: float, x: float, d: float) -> float:
-    # Intersection area of disk(radius r, center O) and disk(radius x,
-    # center at distance d), on the partial-overlap branch.
-    if r - x - d >= -1e-9 * r:
-        # internal tangency: the acos arguments sit at the domain edge where
-        # the formula loses half its digits; the true deficit from the full
-        # cap disk is O(gap^{3/2}) and negligible inside this window
-        return math.pi * x * x
-    u1 = _clamped_unit((d * d + r * r - x * x) / (2.0 * d * r))
-    u2 = _clamped_unit((d * d + x * x - r * r) / (2.0 * d * x))
-    s2 = (-d + r + x) * (d + r - x) * (d - r + x) * (d + r + x)
-    if s2 < 0.0:
-        if s2 < -_CLAMP_TOL * (r * r * x * x):
-            raise ValueError("circle pair does not partially overlap")
-        s2 = 0.0
-    return r * r * math.acos(u1) + x * x * math.acos(u2) - 0.5 * math.sqrt(s2)
+def seg(R: float, a: float, c: float) -> float:
+    """Twice the area under the circle of radius R between a and c.
 
-
-def theta(x: float, r: float, l: float) -> float:
-    """Half the area of {distance to segment <= x} inside the disk.
-
-    Valid on the middle branch r - l <= x <= sqrt(r^2 - l^2), where the
-    rectangle part of the stadium is fully inside the disk and only the two
-    end caps are clipped: the half-area is
-
-        2*l*x - pi*x^2/2 + lens(r, x, l)
-
-    with ``lens`` the intersection area of the region disk and one cap disk.
+    The chord-strip antiderivative, 2 * integral of sqrt(R^2 - x^2) over
+    [a, c].  The half-height is sqrt((R - x)(R + x)), not sqrt(R^2 - x^2):
+    near x = +-R one factor is exact, so it keeps its relative accuracy at
+    the edge; the angle is atan2(x, rho), not asin(x / R), whose slope
+    blows up there.  An abscissa beyond +-R past rounding raises
+    ArithmeticError.
     """
-    if not 0 < l < r:
-        raise ValueError(f"theta requires 0 < l < r, got l={l!r}, r={r!r}")
-    lo, hi = r - l, math.sqrt(r * r - l * l)
-    if x < lo - _CLAMP_TOL * r or x > hi + _CLAMP_TOL * r:
-        raise ValueError(f"theta argument {x!r} outside [{lo!r}, {hi!r}]")
-    x = min(max(x, lo), hi)
-    return 2.0 * l * x - 0.5 * math.pi * x * x + _lens_area(r, x, l)
-
-
-def cdf_horizontal_distance(x: float, r: float, l: float) -> float:
-    """CDF of the horizontal distance D to the centered antenna segment.
-
-    Piecewise in x (half-open branch selection keeps the boundaries
-    deterministic; the branches agree there):
-
-      [0, r-l)              stadium fully inside: (4*x*l + pi*x^2)/(pi*r^2)
-      [r-l, sqrt(r^2-l^2))  caps clipped: 2*theta(x)/(pi*r^2)
-      [sqrt(r^2-l^2), r]    band formula, same as cdf_abs_y
-
-    Degenerates to ``cdf_abs_y`` when l == r.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= r:
-        return 1.0
-    if x < r - l:
-        return (4.0 * x * l + math.pi * x * x) / (math.pi * r * r)
-    if x * x < r * r - l * l:
-        return 2.0 * theta(x, r, l) / (math.pi * r * r)
-    return cdf_abs_y(x, r)
+    rho_a = _sqrt_clamped((R - a) * (R + a), R * R)
+    rho_c = _sqrt_clamped((R - c) * (R + c), R * R)
+    return R * R * (math.atan2(c, rho_c) - math.atan2(a, rho_a)) + c * rho_c - a * rho_a
 
 
 def sample_unit_disk(rng: np.random.Generator, size: int, out=None):

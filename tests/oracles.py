@@ -16,6 +16,13 @@ from scipy.integrate import quad
 from pinchpass.params import Scenario, SystemParams, derive_constants
 
 
+def params_with_a(a_target: float, base=None) -> SystemParams:
+    """Choose p_t so the lossless crossing bound A equals a_target (to rounding)."""
+    p = base or SystemParams.reference()
+    eta = derive_constants(p).eta
+    return p.with_(p_t=p.sigma2 * p.gamma_th * (a_target + p.h ** 2) / eta)
+
+
 def polar_disk_draw(rng: np.random.Generator, r: float, n: int):
     """Uniform disk positions by a direct polar draw (all radii, then angles)."""
     radius = r * np.sqrt(rng.random(n))

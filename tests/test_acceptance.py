@@ -27,7 +27,6 @@ from pinchpass import (
     rate_pwnl,
 )
 from pinchpass.cli import main
-from pinchpass.geometry import cdf_abs_y, cdf_horizontal_distance, theta
 from pinchpass.montecarlo import estimate_many, estimate_outage, estimate_rate
 from pinchpass._outage_lossy import classify_crossings
 from pinchpass.numerics import ChebyshevRule, dilog
@@ -35,6 +34,7 @@ from pinchpass.params import Scenario, SystemParams
 from oracles import (
     alternating_series_li2_minus1,
     interval_label,
+    params_with_a,
     random_reference,
     scan_crossings,
 )
@@ -183,13 +183,14 @@ def test_criterion_7_branch_and_seam_continuity():
     for _ in range(100):
         r = rng.uniform(5.0, 40.0)
         l = rng.uniform(0.05, 0.999) * r
-        checks = [
-            ((4 * (r - l) * l + math.pi * (r - l) ** 2) / (math.pi * r * r),
-             2 * theta(r - l, r, l) / (math.pi * r * r)),
-            (2 * theta(math.sqrt(r * r - l * l), r, l) / (math.pi * r * r),
-             cdf_abs_y(math.sqrt(r * r - l * l), r)),
-            (cdf_horizontal_distance(r * (1 - 1e-12), r, l), 1.0),
-        ]
+        base = SystemParams.reference(r=r, l=l)
+        # the lossless partial-coverage outage at sqrt(A) = x, across the
+        # seams r - l and sqrt(r^2 - l^2) of its distance CDF and at r
+        at = lambda x: outage_pwnl(params_with_a(x * x, base)).value
+        checks = [(at((r - l) * (1 - 1e-12)), at((r - l) * (1 + 1e-12))),
+                  (at(math.sqrt(r * r - l * l) * (1 - 1e-12)),
+                   at(math.sqrt(r * r - l * l) * (1 + 1e-12))),
+                  (at(r * (1 - 1e-12)), 0.0)]
         worst_branch = max(worst_branch, *(abs(a - b) for a, b in checks))
 
     worst_seam = 0.0
@@ -217,8 +218,8 @@ def test_criterion_7_branch_and_seam_continuity():
             worst_seam = max(worst_seam, abs(above - below))
             seams += 1
     ok = worst_branch <= 1e-9 and worst_seam <= 1e-6 and seams >= 6
-    report(7, ok, f"distance-CDF branch gaps <= {worst_branch:.1e} over 100 draws; "
-                  f"{seams} dispatch seams continuous within {worst_seam:.1e}")
+    report(7, ok, f"lossless outage gaps across the distance-CDF seams <= {worst_branch:.1e} "
+                  f"over 100 draws; {seams} dispatch seams continuous within {worst_seam:.1e}")
 
 
 def test_criterion_8_classifier_against_dense_scan():

@@ -8,16 +8,15 @@ from scipy.integrate import dblquad
 from pinchpass import outage_fwl, outage_fwnl, rate_fwl, rate_fwnl
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import outage_by_integration, random_reference, rate_fwl_series
+from oracles import (
+    outage_by_integration,
+    outage_by_mpmath,
+    params_with_a,
+    random_reference,
+    rate_fwl_series,
+)
 
 SEED = 9090
-
-
-def params_with_a(a_target: float, base=None) -> SystemParams:
-    """Choose p_t so the lossless crossing bound A equals a_target exactly."""
-    p = base or SystemParams.reference()
-    eta = derive_constants(p).eta
-    return p.with_(p_t=p.sigma2 * p.gamma_th * (a_target + p.h ** 2) / eta)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +39,18 @@ def test_outage_fwnl_continuous_at_branch_edges():
     r = SystemParams.reference().r
     assert outage_fwnl(params_with_a((1e-10 * r) ** 2)).value == pytest.approx(1.0, abs=1e-9)
     assert outage_fwnl(params_with_a(r * r * (1 - 1e-8))).value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_outage_fwnl_against_mpmath():
+    # against a 40-digit quadrature of the alpha = 0 threshold curve, up to
+    # A = (1 - 1e-8) r^2, where the outage chords span |x| < 1e-4 r; the
+    # 40,000-point root scan steps inside that span.  The bound, 2e-15, is
+    # about nine ulps of 1
+    r = SystemParams.reference().r
+    for t in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-8):
+        p = params_with_a(t * r * r)
+        reference = outage_by_mpmath(p.with_(alpha=0.0), Scenario.FWNL, dps=40, n_scan=40_000)
+        assert abs(outage_fwnl(p).value - reference) <= 2e-15, t
 
 
 def test_rate_fwnl_limits():

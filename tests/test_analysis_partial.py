@@ -19,7 +19,7 @@ from pinchpass import (
 )
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import outage_by_integration, outage_by_mpmath, random_reference
+from oracles import outage_by_integration, outage_by_mpmath, params_with_a, random_reference
 from test_numerics import CASE_PROBES, CLOSED_FORM_CASES
 
 SEED = 4321
@@ -45,6 +45,43 @@ def test_outage_pwnl_against_mc():
     p = SystemParams.reference(gamma_t_db=100.0, l=10.0)
     est = estimate_outage(Scenario.PWNL, p, 1_000_000, SEED)
     assert abs(outage_pwnl(p).value - est.mean) <= 3 * est.stderr + 1e-4
+
+
+@pytest.mark.parametrize("l_frac", [1e-6, 1e-3, 0.3, 0.9])
+def test_outage_pwnl_against_mpmath_across_the_seams(l_frac):
+    # every branch, and A within a few ulps of both seams (r - l)^2 and
+    # r^2 - l^2, against a 40-digit quadrature of the alpha = 0 threshold
+    # curve; the bound, 2e-15, is about nine ulps of 1
+    base = SystemParams.reference(r=25.0, l=25.0 * l_frac)
+    r, l = base.r, base.l
+    targets = [0.25 * (r - l) ** 2, 0.5 * ((r - l) ** 2 + r * r - l * l),
+               0.5 * (r * r - l * l + r * r)]
+    configs = [params_with_a(a, base) for a in targets]
+    for seam in ((r - l) ** 2, r * r - l * l):
+        p = params_with_a(seam, base)
+        configs += [p.with_(p_t=p.p_t * (1.0 + k * 2.0 ** -52)) for k in (-3, 0, 3)]
+    cases = set()
+    for p in configs:
+        result = outage_pwnl(p)
+        cases.add(result.case_id)
+        reference = outage_by_mpmath(p.with_(alpha=0.0), Scenario.PWNL, dps=40)
+        assert abs(result.value - reference) <= 2e-15, result
+    assert cases == {"stadium", "stadium-caps", "band"}
+
+
+def test_lossless_outages_stay_probabilities_just_below_the_band_edge():
+    # within ulps of A = r^2 the covered area rounds to the whole disk and
+    # past it; the outage must not read below 0
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        r = rng.uniform(5.0, 40.0)
+        base = SystemParams.reference(r=r, l=rng.uniform(1e-3, 1.0) * r)
+        for t in (1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-14):
+            p = params_with_a(t * r * r, base)
+            for k in range(-20, 21, 4):
+                q = p.with_(p_t=p.p_t * (1.0 + k * 2.0 ** -52))
+                for outage in (outage_fwnl, outage_pwnl):
+                    assert 0.0 <= outage(q).value <= 1e-12
 
 
 def test_rate_pwnl_degenerates_to_full_coverage():

@@ -247,6 +247,13 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
     pytest.param(SWEEP, "scenarios = FWNL, FWL, PWNL, PWL", "scenarios =", "sweep.scenarios",
                  id="no-scenarios"),
     pytest.param(SWEEP, "", "", "PINCHPASS_SEED", id="env-seed"),
+    # a seed outside [0, 2**64), named by its source, before any output
+    pytest.param(["figure", "7", "--seed", "-1", "--mc-samples", "1000", "--out", "D"], "", "",
+                 "--seed", id="figure-negative-seed"),
+    pytest.param(["validate", "--seed", "-1"], "", "", "--seed", id="validate-negative-seed"),
+    pytest.param(["validate", "--seed", str(2 ** 64)], "", "", "--seed", id="seed-2**64"),
+    pytest.param(SWEEP, "", "", "PINCHPASS_SEED", id="env-negative-seed"),
+    pytest.param(SWEEP, "seed = 31415", "seed = -1", "mc.seed", id="config-negative-seed"),
     # dB values whose linear ratio overflows a float
     pytest.param(["optimal-length", "--gamma-t-db", "4000"], "", "", "gamma_t_db",
                  id="gamma_t_db-overflow"),
@@ -256,17 +263,32 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  id="swept-gamma_t_db-overflow"),
 ])
 def test_configuration_error_exits_2_naming_its_field(argv, old, new, field, tmp_path,
-                                                       monkeypatch, capsys):
+                                                       monkeypatch, capsys, request):
     monkeypatch.chdir(tmp_path)
     # every other case runs with a valid seed in the environment
-    monkeypatch.setenv("PINCHPASS_SEED", "1.5" if field == "PINCHPASS_SEED" else "7")
+    env_seed = {"env-seed": "1.5", "env-negative-seed": "-3",
+                "config-negative-seed": None}.get(request.node.callspec.id, "7")
+    if env_seed is None:
+        monkeypatch.delenv("PINCHPASS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PINCHPASS_SEED", env_seed)
     text = BASE_CONFIG.format(mc_enabled="true", out="out.csv")
     assert old in text
     (tmp_path / "sweep.ini").write_text(text.replace(old, new, 1))
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert field in captured.err and captured.out == ""
-    assert not list(tmp_path.rglob("*.csv"))
+    assert [path.name for path in tmp_path.iterdir()] == ["sweep.ini"]
+
+
+def test_sweep_without_scenarios_runs_all_four(tmp_path):
+    text = BASE_CONFIG.format(mc_enabled="false", out=tmp_path / "out.csv")
+    path = tmp_path / "sweep.ini"
+    path.write_text(text.replace("scenarios = FWNL, FWL, PWNL, PWL\n", ""))
+    assert "scenarios =" not in path.read_text()
+    assert main(["sweep", "--config", str(path)]) == EXIT_OK
+    rows = read_rows(tmp_path / "out.csv")
+    assert [row[2] for row in rows] == ["FWNL", "FWL", "PWNL", "PWL"] * 5
 
 
 def test_params_alternative_spellings_build_the_same_system():

@@ -1,111 +1,87 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from pinchpass import outage_fwnl, outage_pwnl
 from pinchpass.geometry import (
-    _clamped_unit,
-    _lens_area,
-    cdf_abs_y,
-    cdf_horizontal_distance,
     sample_uniform_disk,
     sample_unit_disk,
     scale_unit_disk,
-    theta,
+    seg,
 )
 from pinchpass.montecarlo import snr_values
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import disk_samples, empirical_cdf, polar_disk_draw, segment_distances
+from oracles import (
+    disk_samples,
+    empirical_cdf,
+    params_with_a,
+    polar_disk_draw,
+    segment_distances,
+)
 
 
-def test_cdf_abs_y_edges():
-    assert cdf_abs_y(0.0, 25.0) == 0.0
-    assert cdf_abs_y(-3.0, 25.0) == 0.0
-    assert cdf_abs_y(25.0, 25.0) == 1.0
-    assert cdf_abs_y(30.0, 25.0) == 1.0
+def covered_fraction(outage, x: float, r: float, l: float) -> float:
+    # P(D <= x) read off a lossless outage at A = x^2, D the horizontal
+    # distance to the centered segment of half-length l (|y| at full coverage)
+    return 1.0 - outage(params_with_a(x * x, SystemParams.reference(r=r, l=l))).value
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 25.0, 1e4])
+def test_seg_against_mpmath(R):
+    # a whole disk exactly, then 2 * integral of sqrt(R^2 - x^2) over [a, c]
+    # at 40 digits, to a few ulps of the disk area
+    assert seg(R, -R, R) == R * R * math.pi
+    for a, c in ((-1.0, 1.0), (0.0, 1.0), (0.5, 1.0), (-1.0, -0.999), (0.3, 0.30001),
+                 (0.999999, 1.0), (-0.7, 0.2)):
+        with mpmath.workdps(40):
+            R_mp = mpmath.mpf(R)
+            ref = 2 * mpmath.quad(lambda x: mpmath.sqrt(R_mp * R_mp - x * x),
+                                  [mpmath.mpf(a * R), mpmath.mpf(c * R)])
+        assert abs(seg(R, a * R, c * R) - float(ref)) <= 4e-16 * math.pi * R * R
+
+
+def test_geometry_clamps_rounding_overshoot():
+    # an abscissa past the edge by rounding reads as the edge; farther out
+    # is a numerical error, not a clamp
+    assert seg(1.0, 0.0, 1.0 + 1e-14) == seg(1.0, 0.0, 1.0)
+    assert seg(1.0, -1.0 - 1e-14, 0.0) == seg(1.0, -1.0, 0.0)
+    with pytest.raises(ArithmeticError, match="beyond clamp window"):
+        seg(1.0, 0.0, 1.0 + 1e-6)
 
 
 def test_cdf_abs_y_against_samples():
     r = 25.0
     _, y = disk_samples(r, 10_000_000, seed=101)
     frac, se = empirical_cdf(np.abs(y), r / 2)
-    assert abs(cdf_abs_y(r / 2, r) - frac) <= 3 * se
-
-
-def test_theta_continuous_at_both_branch_ends():
-    for r, l in ((25.0, 10.0), (25.0, 12.5), (17.0, 4.0), (33.0, 28.0)):
-        denom = math.pi * r * r
-        x_lo = r - l
-        lower = (4 * x_lo * l + math.pi * x_lo * x_lo) / denom
-        assert 2 * theta(x_lo, r, l) / denom == pytest.approx(lower, abs=1e-9)
-        x_hi = math.sqrt(r * r - l * l)
-        assert 2 * theta(x_hi, r, l) / denom == pytest.approx(cdf_abs_y(x_hi, r), abs=1e-9)
-
-
-def test_theta_matches_area_sampling():
-    r, l, x = 25.0, 12.5, 15.0
-    d = segment_distances(r, l, 10_000_000, seed=202)
-    frac, se = empirical_cdf(d, x)
-    assert abs(2 * theta(x, r, l) / (math.pi * r * r) - frac) <= 3 * se
-
-
-def test_theta_domain_error():
-    with pytest.raises(ValueError):
-        theta(5.0, 25.0, 12.5)   # below r - l
-    with pytest.raises(ValueError):
-        theta(24.0, 25.0, 12.5)  # above sqrt(r^2 - l^2)
-    for l in (0.0, 25.0):        # the middle branch needs 0 < l < r
-        with pytest.raises(ValueError, match="0 < l < r"):
-            theta(5.0, 25.0, l)
-
-
-@pytest.mark.parametrize("call,message", [
-    (lambda: _clamped_unit(1.0 + 1e-6), r"outside \[-1, 1\]"),
-    # externally separated unit circles: both acos arguments overshoot 1 by
-    # ~5e-11, inside the clamp, but the squared triangle area is -1.6e-9
-    (lambda: _lens_area(1.0, 1.0, 2.0 + 1e-10), "does not partially overlap"),
-])
-def test_geometry_input_guards_raise(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()
-
-
-def test_geometry_clamps_rounding_overshoot():
-    assert _clamped_unit(-1.0 - 1e-12) == -1.0
-    assert _clamped_unit(1.0 + 1e-12) == 1.0
-    # a tangency gap of 1e-14 leaves a squared area within the clamp: no lens
-    assert _lens_area(1.0, 1.0, 2.0 + 1e-14) == 0.0
-
-
-def test_cdf_horizontal_distance_edges_and_degenerate():
-    assert cdf_horizontal_distance(0.0, 25.0, 10.0) == 0.0
-    assert cdf_horizontal_distance(25.0, 25.0, 10.0) == 1.0
-    for x in np.linspace(0.0, 25.0, 101):
-        full = cdf_horizontal_distance(float(x), 25.0, 25.0)
-        assert full == pytest.approx(cdf_abs_y(float(x), 25.0), abs=1e-9)
+    assert abs(covered_fraction(outage_fwnl, r / 2, r, r) - frac) <= 3 * se
 
 
 def test_cdf_horizontal_distance_against_samples():
+    # two points in the stadium, one with clipped caps, one in the band
     r, l = 25.0, 10.0
     d = segment_distances(r, l, 10_000_000, seed=303)
     for x in (5.0, 14.0, 20.0, 24.0):
         frac, se = empirical_cdf(d, x)
-        assert abs(cdf_horizontal_distance(x, r, l) - frac) <= 3 * se
+        assert abs(covered_fraction(outage_pwnl, x, r, l) - frac) <= 3 * se
 
 
 def test_cdf_monotone_and_branch_continuity():
+    # the partial-coverage lossless outage falls with A and is continuous
+    # across the seams q = r - l and q^2 = r^2 - l^2 and at the disk edge
     rng = np.random.default_rng(11)
     for _ in range(25):
         r = rng.uniform(5.0, 40.0)
         l = rng.uniform(0.05, 0.999) * r
+        base = SystemParams.reference(r=r, l=l)
         grid = np.linspace(0.0, r, 10_000)
-        vals = [cdf_horizontal_distance(float(x), r, l) for x in grid]
-        diffs = np.diff(vals)
-        assert np.all(diffs >= -1e-12)
+        vals = [outage_pwnl(params_with_a(float(x) ** 2, base)).value for x in grid]
+        assert np.all(np.diff(vals) <= 1e-12)
         for x in (r - l, math.sqrt(r * r - l * l), r):
-            below = cdf_horizontal_distance(x * (1 - 1e-12), r, l)
-            above = cdf_horizontal_distance(x * (1 + 1e-12), r, l)
+            below = outage_pwnl(params_with_a((x * (1 - 1e-12)) ** 2, base)).value
+            above = outage_pwnl(params_with_a((x * (1 + 1e-12)) ** 2, base)).value
             assert abs(above - below) <= 1e-9
 
 
