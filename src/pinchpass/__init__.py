@@ -29,7 +29,6 @@ from .montecarlo import (
     snr_values,
 )
 from ._outage_lossy import RootReport, classify_crossings
-from .numerics import ChebyshevRule, dilog, dilog_diff, find_root_bracketed
 from .params import (
     DerivedConstants,
     Scenario,
@@ -44,7 +43,6 @@ from .params import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebyshevRule",
     "DerivedConstants",
     "LengthSearchResult",
     "McEstimate",
@@ -56,13 +54,10 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "derive_constants",
-    "dilog",
-    "dilog_diff",
     "estimate_many",
     "evaluate",
     "estimate_outage",
     "estimate_rate",
-    "find_root_bracketed",
     "linear_to_db",
     "optimal_length_search",
     "outage_fwl",

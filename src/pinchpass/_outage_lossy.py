@@ -5,7 +5,8 @@ exceeds the threshold curve f(x), so the lossy outage is one integral,
 (2 / (pi r^2)) * integral of rho(x) - sqrt(max(f(x), 0)) over the x-range
 where the clearance g = rho^2 - f is positive (rho the chord half-height).
 This module owns it end to end: ``_Pieces`` writes f once, and the crossing
-classifier finds one zero of g or f on each side of the clearance peak and
+classifier finds one zero of g or f on each side of the clearance peak
+(in closed form, or by monotone Newton iteration where g is concave) and
 names the arrangement of the two, a < b.  One composed closed form covers
 all nine arrangements: a head (the chord strip over [a, b], over [a, r],
 or 1), plus the outer-segment caps beyond -l at a and beyond +l at b, plus
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .geometry import _sqrt_clamped, seg
-from .numerics import find_root_bracketed
 from .params import Scenario, SystemParams, derive_constants
 
 _RANGE_SLACK = 1e-9
@@ -138,17 +138,26 @@ class _Pieces:
 
 def _peak_abscissa(alpha: float, C: float, l: float) -> float:
     # zero of the strictly decreasing middle-segment clearance slope
-    # alpha*C*exp(-alpha*(x + l)) - 2x = 2*(m*exp(-alpha*x) - x): positive at
-    # 0 and <= 0 at log1p(alpha*m)/alpha <= m, an end that is the zero to
-    # rounding where the slope there rounds >= 0; at alpha = 0 it is -2x
+    # alpha*C*exp(-alpha*(x + l)) - 2x: alpha*x = W(z), z = alpha^2 C exp(-alpha l)/2,
+    # the zero of F(w) = w - ln(z/w).  F is increasing and concave, so every
+    # tangent lies above it and Newton from a lower bound of W (z/(1 + z) up
+    # to e, ln z - ln ln z above) rises monotonically to the zero; stop at
+    # the first step that does not rise.  At alpha = 0 the slope is -2x
     if alpha == 0.0:
         return 0.0
-    m = 0.5 * alpha * C * math.exp(-alpha * l)
-    hi = min(m, math.log1p(alpha * m) / alpha)
-    half_slope = lambda x: m * math.exp(-alpha * x) - x
-    if hi == 0.0 or half_slope(hi) >= 0.0:
-        return hi
-    return find_root_bracketed(half_slope, 0.0, hi, tol=0.0)
+    z = 0.5 * alpha * alpha * C * math.exp(-alpha * l)
+    if z == 0.0:
+        return 0.0
+    if z <= math.e:
+        w = z / (1.0 + z)
+    else:
+        w = math.log(z)
+        w -= math.log(w)
+    while True:
+        w_next = w * (1.0 + math.log(z / w)) / (1.0 + w)
+        if not w_next > w:
+            return w / alpha
+        w = w_next
 
 
 def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
@@ -160,8 +169,9 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     side holds at most one root.  On the outer segments g is linear,
     g = r^2 + l^2 + h^2 - C + 2lx on the left and
     g = r^2 + l^2 + h^2 - C exp(-2 alpha l) - 2lx on the right, so a root
-    there is one division; a root on the middle segment is bracketed
-    between its end and the peak.  The threshold curve f peaks at x = -l
+    there is one division; a root on the middle segment is the limit of
+    Newton's iteration from the guide end on its side, monotone because g
+    is strictly concave there.  The threshold curve f peaks at x = -l
     and its zeros have closed forms.  Each side of the peak holds exactly
     one root, of g or of f, so there are two in x order: two of g, one of
     each, or two of f.
@@ -177,6 +187,19 @@ def _classify(pc: _Pieces) -> RootReport:
 
     def g_mid(x: float) -> float:
         return r * r - x * x - pc.omega(x) + h2
+
+    def g_root(x: float, end: float) -> float:
+        # Newton on g from the guide end x with g(x) <= 0 towards the root
+        # between x and end (the peak).  g'' = -2 - alpha^2 omega < 0, so every
+        # tangent lies above g and its zero falls between the iterate and the
+        # root: the iterates move monotonically towards it.  Stop at the first
+        # step that no longer lands strictly between the iterate and the peak
+        while True:
+            w = pc.omega(x)
+            x_next = x - (r * r - x * x - w + h2) / (alpha * w - 2.0 * x)
+            if not (x_next - x) * (end - x_next) > 0.0:
+                return x
+            x = x_next
 
     if alpha * pc.k2c - 2.0 * l >= 0.0:              # slope at +l
         x_peak = l
@@ -205,7 +228,7 @@ def _classify(pc: _Pieces) -> RootReport:
         if outer and g_mid(-l) > 0.0:
             a = -left_line / (2.0 * l)
         else:
-            a = find_root_bracketed(g_mid, -l, x_peak, tol=0.0)
+            a = g_root(-l, x_peak)
         g_roots.append(LabeledRoot(a, _interval_of(a, l)))
     else:
         f_roots.append(LabeledRoot(-l - math.sqrt(pc.M2), INTERVAL_LEFT))
@@ -213,7 +236,7 @@ def _classify(pc: _Pieces) -> RootReport:
         if outer and g_mid(l) > 0.0:
             c = right_line / (2.0 * l)
         else:
-            c = find_root_bracketed(g_mid, x_peak, l, tol=0.0)
+            c = g_root(l, x_peak)
         g_roots.append(LabeledRoot(c, _interval_of(c, l)))
     else:
         b_f = -l + math.log(C / h2) / alpha if pc.K2 <= 0.0 else l + math.sqrt(pc.K2)

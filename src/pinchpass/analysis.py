@@ -12,7 +12,7 @@ dispatch from (scenario, metric) to an evaluator:
   closed form evaluates every arrangement;
 * the lossless full-coverage rate is exact; every other rate is one
   Gauss-Chebyshev kernel over x of the analytic chord integral of the
-  log-SNR (two segments lossless, three lossy);
+  log-SNR (two segments lossless, three lossy), on nodes cached per order;
 * a lossy scenario at alpha = 0 is its lossless twin.
 
 The search for the half-length that optimizes either metric uses the same
@@ -21,6 +21,7 @@ evaluators; its rate grid is one kernel call per block of half-lengths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from ._outage_lossy import evaluate_lossy_outage
 from .geometry import seg
-from .numerics import ChebyshevRule
 from .params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams, derive_constants
 
 METRICS = ("outage", "rate")
@@ -164,6 +164,16 @@ def _segment_chord_terms(rho2: np.ndarray, base2: np.ndarray | float,
             - 2.0 * base * np.arctan(rho / base))
 
 
+@functools.lru_cache(maxsize=32)
+def _chebyshev_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the Gauss-Chebyshev (first kind) nodes cos((2k-1)pi/2n) and their sines
+    # sqrt(1 - t^2) without cancellation, built once per order, read-only
+    angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+    nodes, sines = np.cos(angles), np.sin(angles)
+    nodes.flags.writeable = sines.flags.writeable = False
+    return nodes, sines
+
+
 def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
     # the Gauss-Chebyshev chord quadrature of the PWNL and PWL rates (FWL at
     # l = r) under attenuation alpha, at a float l or at a 1-D array of
@@ -175,8 +185,7 @@ def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
     # so its rule spends the nodes on [0, l], and far = near.
     r, h2 = p.r, p.h * p.h
     e = derive_constants(p).eta * p.p_t / p.sigma2
-    rule = ChebyshevRule.of_order(nodes)
-    t, w = rule.nodes, rule.node_sines
+    t, w = _chebyshev_nodes(nodes)
     batch = isinstance(l, np.ndarray)
     lc = l[:, None] if batch else l
 

@@ -98,26 +98,36 @@ def li2_series(z) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+def li2_diff(z_hi, z_lo) -> np.ndarray:
+    """Li2(z_hi) - Li2(z_lo) for non-positive arguments, cancellation-safe.
+
+    Built on li2_series; near-coincident arguments integrate
+    Li2'(t) = -ln(1 - t)/t over their gap with 24-point Gauss-Legendre
+    instead of subtracting two large values.
+    """
+    z_hi, z_lo = np.asarray(z_hi, dtype=float), np.asarray(z_lo, dtype=float)
+    gap = z_hi - z_lo
+    close = np.abs(gap) <= 0.05 * (1.0 + np.minimum(np.abs(z_hi), np.abs(z_lo)))
+    diff = li2_series(z_hi) - li2_series(z_lo)
+    t = 0.5 * (z_hi + z_lo)[None, close] + 0.5 * gap[None, close] * _GL_NODES[:, None]
+    diff[close] = 0.5 * gap[close] * (_GL_WEIGHTS @ (-np.log1p(-t) / t))
+    return diff
+
+
 def rate_fwl_series(p: SystemParams, nodes: int) -> float:
     """The paper's FWL rate: a Chebyshev sum over y of dilog differences.
 
-    Built on li2_series; near-coincident arguments integrate
-    Li2' = -ln(1-t)/t over their gap with 24-point Gauss-Legendre, as
-    ``numerics.dilog_diff`` does.  The library evaluates the same rate with
-    the chord quadrature over x, so this is its paper-fidelity oracle.
+    The differences come from li2_diff.  The library evaluates the same
+    rate with the chord quadrature over x, so this is its paper-fidelity
+    oracle.
     """
     d = derive_constants(p)
     k = np.arange(1, nodes + 1)
     angles = (2.0 * k - 1.0) * math.pi / (2.0 * nodes)
     y, rho = p.r * np.cos(angles), p.r * np.sin(angles)
     gain = d.eta * p.p_t / (p.sigma2 * (y * y + p.h * p.h))
-    z_hi = -gain * np.exp(-p.alpha * (rho + p.r))
-    z_lo = -gain * np.exp(p.alpha * (rho - p.r))
-    gap = z_hi - z_lo
-    close = np.abs(gap) <= 0.05 * (1.0 + np.minimum(np.abs(z_hi), np.abs(z_lo)))
-    diff = li2_series(z_hi) - li2_series(z_lo)
-    t = 0.5 * (z_hi + z_lo)[None, close] + 0.5 * gap[None, close] * _GL_NODES[:, None]
-    diff[close] = 0.5 * gap[close] * (_GL_WEIGHTS @ (-np.log1p(-t) / t))
+    diff = li2_diff(-gain * np.exp(-p.alpha * (rho + p.r)),
+                    -gain * np.exp(p.alpha * (rho - p.r)))
     total = float(np.sum(np.sin(angles) * diff))
     return total / (p.alpha * p.r * nodes * math.log(2.0))
 
@@ -184,14 +194,18 @@ def outage_by_mpmath(p: SystemParams, scenario: Scenario, dps: int = 30,
     """Outage probability by tanh-sinh quadrature at ``dps`` digits.
 
     The integrand rho - sqrt(clip(f, 0, rho^2)) is evaluated in mpmath from
-    the SNR definition and split at +-l and at every zero of f and g that
-    the sign scan finds, each refined by ``mpmath.findroot`` in its scan
-    bracket, so each piece is smooth inside.
+    the SNR definition and split at every kink, so each piece is smooth
+    inside: +-l, the zeros of f, the roots of g on the outer segments (where
+    g is linear) and, at alpha = 0, on the middle segment, all in closed
+    form.  Only a middle-segment root of g at alpha > 0 has none; those are
+    found by a sign scan of ``n_scan`` points, each refined by
+    ``mpmath.findroot`` in its scan bracket.
     """
     l = p.half_length(scenario)
     with mpmath.workdps(dps):
         r, h, alpha, C = (mpmath.mpf(v) for v in (p.r, p.h, p.alpha, derive_constants(p).C))
         l_mp = mpmath.mpf(l)
+        k2c = C * mpmath.exp(-2 * alpha * l_mp)     # omega at +l
 
         def f(x):
             x_pa = min(max(x, -l_mp), l_mp)
@@ -204,14 +218,22 @@ def outage_by_mpmath(p: SystemParams, scenario: Scenario, dps: int = 30,
             rho2 = max(r * r - x * x, 0)
             return mpmath.sqrt(rho2) - mpmath.sqrt(min(max(f(x), 0), rho2))
 
-        step = 2.0 * p.r / (n_scan - 1)
-        cuts = {-r, r} | {v for v in (-l_mp, l_mp) if -r < v < r}
-        for fn, roots in zip((g, f), scan_crossings(p, scenario, n_scan)):
-            for x in roots:
-                root = mpmath.findroot(fn, (x - step, x + step), solver="anderson")
-                if -r < root < r:
-                    cuts.add(root)
-        total = mpmath.quad(integrand, sorted(cuts))
+        def real_sqrt(v):
+            return [mpmath.sqrt(v)] if v >= 0 else []
+
+        base = r * r + l_mp * l_mp + h * h
+        kinks = [-l_mp, l_mp, (C - base) / (2 * l_mp), (base - k2c) / (2 * l_mp)]
+        kinks += [-l_mp - s for s in real_sqrt(C - h * h)]
+        kinks += [l_mp + s for s in real_sqrt(k2c - h * h)]
+        if alpha > 0:
+            kinks.append(-l_mp + mpmath.log(C / (h * h)) / alpha)
+            step = 2.0 * p.r / (n_scan - 1)
+            for x in scan_crossings(p, scenario, n_scan)[0]:
+                kinks.append(mpmath.findroot(g, (x - step, x + step), solver="anderson"))
+        else:
+            kinks += [v for s in real_sqrt(r * r + h * h - C) for v in (-s, s)]
+        cuts = sorted({-r, r} | {x for x in kinks if -r < x < r})
+        total = mpmath.quad(integrand, cuts)
         return float(2 * total / (mpmath.pi * r * r))
 
 

@@ -26,14 +26,15 @@ from pinchpass import (
     rate_pwl,
     rate_pwnl,
 )
+from pinchpass.analysis import _chebyshev_nodes
 from pinchpass.cli import main
 from pinchpass.montecarlo import estimate_many, estimate_outage, estimate_rate
 from pinchpass._outage_lossy import classify_crossings
-from pinchpass.numerics import ChebyshevRule, dilog
 from pinchpass.params import Scenario, SystemParams
 from oracles import (
     alternating_series_li2_minus1,
     interval_label,
+    li2_series,
     params_with_a,
     random_reference,
     scan_crossings,
@@ -165,13 +166,17 @@ def test_criterion_5_outage_versus_length_shape():
 
 
 def test_criterion_6_special_function_units():
-    ok = dilog(0.0) == 0.0
+    # the dilogarithm of the paper's FWL rate oracle and the Chebyshev nodes
+    # of the library's chord-rate kernel
+    li2_zero, li2_minus1 = (float(v) for v in li2_series(np.array([0.0, -1.0])))
+    ok = li2_zero == 0.0
     series = alternating_series_li2_minus1(1000)
-    gap_series = abs(dilog(-1.0) - series)
+    gap_series = abs(li2_minus1 - series)
     ok &= gap_series <= 1e-12
-    ok &= abs(dilog(-1.0) + math.pi ** 2 / 12.0) <= 1e-12
-    rule = ChebyshevRule.of_order(16)
-    gap_quad = abs(rule.integrate(lambda t: np.sqrt(1 - t * t)) - math.pi / 2)
+    ok &= abs(li2_minus1 + math.pi ** 2 / 12.0) <= 1e-12
+    nodes, sines = _chebyshev_nodes(16)
+    gap_quad = abs(math.pi / 16 * float(np.sum(sines * np.sqrt(1 - nodes * nodes)))
+                   - math.pi / 2)
     ok &= gap_quad <= 1e-14
     report(6, ok, f"Li2(0)=0 exact, Li2(-1) vs series oracle {gap_series:.1e}, "
                   f"semicircle quadrature gap {gap_quad:.1e} at 16 nodes")

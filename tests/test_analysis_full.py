@@ -43,14 +43,15 @@ def test_outage_fwnl_continuous_at_branch_edges():
 
 def test_outage_fwnl_against_mpmath():
     # against a 40-digit quadrature of the alpha = 0 threshold curve, up to
-    # A = (1 - 1e-8) r^2, where the outage chords span |x| < 1e-4 r; the
-    # 40,000-point root scan steps inside that span.  The bound, 2e-15, is
-    # about nine ulps of 1
+    # A within 6e-8 of r^2 = 625, where the outage chords span |x| < 2.5e-4;
+    # the oracle cuts at their ends in closed form, narrower than any scan
+    # step.  The bound, 2e-15, is about nine ulps of 1
     r = SystemParams.reference().r
-    for t in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-8):
-        p = params_with_a(t * r * r)
-        reference = outage_by_mpmath(p.with_(alpha=0.0), Scenario.FWNL, dps=40, n_scan=40_000)
-        assert abs(outage_fwnl(p).value - reference) <= 2e-15, t
+    for a in (1e-6 * r * r, 0.1 * r * r, 0.5 * r * r, 0.9 * r * r, (1.0 - 1e-8) * r * r,
+              624.99999994):
+        p = params_with_a(a)
+        reference = outage_by_mpmath(p.with_(alpha=0.0), Scenario.FWNL, dps=40)
+        assert abs(outage_fwnl(p).value - reference) <= 2e-15, a
 
 
 def test_rate_fwnl_limits():

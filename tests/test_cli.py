@@ -1,5 +1,4 @@
 import argparse
-import ast
 import dataclasses
 import itertools
 import math
@@ -9,12 +8,11 @@ import sys
 import textwrap
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
 import pinchpass
-from pinchpass import _outage_lossy, cli, dilog, dilog_diff, evaluate, montecarlo
+from pinchpass import _outage_lossy, cli, evaluate, montecarlo
 from pinchpass.cli import (
     CONFIG_SCHEMA,
     CSV_HEADER,
@@ -607,11 +605,14 @@ def _run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_import_closed_forms_and_mc_leave_scipy_unloaded():
-    # scipy.special alone adds ~0.35 s to a fresh interpreter; only dilog and
-    # dilog_diff import scipy, on first use
-    code = """
-import sys, pinchpass, pinchpass.cli
+def test_import_closed_forms_and_mc_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only, and it alone adds ~0.35 s to a fresh
+    # interpreter: with every scipy import made to fail, the closed forms,
+    # the Monte-Carlo oracle and three CLI commands still run and exit 0
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import pinchpass, pinchpass.cli
 from pinchpass import Scenario, SystemParams, estimate_many, evaluate, optimal_length_search
 for alpha in (0.0, 0.02):
     p = SystemParams.reference(105.0, alpha=alpha)
@@ -620,29 +621,10 @@ for alpha in (0.0, 0.02):
             evaluate(scenario, metric, p, 200)
 optimal_length_search(p, "outage")
 estimate_many([(s, m, p) for s in Scenario for m in ("outage", "rate")], 4096, 7)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+codes = [pinchpass.cli.main(argv) for argv in (
+    ["figure", "7", "--no-mc", "--out", {str(tmp_path)!r}],
+    ["optimal-length"],
+    ["validate", "--mc-samples", "20000"])]
+print(codes)
 """
-    assert _run_fresh(code) == "[]"
-
-
-def test_dilog_after_fresh_import_matches_reference_values():
-    # spence is imported on the first dilog/dilog_diff call
-    code = """
-import sys
-from pinchpass import dilog, dilog_diff
-print("scipy.special" in sys.modules)
-z = -37.0
-print([dilog(-1.0), dilog(-0.5), dilog(-25.0), dilog_diff(-0.5, -2.0), dilog_diff(z - z * 1e-9, z)])
-"""
-    loaded, printed = _run_fresh(code).splitlines()
-    assert loaded == "False"
-    values = ast.literal_eval(printed)
-    z = -37.0
-    li2 = lambda x: mpmath.polylog(2, x)
-    expected = [li2(-1.0), li2(-0.5), li2(-25.0), li2(-0.5) - li2(-2.0)]
-    assert values[:4] == pytest.approx([float(e) for e in expected], rel=1e-12, abs=1e-12)
-    # the near pair takes the Gauss-Legendre branch: compare against Li2'
-    assert values[4] == pytest.approx(-math.log1p(-z) / z * (-z * 1e-9), rel=1e-6)
-    # and both branches equal the in-process values bit for bit
-    assert values == [dilog(-1.0), dilog(-0.5), dilog(-25.0), dilog_diff(-0.5, -2.0),
-                      dilog_diff(z - z * 1e-9, z)]
+    assert _run_fresh(code).splitlines()[-1] == "[0, 0, 0]"

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import re
+import types
 import warnings
 from collections import Counter
 
@@ -21,8 +21,8 @@ from pinchpass._outage_lossy import (
     classify_crossings,
     evaluate_lossy_outage,
 )
-from pinchpass.numerics import ChebyshevRule, dilog, dilog_diff, find_root_bracketed
-from pinchpass import outage_pwl
+from pinchpass import _outage_lossy, outage_pwl
+from pinchpass.analysis import _chebyshev_nodes
 from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
@@ -30,6 +30,8 @@ from oracles import (
     extreme_reference,
     interval_label,
     li2_by_quadrature,
+    li2_diff,
+    li2_series,
     random_reference,
     scan_crossings,
     threshold_curves,
@@ -37,76 +39,82 @@ from oracles import (
 
 
 # ---------------------------------------------------------------------------
-# dilogarithm
+# dilogarithm: the oracle behind the paper's FWL rate expression
 # ---------------------------------------------------------------------------
 
 def test_dilog_trivial_and_domain():
-    assert dilog(0.0) == 0.0
-    with pytest.raises(ValueError):
-        dilog(0.5)
+    # Li2(0) = 0 exactly, alone and inside an array reaching the far branch
+    assert li2_series(np.array([0.0]))[0] == 0.0
+    assert li2_series(np.array([0.0, -0.7, -30.0]))[0] == 0.0
 
 
 def test_dilog_minus_one_against_series_oracle():
     series = alternating_series_li2_minus1(1000)
-    assert dilog(-1.0) == pytest.approx(series, abs=1e-12)
-    assert dilog(-1.0) == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-12)
+    value = float(li2_series(np.array([-1.0]))[0])
+    assert value == pytest.approx(series, abs=1e-12)
+    assert value == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-12)
 
 
 def test_dilog_minus_ten_against_integral_oracle():
-    assert dilog(-10.0) == pytest.approx(li2_by_quadrature(-10.0), abs=1e-10)
+    assert float(li2_series(np.array([-10.0]))[0]) \
+        == pytest.approx(li2_by_quadrature(-10.0), abs=1e-10)
 
 
 def test_dilog_against_mpmath_grid():
-    for z in (-1e-8, -0.3, -0.5, -0.7, -1.0, -3.0, -25.0, -1e3, -1e6):
+    grid = (-1e-8, -0.3, -0.5, -0.7, -1.0, -3.0, -25.0, -1e3, -1e6)
+    for z, value in zip(grid, li2_series(np.array(grid))):
         expected = float(mpmath.polylog(2, z))
-        assert dilog(z) == pytest.approx(expected, abs=1e-12, rel=1e-12)
+        assert float(value) == pytest.approx(expected, abs=1e-12, rel=1e-12)
 
 
 def test_dilog_monotone_decreasing():
-    grid = -np.logspace(-6, 6, 200)
-    vals = [dilog(float(z)) for z in sorted(grid, reverse=True)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    vals = li2_series(-np.logspace(-6, 6, 200))
+    assert np.all(np.diff(vals) < 0)
 
 
 def test_dilog_diff_matches_direct_and_stays_stable():
-    assert dilog_diff(-0.5, -2.0) == pytest.approx(dilog(-0.5) - dilog(-2.0), rel=1e-13)
-    # nearby arguments: compare against the analytic derivative of Li2
+    # li2_diff is the difference rate_fwl_series sums: a far pair subtracts
+    # two series values, a near pair takes the Gauss-Legendre branch, which
+    # is checked against the analytic derivative of Li2
     z = -37.0
     eps = z * 1e-9
-    expected = -math.log1p(-z) / z * (-eps)
-    assert dilog_diff(z - eps, z) == pytest.approx(expected, rel=1e-6)
-    for z_hi, z_lo in ((0.5, -1.0), (-1.0, 1e-300)):
-        with pytest.raises(ValueError, match="dilog_diff is defined for non-positive arguments"):
-            dilog_diff(z_hi, z_lo)
+    far, near = li2_diff(np.array([-0.5, z - eps]), np.array([-2.0, z]))
+    assert far == pytest.approx(float(np.subtract(*li2_series(np.array([-0.5, -2.0])))),
+                                rel=1e-13)
+    assert near == pytest.approx(-math.log1p(-z) / z * (-eps), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Chebyshev
+# Gauss-Chebyshev nodes of the chord-rate kernel
 # ---------------------------------------------------------------------------
+
+def chebyshev_integral(f, n: int, a: float = -1.0, b: float = 1.0) -> float:
+    # the plain integral of f over [a, b] from the order-n nodes, weight pi/n,
+    # through the affine node map
+    nodes, sines = _chebyshev_nodes(n)
+    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    return 0.5 * (b - a) * math.pi / n * float(np.sum(sines * f(x)))
+
 
 def test_rule_nodes_decreasing_symmetric():
-    rule = ChebyshevRule.of_order(17)
-    assert np.all(np.diff(rule.nodes) < 0)
-    assert np.all(np.abs(rule.nodes) < 1)
-    assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-15)
-    assert rule.weight == pytest.approx(math.pi / 17)
+    nodes, sines = _chebyshev_nodes(17)
+    assert np.all(np.diff(nodes) < 0)
+    assert np.all(np.abs(nodes) < 1)
+    assert np.allclose(nodes, -nodes[::-1], atol=1e-15)
+    assert np.allclose(sines, np.sqrt(1.0 - nodes * nodes), rtol=0.0, atol=1e-15)
 
 
 def test_rule_is_cached_and_read_only():
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=f"node count must be positive, got {n}"):
-            ChebyshevRule.of_order(n)
-    rule = ChebyshevRule.of_order(23)
-    assert ChebyshevRule.of_order(23) is rule
+    nodes, sines = _chebyshev_nodes(23)
+    assert _chebyshev_nodes(23)[0] is nodes and _chebyshev_nodes(23)[1] is sines
     with pytest.raises(ValueError, match="read-only"):
-        rule.nodes[0] = 0.0
+        nodes[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        rule.node_sines[:] = 1.0
+        sines[:] = 1.0
 
 
 def test_semicircle_integral_exact_at_16_nodes():
-    rule = ChebyshevRule.of_order(16)
-    value = rule.integrate(lambda t: np.sqrt(1.0 - t * t))
+    value = chebyshev_integral(lambda t: np.sqrt(1.0 - t * t), 16)
     assert value == pytest.approx(math.pi / 2.0, abs=1e-14)
 
 
@@ -114,10 +122,8 @@ def test_interval_map_against_adaptive_quadrature():
     # generic smooth integrands converge at second order under the affine map
     f = lambda x: np.log1p(3.0 * np.exp(-0.08 * x))
     expected = quad(lambda x: math.log1p(3.0 * math.exp(-0.08 * x)), 2.0, 17.0)[0]
-    assert ChebyshevRule.of_order(400).integrate(f, 2.0, 17.0) \
-        == pytest.approx(expected, rel=1e-5)
-    assert ChebyshevRule.of_order(1600).integrate(f, 2.0, 17.0) \
-        == pytest.approx(expected, rel=1e-6)
+    assert chebyshev_integral(f, 400, 2.0, 17.0) == pytest.approx(expected, rel=1e-5)
+    assert chebyshev_integral(f, 1600, 2.0, 17.0) == pytest.approx(expected, rel=1e-6)
 
 
 def test_error_halves_as_nodes_double():
@@ -127,36 +133,10 @@ def test_error_halves_as_nodes_double():
                   limit=200, epsabs=1e-14)[0]
     errors = []
     for n in (8, 16, 32, 64, 128):
-        val = ChebyshevRule.of_order(n).integrate(
-            lambda t: np.sqrt(1 - t * t) * np.log1p(q * t * t))
+        val = chebyshev_integral(lambda t: np.sqrt(1 - t * t) * np.log1p(q * t * t), n)
         errors.append(abs(val - target))
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= 0.5 * coarse or fine < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# root finding
-# ---------------------------------------------------------------------------
-
-def test_root_simple_cases():
-    assert find_root_bracketed(lambda x: x * x - 2.0, 1.0, 2.0) \
-        == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert find_root_bracketed(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match=re.escape("f(lo) and f(hi) have the same sign")):
-        find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
-    for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
-        with pytest.raises(ValueError, match=re.escape(f"need lo < hi, got [{lo}, {hi}]")):
-            find_root_bracketed(lambda x: x, lo, hi)
-
-
-def test_root_matches_lossless_crossing_closed_form():
-    # with no attenuation the crossing equation reduces to a pure quadratic
-    p = SystemParams.reference(gamma_t_db=106.0)
-    d = derive_constants(p)
-    root = math.sqrt(p.r ** 2 - d.C + p.h ** 2)
-    fn = lambda x: d.C - p.h ** 2 - (p.r ** 2 - x * x)
-    assert find_root_bracketed(fn, 0.0, p.r) == pytest.approx(root, abs=1e-10)
-    assert find_root_bracketed(fn, -p.r, 0.0) == pytest.approx(-root, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +243,7 @@ def test_classifier_agrees_with_dense_scan_on_random_draws():
 
 def test_classifier_on_extreme_set():
     # roots are closed forms except on the middle segment, the peak is the
-    # bracketed zero of the clearance slope: check every root against the
+    # Newton zero of the clearance slope: check every root against the
     # vectorized curves
     rng = np.random.default_rng(20261018)
     cases = Counter()
@@ -307,6 +287,34 @@ def test_peak_abscissa_against_lambert_w():
     assert _peak_abscissa(0.0, 1e3, 5.0) == 0.0
     # exp(-alpha l) underflows: W(0) = 0
     assert _peak_abscissa(50.0, 1e3, 1e4) == 0.0
+
+
+def test_peak_abscissa_newton_steps(monkeypatch):
+    # over the grid of the test above, Newton on w - ln(z/w) from a lower
+    # bound of W converges in a few steps; Newton from 0 in x advances ~1/alpha
+    # per step and needs hundreds at z = 1e300.  Each step costs one math.log
+    # or math.exp; the start costs one exp (for z) and, above e, two logs
+    calls = 0
+
+    def counted(fn):
+        def call(x):
+            nonlocal calls
+            calls += 1
+            return fn(x)
+        return call
+
+    monkeypatch.setattr(_outage_lossy, "math", types.SimpleNamespace(
+        e=math.e, exp=counted(math.exp), log=counted(math.log)))
+    worst = 0
+    for alpha in (1e-3, 0.02, 1.0, 50.0):
+        l = 1.0 / alpha
+        for z in np.logspace(-300, 300, 601):
+            C = 2.0 * float(z) * math.exp(alpha * l) / alpha ** 2
+            z_used = 0.5 * alpha * alpha * C * math.exp(-alpha * l)
+            calls = 0
+            _peak_abscissa(alpha, C, l)
+            worst = max(worst, calls - 1 - 2 * (z_used > math.e))
+    assert 0 < worst <= 8
 
 
 def test_g2_left_mid_never_occurs():
