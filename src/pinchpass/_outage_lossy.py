@@ -74,15 +74,13 @@ def _asin_clamped(u: float) -> float:
 class _Pieces:
     """Scalar building blocks for one lossy configuration.
 
-    The antenna sits at clip(x, -l, l), fed from -l, so the threshold curve
-    is f = M2 - (x + l)^2 left of the guide, omega(x) - h^2 under it and
-    K2 - (x - l)^2 right of it.
+    The guide spans [-l, l] (l = r at full coverage), fed from -l with
+    attenuation p.alpha, and the antenna sits at clip(x, -l, l), so the
+    threshold curve is f = M2 - (x + l)^2 left of the guide, omega(x) - h^2
+    under it and K2 - (x - l)^2 right of it.
     """
 
-    def __init__(self, p: SystemParams, scenario: Scenario, C: float):
-        if not scenario.lossy:
-            raise ValueError("crossing analysis applies to the lossy scenarios only")
-        l = p.half_length(scenario)
+    def __init__(self, p: SystemParams, l: float, C: float):
         self.r = p.r
         self.h = p.h
         self.h2 = p.h * p.h
@@ -101,10 +99,6 @@ class _Pieces:
     def omega(self, x: float) -> float:
         return self.C * math.exp(-self.alpha * (x + self.l))
 
-    def strip(self, a: float, c: float) -> float:
-        # area fraction between the chord and nothing over [a, c]
-        return seg(self.r, a, c) / self.pr2
-
     def phi_diff(self, x_lo: float, x_hi: float) -> float:
         # Phi(x_hi) - Phi(x_lo) with Phi = h*atan(Delta/h) - Delta, written
         # against the omega increment so nearby endpoints do not cancel
@@ -117,10 +111,6 @@ class _Pieces:
         d_delta = d_om / (d_lo + d_hi)
         h = self.h
         return h * math.atan(h * d_delta / (h * h + d_lo * d_hi)) - d_delta
-
-    def phi_term(self, x_lo: float, x_hi: float) -> float:
-        # the -(4 / (alpha pi r^2)) [Phi]_{x_lo}^{x_hi} contribution
-        return -4.0 / (self.alpha * self.pr2) * self.phi_diff(x_lo, x_hi)
 
     def cap(self, u: float, q2: float, edge: float) -> float:
         # integral of sqrt(q2 - v^2) from 0 to u, the square root of f on an
@@ -176,7 +166,13 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     one root, of g or of f, so there are two in x order: two of g, one of
     each, or two of f.
     """
-    return _classify(_Pieces(p, scenario, derive_constants(p).C))
+    return _classify(_Pieces(p, _lossy_half_length(p, scenario), derive_constants(p).C))
+
+
+def _lossy_half_length(p: SystemParams, scenario: Scenario) -> float:
+    if not scenario.lossy:
+        raise ValueError("crossing analysis applies to the lossy scenarios only")
+    return p.half_length(scenario)
 
 
 def _classify(pc: _Pieces) -> RootReport:
@@ -270,22 +266,32 @@ def _closed_form(pc: _Pieces, n_g: int, a: float, b: float) -> float:
     else:
         # with one root of each, outage runs from the g root a to the edge
         # and b is the f root
-        head = pc.strip(a, b if n_g == 2 else pc.r)
+        head = seg(pc.r, a, b if n_g == 2 else pc.r) / pc.pr2
         if a < -l:
             left = pc.cap(a + l, pc.M2, -1.0)
         if b > l:
             right = pc.cap(b - l, pc.K2, 1.0)
-    return head + 2.0 / pc.pr2 * (left - right) + pc.phi_term(max(a, -l), min(b, l))
+    # the Phi term is -(4 / (alpha pi r^2)) [Phi] over [max(a, -l), min(b, l)]
+    return (head + 2.0 / pc.pr2 * (left - right)
+            - 4.0 / (pc.alpha * pc.pr2) * pc.phi_diff(max(a, -l), min(b, l)))
 
 
 def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
                           report: RootReport | None = None) -> tuple[float, str]:
-    """Evaluate the classified root arrangement with the composed closed form.
+    """Outage of a lossy scenario: :func:`lossy_outage` at its half-length."""
+    return lossy_outage(p, _lossy_half_length(p, scenario), report)
 
-    Returns (outage, case_id).  A value outside [0, 1] beyond rounding
-    slack is a numerical error and raises ArithmeticError naming the case.
+
+def lossy_outage(p: SystemParams, l: float,
+                 report: RootReport | None = None) -> tuple[float, str]:
+    """Lossy outage of a guide of half-length ``l`` (attenuation ``p.alpha`` > 0).
+
+    Classifies the root arrangement (unless ``report`` is given) and
+    evaluates the composed closed form; returns (outage, case_id).  A value
+    outside [0, 1] beyond rounding slack is a numerical error and raises
+    ArithmeticError naming the case.
     """
-    pc = _Pieces(p, scenario, derive_constants(p).C if report is None else report.C)
+    pc = _Pieces(p, l, derive_constants(p).C if report is None else report.C)
     if report is None:
         report = _classify(pc)
     case = report.case_id

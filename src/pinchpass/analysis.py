@@ -1,8 +1,9 @@
 """Closed-form outage probability and average rate for the four scenarios.
 
 The antenna clamps to a centered waveguide segment of half-length l; full
-coverage is the same geometry at l = r.  :func:`evaluate` is the one
-dispatch from (scenario, metric) to an evaluator:
+coverage is the same geometry at l = r.  A scenario is its half-length and
+attenuation (alpha, 0 for a lossless guide): :func:`evaluate` is the one
+dispatch from (scenario, metric) to an evaluator of (l, alpha):
 
 * lossless outage is 1 - P(D <= sqrt(A)), D the horizontal distance to
   the segment (|y| at full coverage): the covered area is a sum of chord
@@ -12,27 +13,26 @@ dispatch from (scenario, metric) to an evaluator:
   closed form evaluates every arrangement;
 * the lossless full-coverage rate is exact; every other rate is one
   Gauss-Chebyshev kernel over x of the analytic chord integral of the
-  log-SNR (two segments lossless, three lossy), on nodes cached per order;
-* a lossy scenario at alpha = 0 is its lossless twin.
+  log-SNR (two segments lossless, three lossy), on nodes cached per order.
 
-The search for the half-length that optimizes either metric uses the same
-evaluators; its rate grid is one kernel call per block of half-lengths.
+The search for the half-length that optimizes either metric calls the same
+evaluators at each half-length; its rate grid is one kernel call per block
+of half-lengths.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._outage_lossy import evaluate_lossy_outage
+from ._outage_lossy import lossy_outage
 from .geometry import seg
 from .params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams, derive_constants
 
 METRICS = ("outage", "rate")
-CASE_INTERIOR = "interior"
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,12 @@ class MetricResult:
     """One evaluated performance metric.
 
     ``value`` is a probability for outage metrics and bits/s/Hz for rate
-    metrics; ``case_id`` records the dispatched branch of a piecewise
-    expression; ``quadrature_nodes`` the node count of a quadrature-based
-    rate.
+    metrics; ``quadrature_nodes`` is the node count of a quadrature-based
+    rate.  ``case_id`` names the branch of an outage's piecewise closed
+    form: how the disk clips the covered stadium for a lossless guide
+    ("stadium", "stadium-caps", "band"; "interior" at full coverage), the
+    root arrangement of ``classify_crossings`` for a lossy one, and
+    "all-outage" or "no-outage" where the outage saturates.
     """
 
     value: float
@@ -60,35 +63,87 @@ def evaluate(scenario: Scenario, metric: str, p: SystemParams,
              nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
     """Closed-form ``metric`` ("outage" or "rate") of ``scenario`` at ``p``.
 
-    ``nodes`` is the Gauss-Chebyshev order of the quadrature rates; the
-    outages and the lossless full-coverage rate ignore it.  A lossy
-    scenario at alpha = 0 returns its lossless twin's result relabelled
-    (the threshold zero of the lossy outage is undefined there).
+    A scenario is its half-length l (r at full coverage) and attenuation
+    (``p.alpha``, 0 for a lossless guide), and those two pick the closed
+    form.  ``nodes`` is the Gauss-Chebyshev order of the quadrature rates;
+    the outages and the lossless full-coverage rate ignore it, and every
+    rate but FWNL's rejects fewer than 2.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
-    if scenario.lossy:
-        if metric == "rate":
-            _check_nodes(nodes)
-        if p.alpha == 0.0:
-            twin = Scenario.FWNL if scenario.full_coverage else Scenario.PWNL
-            return replace(evaluate(twin, metric, p, nodes), scenario=scenario)
-        if metric == "outage":
-            value, case = evaluate_lossy_outage(p, scenario)
-            return MetricResult(value, scenario, case_id=case)
-        value = float(_rate_chord(p, p.half_length(scenario), nodes, p.alpha))
-        return MetricResult(value, scenario, quadrature_nodes=nodes)
-    if scenario.full_coverage:
-        return outage_fwnl(p) if metric == "outage" else rate_fwnl(p)
-    return outage_pwnl(p) if metric == "outage" else rate_pwnl(p, nodes)
+    l = p.half_length(scenario)
+    alpha = p.alpha if scenario.lossy else 0.0
+    if metric == "outage":
+        value, case = _outage(p, l, alpha, scenario.full_coverage)
+        return MetricResult(value, scenario, case_id=case)
+    if scenario is not Scenario.FWNL:
+        _check_nodes(nodes)
+    if alpha == 0.0 and scenario.full_coverage:
+        return MetricResult(_rate_full_lossless(p), scenario)
+    return MetricResult(float(_rate_chord(p, l, nodes, alpha)), scenario,
+                        quadrature_nodes=nodes)
+
+
+def _outage(p: SystemParams, l: float, alpha: float,
+            full_coverage: bool) -> tuple[float, str]:
+    # (outage, case id) of a guide of half-length l: the lossless closed
+    # form at alpha = 0, else the lossy one (whose attenuation is p.alpha)
+    if alpha == 0.0:
+        return _outage_lossless(p, l, full_coverage)
+    return lossy_outage(p, l)
 
 
 # ---------------------------------------------------------------------------
-# lossless closed forms
+# one function per scenario and metric, each an evaluate call
 # ---------------------------------------------------------------------------
 
 
-def _outage_lossless(p: SystemParams, scenario: Scenario, l: float) -> MetricResult:
+def outage_fwnl(p: SystemParams) -> MetricResult:
+    """Outage probability, full coverage, lossless guide."""
+    return evaluate(Scenario.FWNL, "outage", p)
+
+
+def rate_fwnl(p: SystemParams) -> MetricResult:
+    """Average achievable rate, full coverage, lossless guide (exact)."""
+    return evaluate(Scenario.FWNL, "rate", p)
+
+
+def outage_pwnl(p: SystemParams) -> MetricResult:
+    """Outage probability, partial coverage, lossless guide."""
+    return evaluate(Scenario.PWNL, "outage", p)
+
+
+def rate_pwnl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Average achievable rate, partial coverage, lossless guide (quadrature)."""
+    return evaluate(Scenario.PWNL, "rate", p, nodes)
+
+
+def outage_fwl(p: SystemParams) -> MetricResult:
+    """Outage probability, full coverage, lossy guide."""
+    return evaluate(Scenario.FWL, "outage", p)
+
+
+def rate_fwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Average achievable rate, full coverage, lossy guide (quadrature)."""
+    return evaluate(Scenario.FWL, "rate", p, nodes)
+
+
+def outage_pwl(p: SystemParams) -> MetricResult:
+    """Outage probability, partial coverage, lossy guide."""
+    return evaluate(Scenario.PWL, "outage", p)
+
+
+def rate_pwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
+    """Average achievable rate, partial coverage, lossy guide (quadrature)."""
+    return evaluate(Scenario.PWL, "rate", p, nodes)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of a half-length l
+# ---------------------------------------------------------------------------
+
+
+def _outage_lossless(p: SystemParams, l: float, full_coverage: bool) -> tuple[float, str]:
     # Outage holds where D^2 >= A, D the horizontal distance to the segment
     # [-l, l], so the value is 1 - P(D <= q), q = sqrt(A), saturated at
     # A <= 0 and A >= r^2.  {D <= q} is a stadium (a 2l x 2q rectangle
@@ -96,13 +151,13 @@ def _outage_lossless(p: SystemParams, scenario: Scenario, l: float) -> MetricRes
     # clips it: not at all, at the caps (beyond x*, where a cap circle meets
     # the disk edge, the chord of the disk bounds it) or to a band |y| <= q
     # (every chord beyond x0 = sqrt(r^2 - q^2) whole).  Full coverage is the
-    # band at l = r, case id "interior".
+    # band at l = r, case id "interior".  Returns (outage, case id).
     A = derive_constants(p).A
     r = p.r
     if A <= 0.0:
-        return MetricResult(1.0, scenario, case_id="all-outage")
+        return 1.0, "all-outage"
     if A >= r * r:
-        return MetricResult(0.0, scenario, case_id="no-outage")
+        return 0.0, "no-outage"
     q = math.sqrt(A)
     if q < r - l:
         case, covered = "stadium", 4.0 * q * l + math.pi * q * q
@@ -114,40 +169,20 @@ def _outage_lossless(p: SystemParams, scenario: Scenario, l: float) -> MetricRes
         covered = 4.0 * l * q + 2.0 * seg(q, 0.0, min(x_star - l, q)) + 2.0 * seg(r, x_star, r)
     else:
         x0 = math.sqrt((r - q) * (r + q))
-        case = "band" if scenario is Scenario.PWNL else CASE_INTERIOR
+        case = "interior" if full_coverage else "band"
         covered = 4.0 * x0 * q + 2.0 * seg(r, x0, r)
     # just below A = r^2 the covered fraction rounds up to 1 + 2^-52 at most
-    return MetricResult(max(1.0 - covered / (math.pi * r * r), 0.0), scenario, case_id=case)
+    return max(1.0 - covered / (math.pi * r * r), 0.0), case
 
 
-def outage_fwnl(p: SystemParams) -> MetricResult:
-    """Outage probability, full coverage, lossless guide.
-
-    Outage holds where y^2 >= A: the band |y| <= sqrt(A) is covered, with
-    saturation at A <= 0 and A >= r^2.
-    """
-    return _outage_lossless(p, Scenario.FWNL, p.r)
-
-
-def rate_fwnl(p: SystemParams) -> MetricResult:
-    """Average achievable rate, full coverage, lossless guide (exact)."""
+def _rate_full_lossless(p: SystemParams) -> float:
+    # the exact rate of a lossless guide at l = r (FWNL, and FWL at alpha = 0)
     d = derive_constants(p)
     G, L = d.Gamma, d.Lambda
-    value = (math.log1p(d.eta * p.p_t / (p.sigma2 * p.h * p.h))
-             + 2.0 * (math.log((1.0 + G) / (1.0 + L))
-                      + 0.5 * (1.0 - G) / (1.0 + G)
-                      - 0.5 * (1.0 - L) / (1.0 + L))) / math.log(2.0)
-    return MetricResult(value, Scenario.FWNL)
-
-
-def outage_pwnl(p: SystemParams) -> MetricResult:
-    """Outage probability, partial coverage, lossless guide.
-
-    Outage holds where D^2 >= A, D the horizontal distance to the segment;
-    the case id names how the disk clips the covered stadium ("stadium",
-    "stadium-caps", "band").  Equals the full-coverage value when l = r.
-    """
-    return _outage_lossless(p, Scenario.PWNL, p.l)
+    return (math.log1p(d.eta * p.p_t / (p.sigma2 * p.h * p.h))
+            + 2.0 * (math.log((1.0 + G) / (1.0 + L))
+                     + 0.5 * (1.0 - G) / (1.0 + G)
+                     - 0.5 * (1.0 - L) / (1.0 + L))) / math.log(2.0)
 
 
 def _segment_chord_terms(rho2: np.ndarray, base2: np.ndarray | float,
@@ -179,9 +214,10 @@ def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
     # l = r) under attenuation alpha, at a float l or at a 1-D array of
     # half-lengths in one pass: those run down a column, the nodes along a
     # row, and an array always takes the outer segments (zero width at l = r).
-    # Over the symmetric nodes the far side (beyond +l) mirrors the near side
-    # (before -l), so both share one geometry and differ only in gain:
-    # e exp(-2 alpha l) far, e near.  A lossless covered span is even in x,
+    # The covered span runs at gain e exp(-alpha (x + l)).  Over the symmetric
+    # nodes the far side (beyond +l) mirrors the near side (before -l), so
+    # both share one geometry and differ only in gain: e exp(-2 alpha l) far,
+    # e near (feed level).  A lossless covered span is even in x,
     # so its rule spends the nodes on [0, l], and far = near.
     r, h2 = p.r, p.h * p.h
     e = derive_constants(p).eta * p.p_t / p.sigma2
@@ -201,63 +237,6 @@ def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
         far, near = (sums, sums) if lossless else sums
     total = 2.0 * l * mid + (r - l) * far + (r - l) * near
     return total / (nodes * r * r * math.log(2.0))
-
-
-def rate_pwnl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
-    """Average achievable rate, partial coverage, lossless guide.
-
-    Two Gauss-Chebyshev segments: under the covered span the chord
-    integral depends on y only; beyond it the end-gap (x - l) joins the
-    vertical offset in the link distance.
-    """
-    _check_nodes(nodes)
-    return MetricResult(float(_rate_chord(p, p.l, nodes, 0.0)), Scenario.PWNL,
-                        quadrature_nodes=nodes)
-
-
-# ---------------------------------------------------------------------------
-# lossy closed forms
-# ---------------------------------------------------------------------------
-
-
-def outage_fwl(p: SystemParams) -> MetricResult:
-    """Outage probability, full coverage, lossy guide.
-
-    Dispatches on the crossing classifier: one boundary crossing plus a
-    threshold zero, two crossings, two threshold zeros, or the degenerate
-    all/none regimes; every arrangement has a closed form.
-    """
-    return evaluate(Scenario.FWL, "outage", p)
-
-
-def rate_fwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
-    """Average achievable rate, full coverage, lossy guide.
-
-    The lossy chord quadrature over x at l = r: each node integrates the
-    log-SNR across its chord analytically under the running attenuation.
-    """
-    return evaluate(Scenario.FWL, "rate", p, nodes)
-
-
-def outage_pwl(p: SystemParams) -> MetricResult:
-    """Outage probability, partial coverage, lossy guide.
-
-    The crossing classifier names the arrangement of the boundary roots
-    a < b; each of the nine closed-form arrangements is one composed sum of
-    a head term, the outer caps beyond -l and +l, and the Phi term over the
-    guided part of [a, b].  The degenerate regimes give 0 or 1.
-    """
-    return evaluate(Scenario.PWL, "outage", p)
-
-
-def rate_pwl(p: SystemParams, nodes: int = DEFAULT_QUADRATURE_NODES) -> MetricResult:
-    """Average achievable rate, partial coverage, lossy guide.
-
-    Three Gauss-Chebyshev segments: the covered span with running
-    attenuation exp(-alpha (x + l)), the far side beyond +l at the full
-    guide loss exp(-2 alpha l), and the near side before -l at feed level.
-    """
-    return evaluate(Scenario.PWL, "rate", p, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +288,13 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     grid_spec = tuple(default if value is None else value for value, default
                       in zip(grid_spec or (None,) * 3, (max(0.01, p.r / 50.0), p.r, 50)))
     start, stop, steps = grid_spec
-    if not (0.0 < start <= stop <= p.r) or steps < 1:
-        raise ValueError(f"invalid half-length grid {grid_spec!r}")
+    if not 0.0 < start <= p.r:
+        raise ValueError(f"half-length grid start {start!r} outside (0, r] = (0, {p.r!r}]")
+    if not start <= stop <= p.r:
+        raise ValueError(f"half-length grid stop {stop!r} outside [start, r] = "
+                         f"[{start!r}, {p.r!r}]")
+    if steps < 1:
+        raise ValueError(f"half-length grid steps must be at least 1, got {steps!r}")
     if steps > 1 and (stop - start) / (steps - 1) < 0.01:
         raise ValueError("half-length grid step below 0.01 m")
 
@@ -325,7 +309,9 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
         values = np.concatenate([_rate_chord(p, grid[i:i + block], nodes, p.alpha)
                                  for i in range(0, steps, block)]).tolist()
     else:
-        value_at = lambda l: evaluate(Scenario.PWL, metric, p.with_(l=l)).value
+        # evaluate's PWL (PWNL at alpha = 0) outage; 0 < start <= stop <= r
+        # keeps every grid and golden-section point a valid half-length
+        value_at = lambda l: _outage(p, l, p.alpha, False)[0]
         values = [value_at(float(l)) for l in grid]
     best_idx = int(np.argmin([sign * v for v in values]))
     best_l = float(grid[best_idx])
@@ -334,13 +320,13 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     # refine only interior optima; a boundary optimum cannot be bracketed and
     # the curve is noise-flat at a degenerate end
     if refine and 0 < best_idx < steps - 1:
+        # the grid step is at least 0.01 m, so the bracket is wider than tol
         lo = float(grid[best_idx - 1])
         hi = float(grid[best_idx + 1])
-        if hi - lo > 1e-3:
-            candidate = _golden_section(lambda l: sign * value_at(l), lo, hi, tol=1e-3)
-            cand_value = value_at(candidate)
-            if sign * cand_value < sign * best_value:
-                best_l, best_value = candidate, cand_value
+        candidate = _golden_section(lambda l: sign * value_at(l), lo, hi, tol=1e-3)
+        cand_value = value_at(candidate)
+        if sign * cand_value < sign * best_value:
+            best_l, best_value = candidate, cand_value
 
     return LengthSearchResult(best_l=best_l, best_value=best_value,
                               grid=tuple(zip(map(float, grid), values)),

@@ -602,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--metric", choices=("outage", "rate"), default="rate")
     for name in ("--gamma-t-db", "--alpha", "--r", "--h", "--l-start", "--l-stop"):
         p_opt.add_argument(name, type=float, default=None)
-    p_opt.add_argument("--l-steps", type=int, default=None)
+    p_opt.add_argument("--l-steps", type=_at_least(1), default=None)
     p_opt.add_argument("--no-refine", action="store_true",
                        help="skip the golden-section refinement")
     return parser

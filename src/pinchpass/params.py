@@ -61,13 +61,11 @@ class Scenario(Enum):
     PWNL = "PWNL"
     PWL = "PWL"
 
-    @property
-    def full_coverage(self) -> bool:
-        return self in (Scenario.FWNL, Scenario.FWL)
-
-    @property
-    def lossy(self) -> bool:
-        return self in (Scenario.FWL, Scenario.PWL)
+    def __init__(self, value: str):
+        # plain member attributes: every evaluate call reads them, and a
+        # property testing membership costs ten times an attribute read
+        self.full_coverage = value.startswith("F")
+        self.lossy = not value.endswith("NL")
 
     @classmethod
     def parse(cls, text: str) -> "Scenario":

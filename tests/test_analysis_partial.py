@@ -275,18 +275,41 @@ def test_optimal_length_decreases_with_attenuation():
 
 
 @pytest.mark.parametrize("alpha", [0.02, 0.0])
-@pytest.mark.parametrize("nodes,grid_spec", [
-    (200, (0.5, 25.0, 50)),
-    (2000, (0.5, 25.0, 50)),
-    (2000, (0.25, 25.0, 100)),      # 100 x 2000 node evaluations: four kernel blocks
+@pytest.mark.parametrize("metric,nodes,grid_spec", [
+    pytest.param("rate", 200, (0.5, 25.0, 50), id="200-grid_spec0"),
+    pytest.param("rate", 2000, (0.5, 25.0, 50), id="2000-grid_spec1"),
+    # 100 x 2000 node evaluations: four kernel blocks
+    pytest.param("rate", 2000, (0.25, 25.0, 100), id="2000-grid_spec2"),
+    pytest.param("outage", 200, (0.5, 25.0, 50), id="outage-grid_spec0"),
+    pytest.param("outage", 200, (0.25, 25.0, 100), id="outage-grid_spec2"),
 ])
-def test_batched_rate_grid_matches_per_point_evaluate(alpha, nodes, grid_spec):
+def test_batched_rate_grid_matches_per_point_evaluate(alpha, metric, nodes, grid_spec):
+    # the rate grid is batched kernel calls, equal to rounding; each outage
+    # point calls the closed form evaluate calls, so it is equal bit for bit
     p = SystemParams.reference(gamma_t_db=105.0, alpha=alpha)
-    res = optimal_length_search(p, metric="rate", grid_spec=grid_spec, nodes=nodes)
+    res = optimal_length_search(p, metric=metric, grid_spec=grid_spec, nodes=nodes)
     assert len(res.grid) == grid_spec[2] and res.grid[-1][0] == p.r
+    rel = 1e-14 if metric == "rate" else 0.0
     for l, value in res.grid + ((res.best_l, res.best_value),):
-        want = evaluate(Scenario.PWL, "rate", p.with_(l=l), nodes).value
-        assert type(value) is float and value == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = evaluate(Scenario.PWL, metric, p.with_(l=l), nodes).value
+        assert type(value) is float and value == pytest.approx(want, rel=rel, abs=0.0)
+
+
+def test_outage_search_builds_no_system_params(monkeypatch):
+    built = 0
+    post_init = SystemParams.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(SystemParams, "__post_init__", counted)
+    for alpha in (0.02, 0.0):
+        p = SystemParams.reference(gamma_t_db=105.0, alpha=alpha)
+        built = 0
+        optimal_length_search(p, metric="outage")
+        assert built == 0
 
 
 def test_single_point_grid_returned_as_is():

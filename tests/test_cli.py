@@ -255,6 +255,12 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
     # dB values whose linear ratio overflows a float
     pytest.param(["optimal-length", "--gamma-t-db", "4000"], "", "", "gamma_t_db",
                  id="gamma_t_db-overflow"),
+    pytest.param(["optimal-length", "--l-steps", "0"], "", "", "--l-steps",
+                 id="optimal-length-zero-steps"),
+    pytest.param(["optimal-length", "--l-start", "30"], "", "",
+                 "grid start 30.0 outside (0, r] = (0, 25.0]", id="optimal-length-start-beyond-r"),
+    pytest.param(["optimal-length", "--l-stop", "30"], "", "",
+                 "grid stop 30.0 outside [start, r] = [0.5, 25.0]", id="optimal-length-stop-beyond-r"),
     pytest.param(SWEEP, "sigma2_dbm = -90", "sigma2_dbm = 4000", "params.sigma2_dbm",
                  id="sigma2_dbm-overflow"),
     pytest.param(SWEEP, "stop = 115", "stop = 4000", "swept value gamma_t_db=4000",

@@ -355,7 +355,7 @@ def test_fwl_just_above_the_all_outage_edge_is_one():
     for _ in range(400):
         p_t = math.nextafter(p_t, math.inf)
         q = p.with_(p_t=p_t)
-        pc = _Pieces(q, Scenario.FWL, derive_constants(q).C)
+        pc = _Pieces(q, q.r, derive_constants(q).C)
         report = _classify(pc)
         if report.degenerate is not None:
             assert report.degenerate == 1.0
@@ -378,7 +378,7 @@ def test_phi_is_flat_where_delta_clamps_to_zero():
     # at a threshold zero under the guide both Delta ends clamp to 0, and the
     # Phi difference is 0 rather than the 0/0 of its cancellation-free form
     p = SystemParams.reference(gamma_t_db=104.0, alpha=0.03, l=12.5)
-    pc = _Pieces(p, Scenario.PWL, derive_constants(p).C)
+    pc = _Pieces(p, p.l, derive_constants(p).C)
     x = -pc.l + math.log(pc.C / pc.h2) / pc.alpha
     while pc.omega(x) > pc.h2:
         x = math.nextafter(x, math.inf)
