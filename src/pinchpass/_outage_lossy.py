@@ -7,10 +7,13 @@ where the clearance g = rho^2 - f is positive (rho the chord half-height).
 This module owns it end to end: ``_Pieces`` writes f once, and the crossing
 classifier finds one zero of g or f on each side of the clearance peak
 (in closed form, or by monotone Newton iteration where g is concave) and
-names the arrangement of the two, a < b.  One composed closed form covers
-all nine arrangements: a head (the chord strip over [a, b], over [a, r],
-or 1), plus the outer-segment caps beyond -l at a and beyond +l at b, plus
-the Phi term over [max(a, -l), min(b, l)].
+names the arrangement of the two, a < b, by their kind and side of the
+guide.  One composed closed form covers all nine arrangements: a head
+(the chord strip over [a, b], over [a, r], or 1), plus the strips of
+sqrt(f) beyond -l from a and beyond +l to b, plus the Phi term over
+[max(a, -l), min(b, l)].  Beyond the guide sqrt(f) is a circle about the
+guide end, so every strip is a ``geometry.seg`` of it; only the strips
+ending at two zeros of f (the f2 arrangements) are still asin arcs.
 """
 
 from __future__ import annotations
@@ -23,52 +26,34 @@ from .params import Scenario, SystemParams, derive_constants
 
 _RANGE_SLACK = 1e-9
 
-INTERVAL_LEFT = "[-r,-l]"
-INTERVAL_MID = "[-l,l]"
-INTERVAL_RIGHT = "[l,r]"
-
-_SHORT = {INTERVAL_LEFT: "left", INTERVAL_MID: "mid", INTERVAL_RIGHT: "right"}
-
 CASE_ALL_OUTAGE = "all-outage"
 CASE_NO_OUTAGE = "no-outage"
-
-
-@dataclass(frozen=True)
-class LabeledRoot:
-    value: float
-    interval: str
 
 
 @dataclass(frozen=True)
 class RootReport:
     """Root structure of the outage boundary for one lossy configuration.
 
-    ``g_roots`` are the crossings of the threshold curve with the squared
-    chord height (the edges of the outage x-range); ``f_roots`` are the
-    zeros of the threshold curve itself (beyond which whole chords are in
-    outage); they hold two roots in x order, whose arrangement ``case_id``
-    names.  ``degenerate`` carries the shortcut outage value 0.0/1.0 (no
-    roots, case ``all-outage``/``no-outage``) when no roots are needed.
+    ``g_roots`` are the abscissas where the threshold curve crosses the
+    squared chord height (the edges of the outage x-range); ``f_roots`` are
+    the zeros of the threshold curve itself (beyond which whole chords are
+    in outage).  Together, g roots first, they are two roots in x order,
+    and ``case_id`` names their kind and the side of the guide each lies
+    on: "g1f1-left-right" is a g root left of -l and an f root right of +l.
+    The saturated cases ``all-outage`` and ``no-outage`` have no roots.
     ``C`` is the derived constant the roots were found with.
     """
 
-    g_roots: tuple[LabeledRoot, ...]
-    f_roots: tuple[LabeledRoot, ...]
+    g_roots: tuple[float, ...]
+    f_roots: tuple[float, ...]
     case_id: str
     C: float
-    degenerate: float | None = None
 
 
-def _interval_of(x: float, l: float) -> str:
+def _side(x: float, l: float) -> str:
     if x < -l:
-        return INTERVAL_LEFT
-    if x <= l:
-        return INTERVAL_MID
-    return INTERVAL_RIGHT
-
-
-def _asin_clamped(u: float) -> float:
-    return math.asin(min(max(u, -1.0), 1.0))
+        return "left"
+    return "mid" if x <= l else "right"
 
 
 class _Pieces:
@@ -87,10 +72,9 @@ class _Pieces:
         self.alpha = p.alpha
         self.l = l
         self.C = C
-        self.scale = self.C + self.h2
         # omega(x) - h^2 vanishes at a threshold zero in exact arithmetic;
         # its rounding error grows with alpha*|x| through the exponent
-        self.delta_scale = self.scale * max(1.0, p.alpha * p.r)
+        self.delta_scale = (C + self.h2) * max(1.0, p.alpha * p.r)
         self.pr2 = math.pi * p.r * p.r
         self.k2c = self.C * math.exp(-2.0 * p.alpha * l)   # omega at +l
         self.M2 = self.C - self.h2                          # f at the -l peak
@@ -111,14 +95,6 @@ class _Pieces:
         d_delta = d_om / (d_lo + d_hi)
         h = self.h
         return h * math.atan(h * d_delta / (h * h + d_lo * d_hi)) - d_delta
-
-    def cap(self, u: float, q2: float, edge: float) -> float:
-        # integral of sqrt(q2 - v^2) from 0 to u, the square root of f on an
-        # outer segment (q2 = M2 left of -l, K2 right of +l) at offset u
-        # from the guide end; asin takes the edge value when q2 is 0
-        q = _sqrt_clamped(q2, self.scale)
-        return 0.5 * u * _sqrt_clamped(q2 - u * u, self.scale) \
-            + 0.5 * q2 * _asin_clamped(u / q if q > 0.0 else edge)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +155,7 @@ def _classify(pc: _Pieces) -> RootReport:
     r, alpha, l, h2, C = pc.r, pc.alpha, pc.l, pc.h2, pc.C
     if C <= h2:
         # threshold curve non-positive everywhere: every chord is in outage
-        return RootReport((), (), CASE_ALL_OUTAGE, C, degenerate=1.0)
+        return RootReport((), (), CASE_ALL_OUTAGE, C)
 
     def g_mid(x: float) -> float:
         return r * r - x * x - pc.omega(x) + h2
@@ -202,7 +178,7 @@ def _classify(pc: _Pieces) -> RootReport:
     else:
         x_peak = min(_peak_abscissa(alpha, C, l), l)
     if g_mid(x_peak) <= 0.0:
-        return RootReport((), (), CASE_NO_OUTAGE, C, degenerate=0.0)
+        return RootReport((), (), CASE_NO_OUTAGE, C)
 
     # the outer lines meet the middle curve at -l and +l; at l = r there
     # are no outer segments and g(-r), g(r) are middle-segment values
@@ -225,22 +201,25 @@ def _classify(pc: _Pieces) -> RootReport:
             a = -left_line / (2.0 * l)
         else:
             a = g_root(-l, x_peak)
-        g_roots.append(LabeledRoot(a, _interval_of(a, l)))
+        g_roots.append(a)
     else:
-        f_roots.append(LabeledRoot(-l - math.sqrt(pc.M2), INTERVAL_LEFT))
+        f_roots.append(-l - math.sqrt(pc.M2))
     if x_peak < r and g_right < 0.0:
         if outer and g_mid(l) > 0.0:
             c = right_line / (2.0 * l)
         else:
             c = g_root(l, x_peak)
-        g_roots.append(LabeledRoot(c, _interval_of(c, l)))
+        g_roots.append(c)
     else:
-        b_f = -l + math.log(C / h2) / alpha if pc.K2 <= 0.0 else l + math.sqrt(pc.K2)
-        f_roots.append(LabeledRoot(b_f, _interval_of(b_f, l)))
+        # f falls from its peak at -l: its zero is beyond +l when K2 = f(l)
+        # is positive, else under the guide, where rounding must not push
+        # it past +l (the f2 arc there would divide by sqrt(K2) = 0)
+        f_roots.append(l + math.sqrt(pc.K2) if pc.K2 > 0.0
+                       else min(-l + math.log(C / h2) / alpha, l))
 
     first, last = g_roots + f_roots
     kind = ("f2", "g1f1", "g2")[len(g_roots)]
-    case = f"{kind}-{_SHORT[first.interval]}-{_SHORT[last.interval]}"
+    case = f"{kind}-{_side(first, l)}-{_side(last, l)}"
     return RootReport(tuple(g_roots), tuple(f_roots), case, C)
 
 
@@ -250,27 +229,34 @@ def _classify(pc: _Pieces) -> RootReport:
 
 
 def _closed_form(pc: _Pieces, n_g: int, a: float, b: float) -> float:
-    # head + (2 / (pi r^2)) (L(a) - R(b)) + the Phi term over the guided
-    # part of [a, b], n_g of the roots being of g; the caps L, R are the
-    # outer-segment integrals beyond -l and +l, 0 for a root under the guide
+    # head + (2 / (pi r^2)) (L - R) + the Phi term over the guided part of
+    # [a, b], n_g of the roots being of g.  L and R are the integrals of
+    # sqrt(f) over the outer segments, beyond -l from a and beyond +l to b,
+    # where sqrt(f) is a circle about the guide end (radius sqrt(M2) on the
+    # left, sqrt(K2) on the right); 0 for a root under the guide
     l = pc.l
     left = right = 0.0
     if n_g == 0:
         # f < 0 outside [a, b]: whole chords there are in outage, and each
-        # cap sits at a zero of f, where only its asin term remains
+        # arc ends at a zero of f, where only its angle term remains.  Each
+        # arc is a seg of its circle, but its asin is off by up to 2e-9 at
+        # the zero; they stay because the stored figure references hold them
         head = 1.0
         if a < -l:
-            left = 0.5 * pc.M2 * _asin_clamped((a + l) / _sqrt_clamped(pc.M2, pc.scale))
+            left = 0.5 * pc.M2 * math.asin(max((a + l) / math.sqrt(pc.M2), -1.0))
         if b > l:
-            right = 0.5 * pc.K2 * _asin_clamped((b - l) / _sqrt_clamped(pc.K2, pc.scale))
+            right = 0.5 * pc.K2 * math.asin(min((b - l) / math.sqrt(pc.K2), 1.0))
     else:
         # with one root of each, outage runs from the g root a to the edge
-        # and b is the f root
+        # and b is the f root.  Each strip is clamped to its circle: the
+        # shift by l rounds away the relative precision of a small radius
         head = seg(pc.r, a, b if n_g == 2 else pc.r) / pc.pr2
         if a < -l:
-            left = pc.cap(a + l, pc.M2, -1.0)
+            q = math.sqrt(pc.M2)
+            left = -0.5 * seg(q, max(a + l, -q), 0.0)
         if b > l:
-            right = pc.cap(b - l, pc.K2, 1.0)
+            q = math.sqrt(pc.K2)
+            right = 0.5 * seg(q, 0.0, min(b - l, q))
     # the Phi term is -(4 / (alpha pi r^2)) [Phi] over [max(a, -l), min(b, l)]
     return (head + 2.0 / pc.pr2 * (left - right)
             - 4.0 / (pc.alpha * pc.pr2) * pc.phi_diff(max(a, -l), min(b, l)))
@@ -295,11 +281,11 @@ def lossy_outage(p: SystemParams, l: float,
     if report is None:
         report = _classify(pc)
     case = report.case_id
-    if report.degenerate is not None:
-        return report.degenerate, case
+    if case in (CASE_ALL_OUTAGE, CASE_NO_OUTAGE):
+        return float(case == CASE_ALL_OUTAGE), case
 
     first, last = report.g_roots + report.f_roots
-    value = _closed_form(pc, len(report.g_roots), first.value, last.value)
+    value = _closed_form(pc, len(report.g_roots), first, last)
     if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
         raise ArithmeticError(f"lossy outage closed form for case {case!r} "
                               f"gave {value!r}, outside [0, 1]")

@@ -280,8 +280,12 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     Evaluates the closed-form PWL metric (outage minimized, rate maximized;
     PWNL at alpha = 0) on an inclusive linspace grid (start, stop, steps)
     over (0, r], then optionally sharpens the grid optimum by golden-section
-    search between its neighbors down to 1e-3 m.  A ``None`` grid_spec, or
-    entry of it, takes the default (max(0.01, r/50), r, 50).
+    search between its neighbors down to 1e-3 m.  Golden section moves left
+    on a tie and its result wins a tie with the grid optimum, so a flat
+    optimum reports its smallest half-length: at alpha = 0 the outage is
+    flat beyond x0 = sqrt(r^2 - A), and the search returns x0 to 1e-3 m.
+    A ``None`` grid_spec, or entry of it, takes the default
+    (max(0.01, r/50), r, 50).
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
@@ -325,7 +329,7 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
         hi = float(grid[best_idx + 1])
         candidate = _golden_section(lambda l: sign * value_at(l), lo, hi, tol=1e-3)
         cand_value = value_at(candidate)
-        if sign * cand_value < sign * best_value:
+        if sign * cand_value <= sign * best_value:
             best_l, best_value = candidate, cand_value
 
     return LengthSearchResult(best_l=best_l, best_value=best_value,

@@ -222,7 +222,7 @@ def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
             else:
                 shared.setdefault((seed, cfg.mc.n_samples), []).append(job)
 
-    def evaluate(group: list[_RowJob]) -> list[SweepRow]:
+    def run_group(group: list[_RowJob]) -> list[SweepRow]:
         first = group[0]
         estimates = [None] * len(group)
         if first.seed is not None:
@@ -233,10 +233,10 @@ def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
 
     groups = list(shared.values()) + alone
     if workers <= 1:
-        done = [evaluate(group) for group in groups]
+        done = [run_group(group) for group in groups]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(evaluate, groups))
+            done = list(pool.map(run_group, groups))
     out = [[None] * (cfg.steps * len(cfg.scenarios)) for cfg in configs]
     for group, rows in zip(groups, done):
         for job, row in zip(group, rows):

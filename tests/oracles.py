@@ -237,12 +237,18 @@ def outage_by_mpmath(p: SystemParams, scenario: Scenario, dps: int = 30,
         return float(2 * total / (mpmath.pi * r * r))
 
 
-def interval_label(x: float, l: float) -> str:
+def side_label(x: float, l: float) -> str:
+    """The guide segment holding x, as a lossy case id names it."""
     if x < -l:
-        return "[-r,-l]"
+        return "left"
     if x <= l:
-        return "[-l,l]"
-    return "[l,r]"
+        return "mid"
+    return "right"
+
+
+def case_sides(case_id: str) -> list[str]:
+    """The sides a lossy case id names for its two roots, in x order."""
+    return case_id.split("-")[1:]
 
 
 def random_reference(rng: np.random.Generator, alpha_max: float = 0.05,

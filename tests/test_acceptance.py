@@ -33,11 +33,12 @@ from pinchpass._outage_lossy import classify_crossings
 from pinchpass.params import Scenario, SystemParams
 from oracles import (
     alternating_series_li2_minus1,
-    interval_label,
+    case_sides,
     li2_series,
     params_with_a,
     random_reference,
     scan_crossings,
+    side_label,
 )
 
 SEED = 20260810
@@ -241,15 +242,16 @@ def test_criterion_8_classifier_against_dense_scan():
         if len(report_.g_roots) != len(g_scan) or len(report_.f_roots) != len(f_scan):
             mismatches += 1
             continue
-        for root, approx in zip(list(report_.g_roots) + list(report_.f_roots),
-                                g_scan + f_scan):
-            if abs(root.value - approx) > 2 * spacing:
+        # the case id names the side of each of the two roots
+        for root, side, approx in zip(report_.g_roots + report_.f_roots,
+                                      case_sides(report_.case_id), g_scan + f_scan):
+            if abs(root - approx) > 2 * spacing:
                 mismatches += 1
             elif (min(abs(approx - l), abs(approx + l)) > 2 * spacing
-                  and root.interval != interval_label(approx, l)):
+                  and side != side_label(approx, l)):
                 mismatches += 1
     report(8, mismatches == 0,
-           f"root counts, locations and interval labels agree with a 1e6-point "
+           f"root counts, locations and case-id sides agree with a 1e6-point "
            f"sign scan on 200 random configurations ({mismatches} mismatches)")
 
 

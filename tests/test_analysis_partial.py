@@ -203,6 +203,28 @@ def test_outage_pwl_closed_form_ulp_by_ulp_across_the_outer_edges():
                                                      abs=1e-8, rel=0.0)
 
 
+def test_outage_pwl_closed_form_ulp_by_ulp_across_the_guide_end_zero():
+    # Where C exp(-2 alpha l) = h^2 the threshold zero sits at +l: f(l) = K2
+    # = 0.  Just below, the zero is under the guide, and rounding must not
+    # put it past +l, where the outer arc divides by sqrt(K2).  Stepping p_t
+    # ulp by ulp across, every configuration has a closed form, the outage
+    # is continuous, and it agrees with mpmath at the seam.  The 1e-8
+    # bounds, fixed before the run, leave room for the asin arcs (~5e-9)
+    rng = np.random.default_rng(SEED + 9)
+    for _ in range(20):
+        p = random_reference(rng)
+        C, h2 = derive_constants(p).C, p.h * p.h
+        p_t = p.p_t * h2 * math.exp(2.0 * p.alpha * p.l) / C
+        values = []
+        for k in range(-8, 9):
+            result = outage_pwl(p.with_(p_t=_ulp_steps(p_t, k)))
+            assert result.case_id in CLOSED_FORM_CASES
+            values.append(result.value)
+        assert max(values) - min(values) <= 1e-8
+        assert values[8] == pytest.approx(outage_by_mpmath(p.with_(p_t=p_t), Scenario.PWL),
+                                          abs=1e-8, rel=0.0)
+
+
 def test_rate_pwl_reduces_to_lossless_and_full():
     p = SystemParams.reference(gamma_t_db=106.0, l=11.0)
     assert rate_pwl(p.with_(alpha=0.0)).value == rate_pwnl(p).value
@@ -293,6 +315,17 @@ def test_batched_rate_grid_matches_per_point_evaluate(alpha, metric, nodes, grid
     for l, value in res.grid + ((res.best_l, res.best_value),):
         want = evaluate(Scenario.PWL, metric, p.with_(l=l), nodes).value
         assert type(value) is float and value == pytest.approx(want, rel=rel, abs=0.0)
+
+
+def test_flat_outage_optimum_reports_its_smallest_half_length():
+    # at alpha = 0 the outage stops falling at x0 = sqrt(r^2 - A), where the
+    # covered band reaches across the disk; the search breaks the tie
+    # towards the smaller half-length, so it returns x0, not a grid point
+    p = SystemParams.reference(gamma_t_db=105.0, alpha=0.0)
+    x0 = math.sqrt(p.r ** 2 - derive_constants(p).A)
+    res = optimal_length_search(p, metric="outage")
+    assert res.best_l == pytest.approx(x0, abs=1e-3)
+    assert res.best_value == min(value for _, value in res.grid)
 
 
 def test_outage_search_builds_no_system_params(monkeypatch):

@@ -27,13 +27,15 @@ from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
     alternating_series_li2_minus1,
+    case_sides,
     extreme_reference,
-    interval_label,
     li2_by_quadrature,
     li2_diff,
     li2_series,
+    outage_by_mpmath,
     random_reference,
     scan_crossings,
+    side_label,
     threshold_curves,
 )
 
@@ -175,10 +177,15 @@ def test_classifier_hits_every_case(gamma_t_db, alpha, l, expected):
 
 
 def test_classifier_degenerate_flags():
+    # a saturated outage has no roots, and its case id names the value
     p_low = SystemParams.reference(gamma_t_db=95.0)
-    assert classify_crossings(p_low, Scenario.PWL).degenerate == 1.0
+    report = classify_crossings(p_low, Scenario.PWL)
+    assert (report.g_roots, report.f_roots, report.case_id) == ((), (), CASE_ALL_OUTAGE)
+    assert evaluate_lossy_outage(p_low, Scenario.PWL, report) == (1.0, CASE_ALL_OUTAGE)
     p_high = SystemParams.reference(gamma_t_db=125.0, alpha=0.001)
-    assert classify_crossings(p_high, Scenario.FWL).degenerate == 0.0
+    report = classify_crossings(p_high, Scenario.FWL)
+    assert (report.g_roots, report.f_roots, report.case_id) == ((), (), CASE_NO_OUTAGE)
+    assert evaluate_lossy_outage(p_high, Scenario.FWL, report) == (0.0, CASE_NO_OUTAGE)
     with pytest.raises(ValueError):
         classify_crossings(p_low, Scenario.FWNL)
 
@@ -189,9 +196,9 @@ def test_classifier_roots_satisfy_equations():
         f, g = threshold_curves(p, Scenario.PWL)
         report = classify_crossings(p, Scenario.PWL)
         for root in report.g_roots:
-            assert abs(float(g(root.value))) <= 1e-9
+            assert abs(float(g(root))) <= 1e-9
         for root in report.f_roots:
-            assert abs(float(f(root.value))) <= 1e-9
+            assert abs(float(f(root))) <= 1e-9
 
 
 def test_threshold_curve_left_of_guide_does_not_overflow():
@@ -216,9 +223,9 @@ def test_classifier_reference_config_against_scan():
     assert len(report.g_roots) == len(g_scan)
     assert len(report.f_roots) == len(f_scan)
     spacing = 2 * p.r / 1_000_000
-    for root, approx in zip(report.g_roots, g_scan):
-        assert abs(root.value - approx) <= 2 * spacing
-        assert root.interval == interval_label(approx, p.l)
+    for root, side, approx in zip(report.g_roots, case_sides(report.case_id), g_scan):
+        assert abs(root - approx) <= 2 * spacing
+        assert side == side_label(approx, p.l)
 
 
 def test_classifier_agrees_with_dense_scan_on_random_draws():
@@ -235,9 +242,9 @@ def test_classifier_agrees_with_dense_scan_on_random_draws():
         assert len(report.g_roots) == len(g_scan)
         assert len(report.f_roots) == len(f_scan)
         spacing = 2 * p.r / 200_000
-        for root, approx in zip(report.g_roots, g_scan):
+        for side, approx in zip(case_sides(report.case_id), g_scan):
             if min(abs(approx - l), abs(approx + l)) > 2 * spacing:
-                assert root.interval == interval_label(approx, l)
+                assert side == side_label(approx, l)
         checked += 1
 
 
@@ -259,11 +266,13 @@ def test_classifier_on_extreme_set():
                 report = classify_crossings(p, scenario)
                 cases[report.case_id] += 1
                 for root in report.g_roots:
-                    assert abs(float(g(root.value))) <= tol
-                    assert root.interval == interval_label(root.value, l)
+                    assert abs(float(g(root))) <= tol
                 for root in report.f_roots:
-                    assert abs(float(f(root.value))) <= tol
-                    assert root.interval == interval_label(root.value, l)
+                    assert abs(float(f(root))) <= tol
+                # the case id names the side of each of the two roots
+                roots = report.g_roots + report.f_roots
+                if roots:
+                    assert case_sides(report.case_id) == [side_label(x, l) for x in roots]
                 x_star = _peak_abscissa(p.alpha, C, l)
                 slope_term = p.alpha * C * math.exp(-p.alpha * (x_star + l))
                 # the slope of g vanishes there: alpha C exp(-alpha(x+l)) = 2x
@@ -327,7 +336,7 @@ def test_g2_left_mid_never_occurs():
         for scenario in (Scenario.FWL, Scenario.PWL):
             report = classify_crossings(p, scenario)
             cases[report.case_id] += 1
-            left_roots += any(r.interval == "[-r,-l]" for r in report.g_roots)
+            left_roots += any(x < -p.half_length(scenario) for x in report.g_roots)
     assert sum(cases.values()) == 4000
     assert "g2-left-mid" not in cases
     assert "g2-left-right" in cases and left_roots > 0
@@ -344,6 +353,22 @@ def test_closed_form_outside_unit_interval_raises():
         evaluate_lossy_outage(p, Scenario.PWL, swapped)
 
 
+def test_outer_strip_at_an_f_root_against_mpmath():
+    # with one root of each kind, the strip right of +l ends at the f root,
+    # the edge of the circle about the guide end; seg keeps its accuracy
+    # there, where an asin of the ratio to the radius was off by ~1e-9.
+    # The 1e-14 bound was fixed before the run
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 40:
+        p = random_reference(rng)
+        value, case = evaluate_lossy_outage(p, Scenario.PWL)
+        if not (case.startswith("g1f1-") and case.endswith("-right")):
+            continue
+        assert value == pytest.approx(outage_by_mpmath(p, Scenario.PWL), abs=1e-14, rel=0.0), case
+        checked += 1
+
+
 def test_fwl_just_above_the_all_outage_edge_is_one():
     # with C a few hundred ulps above h^2 both FWL roots sit within ulps of
     # -r and the outage is 1 to ~1e-20; the strip must stay accurate there
@@ -357,11 +382,11 @@ def test_fwl_just_above_the_all_outage_edge_is_one():
         q = p.with_(p_t=p_t)
         pc = _Pieces(q, q.r, derive_constants(q).C)
         report = _classify(pc)
-        if report.degenerate is not None:
-            assert report.degenerate == 1.0
+        if not report.g_roots + report.f_roots:
+            assert report.case_id == CASE_ALL_OUTAGE
             continue
         first, last = report.g_roots + report.f_roots
-        value = _closed_form(pc, len(report.g_roots), first.value, last.value)
+        value = _closed_form(pc, len(report.g_roots), first, last)
         assert abs(value - 1.0) <= 1e-12, (q.p_t, report.case_id, value)
 
 
