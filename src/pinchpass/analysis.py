@@ -13,11 +13,15 @@ dispatch from (scenario, metric) to an evaluator of (l, alpha):
   closed form evaluates every arrangement;
 * the lossless full-coverage rate is exact; every other rate is one
   Gauss-Chebyshev kernel over x of the analytic chord integral of the
-  log-SNR (two segments lossless, three lossy), on nodes cached per order.
+  log-SNR (two segments lossless, three lossy), on exactly mirrored nodes
+  cached per order.  Mirrored nodes share their chord geometry, so a lossy
+  covered span runs on the nonnegative nodes with two gains each, and the
+  far and near outer sides run as one side with two gains.
 
 The search for the half-length that optimizes either metric calls the same
 evaluators at each half-length; its rate grid is one kernel call per block
-of half-lengths.
+of half-lengths.  A rate optimum is refined by successive parabolic
+interpolation, an outage optimum by golden section.
 """
 
 from __future__ import annotations
@@ -185,58 +189,116 @@ def _rate_full_lossless(p: SystemParams) -> float:
                      - 0.5 * (1.0 - L) / (1.0 + L))) / math.log(2.0)
 
 
-def _segment_chord_terms(rho2: np.ndarray, base2: np.ndarray | float,
-                         gain: np.ndarray | float) -> np.ndarray:
-    # chord integral of ln(1 + gain/(y^2 + base2)) over |y| <= rho, halved:
-    #   rho ln(1 + gain/(rho^2+base2)) + 2 sqrt(base2+gain) atan(rho/sqrt(base2+gain))
-    #   - 2 sqrt(base2) atan(rho/sqrt(base2));
-    # gains stacked on a leading axis share one pass of the gain-free terms
-    rho = np.sqrt(np.maximum(rho2, 0.0))
-    lifted = np.sqrt(base2 + gain)
-    base = np.sqrt(base2)
-    return (rho * np.log1p(gain / (rho2 + base2))
-            + 2.0 * lifted * np.arctan(rho / lifted)
-            - 2.0 * base * np.arctan(rho / base))
+def _chord_sum(rho2: np.ndarray, base2, gains, w: np.ndarray):
+    # the w-weighted sum, over the nodes and the gains of each node, of the
+    # chord integrals of ln(1 + gain/(y^2 + base2)) over 0 <= y <= rho,
+    # rho^2 = rho2, halved:
+    #   (rho/2) ln(1 + gain/(rho^2+base2)) + L atan(rho/L) - b atan(rho/b),
+    # L = sqrt(base2 + gain), b = sqrt(base2), each node rounded as the
+    # whole integral would be, but for the exact factor 2.  The nodes run
+    # along the last axis and the gains of a node (a float, or G of them)
+    # along the one before it, with w repeating the node weights G times, so
+    # they share rho, rho^2 + base2 and the gain-free b atan(rho/b).  Every
+    # pass after the first of each array writes in place; rho2 is spent.
+    rho = np.sqrt(rho2)
+    s = np.add(rho2, base2, out=rho2)
+    lift = np.sqrt(np.add(gains, base2))
+    terms = np.divide(gains, s)
+    np.log1p(terms, out=terms)
+    np.multiply(terms, np.multiply(rho, 0.5), out=terms)
+    arcs = np.divide(rho, lift)
+    np.arctan(arcs, out=arcs)
+    np.multiply(arcs, lift, out=arcs)
+    np.add(terms, arcs, out=terms)
+    base = np.sqrt(base2) if isinstance(base2, np.ndarray) else math.sqrt(base2)
+    free = np.divide(rho, base, out=s)
+    np.arctan(free, out=free)
+    np.subtract(terms, np.multiply(free, base, out=free), out=terms)
+    return terms.reshape(terms.shape[:-2] + (-1,)) @ w
 
 
 @functools.lru_cache(maxsize=32)
 def _chebyshev_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # the Gauss-Chebyshev (first kind) nodes cos((2k-1)pi/2n) and their sines
-    # sqrt(1 - t^2) without cancellation, built once per order, read-only
-    angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+    # sqrt(1 - t^2) without cancellation, built once per order, read-only;
+    # the nonnegative half is computed and mirrored, so t_{n+1-k} = -t_k
+    # exactly and an odd order's center node is 0
+    angles = (2.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) * math.pi / (2.0 * n)
     nodes, sines = np.cos(angles), np.sin(angles)
+    if n % 2:
+        nodes[-1], sines[-1] = 0.0, 1.0
+    nodes = np.concatenate([nodes, -nodes[:n // 2][::-1]])
+    sines = np.concatenate([sines, sines[:n // 2][::-1]])
     nodes.flags.writeable = sines.flags.writeable = False
     return nodes, sines
+
+
+@functools.lru_cache(maxsize=32)
+def _mirror_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the order-n rule as mirrored pairs +-t, read-only: the nonnegative
+    # nodes t (m = ceil(n/2) of them), the feed distances of each pair over
+    # l, [1 - t, 1 + t] (2 x m), the pair weights twice (2m; an odd order's
+    # center node 0 is counted twice, so it carries half weight), and the
+    # whole rule's weights twice (2n), for the two gains of each outer node
+    nodes, sines = _chebyshev_nodes(n)
+    m = (n + 1) // 2
+    t, w = nodes[:m], sines[:m].copy()
+    if n % 2:
+        w[-1] = 0.5
+    arrays = (t, np.stack([1.0 - t, 1.0 + t]), np.tile(w, 2), np.tile(sines, 2))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
     # the Gauss-Chebyshev chord quadrature of the PWNL and PWL rates (FWL at
     # l = r) under attenuation alpha, at a float l or at a 1-D array of
-    # half-lengths in one pass: those run down a column, the nodes along a
-    # row, and an array always takes the outer segments (zero width at l = r).
-    # The covered span runs at gain e exp(-alpha (x + l)).  Over the symmetric
-    # nodes the far side (beyond +l) mirrors the near side (before -l), so
-    # both share one geometry and differ only in gain: e exp(-2 alpha l) far,
-    # e near (feed level).  A lossless covered span is even in x,
-    # so its rule spends the nodes on [0, l], and far = near.
+    # half-lengths in one pass: those run down the first axis, the nodes
+    # along the last, and an array always takes the outer segments (zero
+    # width at l = r).  The covered span runs at gain e exp(-alpha (x + l));
+    # a node x and its mirror -x share their geometry and differ only in
+    # gain, so the rule runs on the nonnegative nodes x = l t with the gains
+    # e exp(-alpha l (1 -+ t)), each from its own exp (e exp(-alpha l)
+    # underflows first).  Over the symmetric nodes the far side (beyond +l)
+    # mirrors the near side (before -l) the same way: gain e exp(-2 alpha l)
+    # far, e near (feed level).  A lossless covered span is even in x, so
+    # its rule spends the nodes on [0, l], and far = near.
     r, h2 = p.r, p.h * p.h
     e = derive_constants(p).eta * p.p_t / p.sigma2
-    t, w = _chebyshev_nodes(nodes)
     batch = isinstance(l, np.ndarray)
-    lc = l[:, None] if batch else l
+    lc = l[:, None, None] if batch else l
+    t, w = _chebyshev_nodes(nodes)
 
-    lossless = alpha == 0.0
-    x1 = 0.5 * lc * t + 0.5 * lc if lossless else lc * t
-    mid_gain = e if lossless else e * np.exp(-alpha * (x1 + lc))
-    mid = _segment_chord_terms(r * r - x1 * x1, h2, mid_gain) @ w
-    far = near = 0.0
+    if alpha == 0.0:
+        x1, gains, w_mid = 0.5 * lc * t + 0.5 * lc, e, w
+    else:
+        half, feed, w_mid, w_twice = _mirror_pairs(nodes)
+        x1 = np.multiply(half, lc)
+        gains = np.multiply(feed, -alpha * lc)
+        np.multiply(np.exp(gains, out=gains), e, out=gains)
+    rho2 = np.subtract(r * r, np.multiply(x1, x1, out=x1), out=x1)
+    total = 2.0 * l * _chord_sum(rho2, h2, gains, w_mid)
     if batch or l < r:
         x2 = 0.5 * (r - lc) * t + 0.5 * (r + lc)
-        gain = e if lossless else e * np.exp(np.multiply.outer((-2.0 * alpha, 0.0), l))[..., None]
-        sums = _segment_chord_terms(r * r - x2 * x2, h2 + (x2 - lc) ** 2, gain) @ w
-        far, near = (sums, sums) if lossless else sums
-    total = 2.0 * l * mid + (r - l) * far + (r - l) * near
-    return total / (nodes * r * r * math.log(2.0))
+        gap = x2 - lc
+        rho2 = np.subtract(r * r, np.multiply(x2, x2, out=x2), out=x2)
+        np.maximum(rho2, 0.0, out=rho2)
+        base2 = np.add(np.multiply(gap, gap, out=gap), h2, out=gap)
+        if alpha == 0.0:
+            outer = 2.0 * _chord_sum(rho2, base2, e, w)
+        elif batch:
+            # math.exp, as for a float l: a grid point takes the bits of a
+            # single half-length
+            gains = np.full((l.size, 2, 1), e)
+            gains[:, 0, 0] = [e * math.exp(-2.0 * alpha * v) for v in l.tolist()]
+            outer = _chord_sum(rho2, base2, gains, w_twice)
+        else:
+            outer = _chord_sum(rho2, base2, np.array([[e * math.exp(-2.0 * alpha * l)], [e]]),
+                               w_twice)
+        total = total + (r - l) * outer
+    # the halved chord integrals take the factor 2 into the scale
+    return total / (0.5 * nodes * r * r * math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +333,33 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _parabolic_refine(fun, a: float, b: float, c: float,
+                      fa: float, fb: float, fc: float, tol: float) -> tuple[float, float]:
+    # successive parabolic interpolation of a minimum bracketed by
+    # a < b < c, fb <= fa and fb <= fc: each step evaluates the vertex of the
+    # parabola through the three points, which lies in [a, c], and keeps a
+    # bracket around the lowest point found; it stops once the vertex moves
+    # b by less than tol, or after 8 evaluations.  Returns (b, fb), b moved
+    # only by a strictly lower value.
+    for _ in range(8):
+        p = (b - a) * (fb - fc)
+        q = (b - c) * (fb - fa)
+        if p == q:
+            break
+        x = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q)
+        if not abs(x - b) >= tol:       # a short step, or none (nan)
+            break
+        fx = fun(x)
+        if fx < fb:
+            a, fa, c, fc = (a, fa, b, fb) if x < b else (b, fb, c, fc)
+            b, fb = x, fx
+        elif x < b:
+            a, fa = x, fx
+        else:
+            c, fc = x, fx
+    return b, fb
+
+
 def optimal_length_search(p: SystemParams, metric: str = "rate",
                           grid_spec: tuple[float | None, float | None, int | None] | None = None,
                           nodes: int = DEFAULT_QUADRATURE_NODES,
@@ -279,11 +368,15 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
 
     Evaluates the closed-form PWL metric (outage minimized, rate maximized;
     PWNL at alpha = 0) on an inclusive linspace grid (start, stop, steps)
-    over (0, r], then optionally sharpens the grid optimum by golden-section
-    search between its neighbors down to 1e-3 m.  Golden section moves left
-    on a tie and its result wins a tie with the grid optimum, so a flat
-    optimum reports its smallest half-length: at alpha = 0 the outage is
-    flat beyond x0 = sqrt(r^2 - A), and the search returns x0 to 1e-3 m.
+    over (0, r], then optionally sharpens an interior grid optimum between
+    its neighbors.  The rate curve is smooth there, so successive parabolic
+    interpolation from the three grid points refines it until a step moves
+    less than 1e-4 m, and only a higher rate replaces the grid optimum.  The
+    outage curve has kinks, so golden-section search refines it down to
+    1e-3 m; it moves left on a tie and its result wins a tie with the grid
+    optimum, so a flat optimum reports its smallest half-length: at
+    alpha = 0 the outage is flat beyond x0 = sqrt(r^2 - A), and the search
+    returns x0 to 1e-3 m.
     A ``None`` grid_spec, or entry of it, takes the default
     (max(0.01, r/50), r, 50).
     """
@@ -327,10 +420,17 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
         # the grid step is at least 0.01 m, so the bracket is wider than tol
         lo = float(grid[best_idx - 1])
         hi = float(grid[best_idx + 1])
-        candidate = _golden_section(lambda l: sign * value_at(l), lo, hi, tol=1e-3)
-        cand_value = value_at(candidate)
-        if sign * cand_value <= sign * best_value:
-            best_l, best_value = candidate, cand_value
+        if metric == "rate":
+            # the grid already holds the bracket's three values
+            best_l, cost = _parabolic_refine(lambda l: -value_at(l), lo, best_l, hi,
+                                             -values[best_idx - 1], -best_value,
+                                             -values[best_idx + 1], tol=1e-4)
+            best_value = -cost
+        else:
+            candidate = _golden_section(value_at, lo, hi, tol=1e-3)
+            cand_value = value_at(candidate)
+            if cand_value <= best_value:
+                best_l, best_value = candidate, cand_value
 
     return LengthSearchResult(best_l=best_l, best_value=best_value,
                               grid=tuple(zip(map(float, grid), values)),

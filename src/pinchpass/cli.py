@@ -6,7 +6,8 @@ Subcommands:
 * ``figure``         run one or more bundled presets (ids 2-7) reproducing the
                      summary curves of the reference configuration, as one sweep
 * ``validate``       closed-form vs Monte-Carlo agreement report
-* ``optimal-length`` grid plus golden-section search of the best half-length
+* ``optimal-length`` grid search of the best half-length, refined by parabolic
+                     interpolation (rate) or golden section (outage)
 
 Configuration file (INI, ``key = value``)::
 
@@ -604,7 +605,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p_opt.add_argument(name, type=float, default=None)
     p_opt.add_argument("--l-steps", type=_at_least(1), default=None)
     p_opt.add_argument("--no-refine", action="store_true",
-                       help="skip the golden-section refinement")
+                       help="report the grid optimum, without the parabolic (rate) "
+                            "or golden-section (outage) refinement")
     return parser
 
 

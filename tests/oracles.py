@@ -132,6 +132,25 @@ def rate_fwl_series(p: SystemParams, nodes: int) -> float:
     return total / (p.alpha * p.r * nodes * math.log(2.0))
 
 
+def rate_chord_full_rule(p: SystemParams, l: float, t: np.ndarray, w: np.ndarray) -> float:
+    """The lossy chord-quadrature rate (PWL; FWL at l = r) on nodes t with
+    weights w, every node of the covered span and of each outer side
+    evaluated on its own, with no pairing of mirrored nodes or sides."""
+    r, h2, a, e = p.r, p.h ** 2, p.alpha, derive_constants(p).eta * p.p_t / p.sigma2
+
+    def chords(x, base2, gain):
+        rho2 = np.maximum(r * r - x * x, 0.0)
+        rho, lift, base = np.sqrt(rho2), np.sqrt(base2 + gain), np.sqrt(base2)
+        return (rho * np.log1p(gain / (rho2 + base2)) + 2.0 * lift * np.arctan(rho / lift)
+                - 2.0 * base * np.arctan(rho / base)) @ w
+
+    far, near = 0.5 * (r - l) * t + 0.5 * (r + l), 0.5 * (r - l) * t - 0.5 * (r + l)
+    total = (2.0 * l * chords(l * t, h2, e * np.exp(-a * l * (1.0 + t)))
+             + (r - l) * chords(far, h2 + (far - l) ** 2, e * math.exp(-2.0 * a * l))
+             + (r - l) * chords(near, h2 + (near + l) ** 2, e))
+    return float(total) / (len(t) * r * r * math.log(2.0))
+
+
 def threshold_curves(p: SystemParams, scenario: Scenario):
     """Vectorized threshold curve f and clearance g = r^2 - x^2 - f of a lossy
     scenario, from the SNR definition.

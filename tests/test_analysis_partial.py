@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pinchpass import (
+    analysis,
     evaluate,
     optimal_length_search,
     outage_fwl,
@@ -19,7 +20,14 @@ from pinchpass import (
 )
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import outage_by_integration, outage_by_mpmath, params_with_a, random_reference
+from oracles import (
+    extreme_reference,
+    outage_by_integration,
+    outage_by_mpmath,
+    params_with_a,
+    random_reference,
+    rate_chord_full_rule,
+)
 from test_numerics import CASE_PROBES, CLOSED_FORM_CASES
 
 SEED = 4321
@@ -277,6 +285,43 @@ def test_consistency_lattice_on_random_grid():
 
 
 # ---------------------------------------------------------------------------
+# the chord-rate kernel against the plain full rule
+# ---------------------------------------------------------------------------
+
+def _cosine_rule(n: int):
+    # the order-n nodes cos((2k-1)pi/2n) as computed one by one, so t and -t
+    # differ in the last bit at some mirrored pairs
+    angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+    return np.cos(angles), np.sin(angles)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 17, 200, 201, 2000])
+def test_mirrored_pair_kernel_matches_full_rule(nodes):
+    # the kernel pairs each covered-span node x with -x, and the far side
+    # with the near side; summing every node on its own must give the same
+    # rate.  On the library's exactly mirrored nodes that holds to rounding
+    # everywhere, extreme configurations included; against nodes computed
+    # one by one, an ulp of a node moves the exponent by alpha l 2^-53,
+    # which reaches ~1e-11 at alpha r = 1e5, so that check stays in the box
+    t, w = analysis._chebyshev_nodes(nodes)
+    cos_t, cos_w = _cosine_rule(nodes)
+    for draw, seed in ((random_reference, 61), (extreme_reference, 62)):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            p = draw(rng)
+            lengths = np.array([p.l, p.r])
+            batched = analysis._rate_chord(p, lengths, nodes, p.alpha)
+            for l, grid_value in zip(lengths.tolist(), batched.tolist()):
+                want = rate_chord_full_rule(p, l, t, w)
+                value = float(analysis._rate_chord(p, l, nodes, p.alpha))
+                assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert grid_value == pytest.approx(want, rel=1e-14, abs=0.0)
+                if draw is random_reference:
+                    assert value == pytest.approx(rate_chord_full_rule(p, l, cos_t, cos_w),
+                                                  rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # optimal-length search
 # ---------------------------------------------------------------------------
 
@@ -302,6 +347,8 @@ def test_optimal_length_decreases_with_attenuation():
     pytest.param("rate", 2000, (0.5, 25.0, 50), id="2000-grid_spec1"),
     # 100 x 2000 node evaluations: four kernel blocks
     pytest.param("rate", 2000, (0.25, 25.0, 100), id="2000-grid_spec2"),
+    # an odd order: the center node of the covered span has no mirror
+    pytest.param("rate", 201, (0.5, 25.0, 50), id="201-grid_spec0"),
     pytest.param("outage", 200, (0.5, 25.0, 50), id="outage-grid_spec0"),
     pytest.param("outage", 200, (0.25, 25.0, 100), id="outage-grid_spec2"),
 ])
@@ -326,6 +373,41 @@ def test_flat_outage_optimum_reports_its_smallest_half_length():
     res = optimal_length_search(p, metric="outage")
     assert res.best_l == pytest.approx(x0, abs=1e-3)
     assert res.best_value == min(value for _, value in res.grid)
+
+
+def test_rate_search_refines_in_few_kernel_calls(monkeypatch):
+    # the grid is one kernel call; parabolic refinement from its bracket
+    # then needs a few scalar calls to land within 1e-3 m of the optimum
+    kernel = analysis._rate_chord
+    scalar_calls = 0
+
+    def counted(p, l, nodes, alpha):
+        nonlocal scalar_calls
+        scalar_calls += not isinstance(l, np.ndarray)
+        return kernel(p, l, nodes, alpha)
+
+    monkeypatch.setattr(analysis, "_rate_chord", counted)
+    rng = np.random.default_rng(SEED)
+    configs = [random_reference(rng) for _ in range(50)]
+    # and the stored searches of the benchmark
+    configs += [SystemParams.reference(gamma_t_db=105.0, r=25.0, h=10.0, alpha=alpha, l=12.5)
+                for alpha in (0.01, 0.02, 0.03, 0.04)]
+    refined = 0
+    for p in configs:
+        scalar_calls = 0
+        res = optimal_length_search(p, metric="rate")
+        assert scalar_calls <= 8
+        lengths, values = zip(*res.grid)
+        i = int(np.argmax(values))
+        if 0 < i < len(values) - 1:
+            refined += 1
+            tight = analysis._golden_section(lambda l: -float(kernel(p, l, 200, p.alpha)),
+                                             lengths[i - 1], lengths[i + 1], tol=1e-7)
+            assert res.best_l == pytest.approx(tight, abs=1e-3)
+            assert res.best_value >= values[i]
+        else:
+            assert (res.best_l, res.best_value) == (lengths[i], values[i])
+    assert refined >= 40
 
 
 def test_outage_search_builds_no_system_params(monkeypatch):

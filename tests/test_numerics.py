@@ -99,11 +99,18 @@ def chebyshev_integral(f, n: int, a: float = -1.0, b: float = 1.0) -> float:
 
 
 def test_rule_nodes_decreasing_symmetric():
-    nodes, sines = _chebyshev_nodes(17)
-    assert np.all(np.diff(nodes) < 0)
-    assert np.all(np.abs(nodes) < 1)
-    assert np.allclose(nodes, -nodes[::-1], atol=1e-15)
-    assert np.allclose(sines, np.sqrt(1.0 - nodes * nodes), rtol=0.0, atol=1e-15)
+    # exactly mirrored (an odd order's center node is 0), and each node and
+    # sine within 1e-15 of cos and sin of its own angle
+    for n in (2, 3, 17, 200, 201, 2000):
+        nodes, sines = _chebyshev_nodes(n)
+        angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+        assert np.all(np.diff(nodes) < 0)
+        assert np.all(np.abs(nodes) < 1)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(sines, sines[::-1])
+        assert np.allclose(nodes, np.cos(angles), rtol=0.0, atol=1e-15)
+        assert np.allclose(sines, np.sin(angles), rtol=0.0, atol=1e-15)
+        if n <= 17:     # sqrt(1 - t^2) cancels near t = 1 at higher orders
+            assert np.allclose(sines, np.sqrt(1.0 - nodes * nodes), rtol=0.0, atol=1e-15)
 
 
 def test_rule_is_cached_and_read_only():
