@@ -21,6 +21,16 @@ Each call, and each worker thread in it, owns one workspace of chunk-wide
 rows (5 for one radius, 8 for several), freed on return; chunks draw,
 scale, evaluate the SNR and reduce in its views and allocate no array.
 
+An outage job whose SNR is saturated over the whole disk is decided before
+planning and never drawn.  Every SNR is at most eta*p_t/(sigma2*h^2) (no
+device is nearer the antenna than h, and the guide gains nothing) and at
+least eta*p_t*exp(-2*alpha*l)/(sigma2*(r^2 + h^2)) (none is farther than
+sqrt(r^2 + h^2), and no guided path is longer than 2l).  A gamma_th at or
+above the first bound gives mean 1.0, one below the second mean 0.0, both
+with stderr 0.0, bit for bit what sampling returns; a relative margin of
+1e-9 leaves thresholds near a bound to sampling.  A call whose jobs are
+all decided draws nothing and allocates no workspace; a rate job draws.
+
 Only device positions are random.  The channel's free-space and in-guide
 phase rotations have unit modulus and cancel in the SNR, so they are
 deliberately not simulated; the link is deterministic line-of-sight with no
@@ -129,6 +139,42 @@ def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimat
     return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
 
 
+# An outage job is decided without drawing when an SNR bound over the whole
+# disk lies on one side of gamma_th; the outage counts SNR <= gamma_th.  The
+# chunk kernel computes each SNR as (gain*e) / dist2, with
+# e = exp(-alpha*(x_pa + l)), x_pa = clip(x, -l, l), dx = x - x_pa and
+# dist2 = ((y*y + h*h) + dx*dx) * sigma2, evaluated in that order.
+# - Upper: x_pa >= -l, so x_pa + l >= 0 and e <= 1, and y*y, dx*dx >= 0, so
+#   dist2 >= (h*h)*sigma2 = near.  Rounding is monotone, so every SNR is at
+#   most gain/near: at or below gamma_th, every position is in outage.
+# - Lower: a drawn position has x^2 + y^2 <= r^2 and |dx| <= |x|, so
+#   y^2 + dx^2 <= r^2 and dist2 <= (r*r + h*h)*sigma2 = far; x_pa <= l, so
+#   alpha*(x_pa + l) <= 2*alpha*l.  Every SNR is at least
+#   gain*exp(-2*alpha*l)/far: above gamma_th, no position is in outage.
+# The lower bound holds to a few ulps only (r*sqrt(u)*cos(t) and its sine
+# partner round, and so does exp), and the upper one relies on exp(t) <= 1
+# for t <= 0, which numpy's SIMD exp keeps to within its ulps.  A relative
+# margin far above those ulps keeps every job near a bound sampled.  A NaN
+# or zero bound decides nothing.  The decided mean (n/n or 0/n) and stderr
+# (sqrt(m(1 - m)/n) = 0.0) are those sampling returns, bit for bit.  The
+# bounds read the SNR expression's own inputs (_guide's gain, h, sigma2, r
+# and l), not the closed forms' constants, so the oracle stays independent.
+_BOUND_MARGIN = 1e-9
+
+
+def _saturated(scenario: Scenario, p: SystemParams) -> float | None:
+    # the outage estimate, 1.0 or 0.0, when the SNR bound above decides it
+    alpha, gain = _guide(scenario, p)
+    near = p.h * p.h * p.sigma2
+    if near > 0.0 and gain / near * (1.0 + _BOUND_MARGIN) <= p.gamma_th:
+        return 1.0
+    far = (p.r * p.r + p.h * p.h) * p.sigma2
+    weakest = gain * math.exp(-2.0 * alpha * p.half_length(scenario))
+    if far > 0.0 and weakest / far * (1.0 - _BOUND_MARGIN) > p.gamma_th:
+        return 0.0
+    return None
+
+
 def _reduce(partial: dict, scenario: Scenario, p: SystemParams, metrics, snr, scratch) -> None:
     # one chunk's partial sums; scratch is a spent row as long as the SNR
     if "outage" in metrics:
@@ -151,21 +197,33 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
     sqrt(n)).  Each chunk's positions are drawn once on the unit disk and
     scaled once per distinct radius ``p.r``, the path loss is written once
     per geometry and each job's SNR from it, and only the requested metrics
-    are reduced.  Results come back in job order; each equals, bit for bit,
-    the estimate the same job gets alone, for any ``workers``.
+    are reduced.  An outage job whose SNR bound over the disk lies on one
+    side of gamma_th is decided without drawing (mean 1.0 or 0.0, stderr
+    0.0, bit for bit the sampled estimate); see the module docstring.
+    Results come back in job order; each equals, bit for bit, the estimate
+    the same job gets alone, for any ``workers``.  ``n_samples`` must be an
+    integer of at least ``MIN_SAMPLES`` and ``seed`` an integer in
+    [0, 2**128), or ValueError names the argument.
     """
     jobs = list(jobs)
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples!r}")
+    # checked here, not by the generator: a decided job builds none
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be an integer of at least {MIN_SAMPLES}, "
+                         f"got {n_samples!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    decided = {}   # (scenario, "outage", p) -> estimate the SNR bound decides
     # radius -> geometry (l, h, sigma2) -> (scenario, p) -> (alpha, eta*p_t, metrics)
     plan: dict[float, dict[tuple, dict[tuple[Scenario, SystemParams], tuple]]] = {}
     for scenario, metric, p in jobs:
         if metric not in ("outage", "rate"):
             raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
+        mean = _saturated(scenario, p) if metric == "outage" else None
+        if mean is not None:
+            decided[scenario, metric, p] = McEstimate(mean, 0.0, n_samples, seed)
+            continue
         group = plan.setdefault(p.r, {}).setdefault((p.half_length(scenario), p.h, p.sigma2), {})
         group.setdefault((scenario, p), (*_guide(scenario, p), set()))[2].add(metric)
-    if not plan:
-        return []
 
     # workspace rows: the draw in 0-2; one radius is scaled into it, whose
     # spent sqrt(u) row then holds the SNR, several get (x, y) rows 3-4
@@ -189,8 +247,9 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
                     _reduce(partial, scenario, p, metrics, snr, scratch)
         return partial
 
-    chunks = _run_chunks(worker, n_samples, workers, snr_rows[-1] + 1)
-    return [_finish(metric, [chunk[scenario, metric, p] for chunk in chunks], n_samples, seed)
+    chunks = _run_chunks(worker, n_samples, workers, snr_rows[-1] + 1) if plan else []
+    return [decided.get((scenario, metric, p))
+            or _finish(metric, [chunk[scenario, metric, p] for chunk in chunks], n_samples, seed)
             for scenario, metric, p in jobs]
 
 
@@ -199,7 +258,10 @@ def estimate_outage(scenario: Scenario, p: SystemParams, n_samples: int,
     """Fraction of uniform device positions with SNR <= gamma_th.
 
     Standard error is the binomial sqrt(m(1-m)/n).  Deterministic per
-    (seed, n_samples, scenario, params), independent of ``workers``.
+    (seed, n_samples, scenario, params), independent of ``workers``.  When
+    the SNR bound over the disk lies on one side of gamma_th, the estimate
+    (1.0 or 0.0, stderr 0.0) is decided without drawing and equals the
+    sampled one bit for bit.
     """
     return estimate_many([(scenario, "outage", p)], n_samples, seed, workers)[0]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pinchpass import montecarlo, outage_fwnl, rate_fwnl
+from pinchpass import cli, montecarlo, outage_fwnl, rate_fwnl
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
@@ -15,7 +16,7 @@ from pinchpass.montecarlo import (
     snr_values,
 )
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import polar_disk_draw
+from oracles import extreme_reference, polar_disk_draw, random_reference
 
 SEED = 777
 JOBS = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
@@ -127,6 +128,28 @@ def test_minimum_sample_count_enforced():
     p = SystemParams.reference()
     with pytest.raises(ValueError, match="n_samples"):
         estimate_outage(Scenario.FWNL, p, 999, SEED)
+
+
+@pytest.mark.parametrize("n_samples, seed, name", [
+    (999, SEED, "n_samples"), (1000.0, SEED, "n_samples"), ("1000", SEED, "n_samples"),
+    (1000, -1, "seed"), (1000, 1.5, "seed"), (1000, 2 ** 128, "seed"), (1000, "7", "seed"),
+])
+def test_decided_and_sampled_jobs_reject_the_same_inputs(n_samples, seed, name):
+    p = SystemParams.reference(gamma_t_db=100.0)
+    decided = (Scenario.PWL, "outage", p.with_(gamma_th=1e30))
+    assert montecarlo._saturated(Scenario.PWL, decided[2]) == 1.0
+    for jobs in ([decided], [(Scenario.PWL, "outage", p)], [(Scenario.PWL, "rate", p)]):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            estimate_many(jobs, n_samples, seed)
+
+
+def test_decided_and_sampled_jobs_accept_the_same_inputs():
+    p = SystemParams.reference(gamma_t_db=100.0)
+    decided = (Scenario.PWL, "outage", p.with_(gamma_th=1e30))
+    for n_samples, seed in ((1000, 2 ** 128 - 1), (np.int64(1001), np.uint64(3)), (1000, 0)):
+        estimates = estimate_many([decided, (Scenario.PWL, "outage", p)], n_samples, seed)
+        assert [(e.n_samples, e.seed) for e in estimates] == [(n_samples, seed)] * 2
+        assert estimates[0].mean == 1.0
 
 
 def test_estimate_many_without_jobs_draws_nothing():
@@ -311,3 +334,129 @@ def test_chunk_workspace_peak_memory(radii, rows, workers):
         tracemalloc.stop()
     assert (peak - start) / row <= rows * workers
     assert (end - start) / row < 0.1    # the workspace is freed on return
+
+
+def _forced_sampling(monkeypatch, jobs, n, seed, workers):
+    # the same call with every job sampled: what each decision must equal
+    with monkeypatch.context() as patched:
+        patched.setattr(montecarlo, "_saturated", lambda scenario, p: None)
+        return estimate_many(jobs, n, seed, workers)
+
+
+def _assert_decisions_exact(monkeypatch, jobs, n=CHUNK_SAMPLES + 1003, seed=SEED):
+    assert n % CHUNK_SAMPLES
+    decided = sum(m == "outage" and montecarlo._saturated(s, p) is not None for s, m, p in jobs)
+    for workers in (1, 2):
+        estimates = estimate_many(jobs, n, seed, workers)
+        forced = _forced_sampling(monkeypatch, jobs, n, seed, workers)
+        assert [repr(e) for e in estimates] == [repr(e) for e in forced]
+    return decided
+
+
+def _figure_jobs(figure_ids):
+    args = cli._build_parser().parse_args(["figure", *map(str, figure_ids)])
+    return [(scenario, cfg.metric, p) for cfg in cli.figure_configs(figure_ids, args)
+            for p, scenario in itertools.product(
+                [cli.apply_swept(cfg.base, cfg.variable, float(v)) for v in cfg.grid()],
+                cfg.scenarios)]
+
+
+def test_decided_figure_jobs_equal_forced_sampling(monkeypatch):
+    # figures 2 and 3 sweep the transmit SNR through both saturations; the
+    # bound decides 95 of figure 2's 120 jobs and 61 of figure 3's 90
+    assert _assert_decisions_exact(monkeypatch, _figure_jobs([2])) == 95
+    assert _assert_decisions_exact(monkeypatch, _figure_jobs([3])) == 61
+    assert _assert_decisions_exact(monkeypatch, _figure_jobs([4, 5, 6, 7])) == 0
+
+
+@pytest.mark.parametrize("draw, seed", [(random_reference, 71), (extreme_reference, 72)])
+def test_decided_random_jobs_equal_forced_sampling(monkeypatch, draw, seed):
+    rng = np.random.default_rng(seed)
+    jobs = [(s, "outage", draw(rng)) for _ in range(200) for s in Scenario]
+    assert _assert_decisions_exact(monkeypatch, jobs) > 0
+
+
+def _snr_bounds(scenario, p):
+    # the bounds stated from the SNR expression: at the antenna, and at the
+    # disk edge with the longest guided path
+    gain = derive_constants(p).eta * p.p_t
+    alpha = p.alpha if scenario.lossy else 0.0
+    weakest = gain * math.exp(-2.0 * alpha * p.half_length(scenario))
+    return gain / (p.sigma2 * p.h * p.h), weakest / (p.sigma2 * (p.r ** 2 + p.h ** 2))
+
+
+def test_jobs_at_the_bounds_equal_forced_sampling(monkeypatch):
+    # a threshold a relative 1e-12 from a bound is left to sampling; one
+    # 1e-6 beyond it is decided; each agrees with forced sampling bit for bit
+    jobs, expected = [], []
+    for base in (SystemParams.reference(gamma_t_db=100.0),
+                 SystemParams.reference(gamma_t_db=100.0, r=40.0, h=3.0, alpha=0.05, l=2.0)):
+        for scenario in Scenario:
+            upper, lower = _snr_bounds(scenario, base)
+            for delta in (1e-12, 1e-9, 1e-6):
+                for bound, sign, mean in ((upper, 1, 1.0), (upper, -1, None),
+                                          (lower, -1, 0.0), (lower, 1, None)):
+                    p = base.with_(gamma_th=bound * (1.0 + sign * delta))
+                    jobs.append((scenario, "outage", p))
+                    expected.append((delta, mean))
+    decisions = [montecarlo._saturated(s, p) for s, _, p in jobs]
+    for (delta, mean), decision in zip(expected, decisions):
+        if delta == 1e-12 or mean is None:
+            assert decision is None
+        elif delta == 1e-6:
+            assert decision == mean
+    _assert_decisions_exact(monkeypatch, jobs)
+
+
+def _counting_draws(monkeypatch):
+    draws = []
+    sample_unit_disk = montecarlo.sample_unit_disk
+
+    def counting(rng, size, out=None):
+        draws.append(size)
+        return sample_unit_disk(rng, size, out)
+
+    monkeypatch.setattr(montecarlo, "sample_unit_disk", counting)
+    return draws
+
+
+def test_all_decided_jobs_draw_nothing_and_allocate_no_workspace(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    p = SystemParams.reference(gamma_t_db=100.0)
+    jobs = [(s, "outage", p.with_(gamma_th=g)) for s in Scenario for g in (1e-30, 1e30)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimates = estimate_many(jobs, 16 * CHUNK_SAMPLES, SEED, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws == []
+    assert (peak - start) / (CHUNK_SAMPLES * 8) < 0.1
+    assert [e.mean for e in estimates] == [0.0, 1.0] * 4
+    assert {(e.stderr, e.n_samples, e.seed) for e in estimates} \
+        == {(0.0, 16 * CHUNK_SAMPLES, SEED)}
+
+
+def test_mixed_jobs_draw_once_per_chunk(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    p = SystemParams.reference(gamma_t_db=105.0, l=9.0)
+    assert montecarlo._saturated(Scenario.PWL, p) is None
+    n = 2 * CHUNK_SAMPLES + 17
+    jobs = [(Scenario.PWL, "outage", p.with_(gamma_th=1e30)), (Scenario.PWL, "outage", p),
+            (Scenario.FWNL, "outage", p.with_(r=15.0, l=7.5, gamma_th=1e-30))]
+    estimates = estimate_many(jobs, n, SEED)
+    assert draws == [CHUNK_SAMPLES, CHUNK_SAMPLES, 17]
+    assert [e.mean for e in estimates[::2]] == [1.0, 0.0]
+    assert repr(estimates[1]) == repr(reference_estimate(*jobs[1], n, SEED))
+
+
+def test_decided_outage_beside_a_rate_job_keeps_the_sampled_rate(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    p = SystemParams.reference(gamma_t_db=100.0, gamma_th=1e30)
+    n = CHUNK_SAMPLES + 17
+    assert montecarlo._saturated(Scenario.PWL, p) == 1.0
+    outage, rate = estimate_many([(Scenario.PWL, "outage", p), (Scenario.PWL, "rate", p)], n, SEED)
+    assert len(draws) == 2
+    assert (outage.mean, outage.stderr) == (1.0, 0.0)
+    assert repr(rate) == repr(reference_estimate(Scenario.PWL, "rate", p, n, SEED))
