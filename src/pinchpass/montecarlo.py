@@ -17,6 +17,11 @@ l = r (the draws have |x| <= r, so dx is +0.0) and the exp at alpha = 0
 (exp(-0.0) = 1.0) are exact identities and skipped, so every estimate is
 bit-identical to its one-job call (``estimate_outage``, ``estimate_rate``).
 The CLI shares draws this way across a figure's variants and ``validate``.
+The draw is sine-free: y enters the SNR only as y^2, so each radius gets
+x = rho*cos(t) and y^2 = (rho - x)(rho + x) for rho = r*sqrt(u), never y
+itself (see ``geometry.scale_unit_disk``).  Earlier releases drew
+y = rho*sin(t); against them, rate estimates differ only in their last bits,
+and an outage count moves only if an SNR lies within rounding of gamma_th.
 Each call, and each worker thread in it, owns one workspace of chunk-wide
 rows (5 for one radius, 8 for several), freed on return; chunks draw,
 scale, evaluate the SNR and reduce in its views and allocate no array.
@@ -76,7 +81,7 @@ def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray
     l = p.half_length(scenario)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     snr, dx, dist2 = (np.empty(x.shape) for _ in range(3)) if out is None else out
-    _path_loss(x, y, l, p.h, p.sigma2, True, dist2, snr, dx)
+    _path_loss(x, np.multiply(y, y, out=dist2), l, p.h, p.sigma2, True, dist2, snr, dx)
     return _guided_snr(snr, l, *_guide(scenario, p), dist2, snr)
 
 
@@ -84,11 +89,11 @@ def _guide(scenario: Scenario, p: SystemParams) -> tuple[float, float]:
     return p.alpha if scenario.lossy else 0.0, derive_constants(p).eta * p.p_t
 
 
-def _path_loss(x, y, l, h, sigma2, clip, dist2, x_pa, dx) -> None:
-    # sigma2*(y^2 + h^2 + dx^2) into dist2, x_pa = clip(x, -l, l) and dx = x - x_pa;
-    # without clip the caller has |x| <= l, so dx^2 is +0.0 and adds nothing
-    np.multiply(y, y, out=dist2)
-    dist2 += h * h
+def _path_loss(x, y2, l, h, sigma2, clip, dist2, x_pa, dx) -> None:
+    # sigma2*(y2 + h^2 + dx^2) into dist2, which may hold y2, x_pa = clip(x, -l, l)
+    # and dx = x - x_pa; without clip the caller has |x| <= l, so dx^2 is +0.0
+    # and adds nothing
+    np.add(y2, h * h, out=dist2)
     if clip:
         np.subtract(x, np.clip(x, -l, l, out=x_pa), out=dx)
         dist2 += np.multiply(dx, dx, out=dx)
@@ -143,16 +148,18 @@ def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimat
 # disk lies on one side of gamma_th; the outage counts SNR <= gamma_th.  The
 # chunk kernel computes each SNR as (gain*e) / dist2, with
 # e = exp(-alpha*(x_pa + l)), x_pa = clip(x, -l, l), dx = x - x_pa and
-# dist2 = ((y*y + h*h) + dx*dx) * sigma2, evaluated in that order.
-# - Upper: x_pa >= -l, so x_pa + l >= 0 and e <= 1, and y*y, dx*dx >= 0, so
-#   dist2 >= (h*h)*sigma2 = near.  Rounding is monotone, so every SNR is at
+# dist2 = ((y2 + h*h) + dx*dx) * sigma2, evaluated in that order, where the
+# draw gives x = rho*cos(t) and y2 = (rho - x)*(rho + x) for rho = r*sqrt(u).
+# - Upper: x_pa >= -l, so x_pa + l >= 0 and e <= 1.  |x| <= rho, as
+#   |cos(t)| <= 1 and rounding is monotone, so rho - x, rho + x and y2 are
+#   >= 0, and dx*dx >= 0, so dist2 >= (h*h)*sigma2 = near.  Every SNR is at
 #   most gain/near: at or below gamma_th, every position is in outage.
-# - Lower: a drawn position has x^2 + y^2 <= r^2 and |dx| <= |x|, so
-#   y^2 + dx^2 <= r^2 and dist2 <= (r*r + h*h)*sigma2 = far; x_pa <= l, so
+# - Lower: a drawn position has x^2 + y2 = rho^2 <= r^2 and |dx| <= |x|, so
+#   y2 + dx^2 <= r^2 and dist2 <= (r*r + h*h)*sigma2 = far; x_pa <= l, so
 #   alpha*(x_pa + l) <= 2*alpha*l.  Every SNR is at least
 #   gain*exp(-2*alpha*l)/far: above gamma_th, no position is in outage.
-# The lower bound holds to a few ulps only (r*sqrt(u)*cos(t) and its sine
-# partner round, and so does exp), and the upper one relies on exp(t) <= 1
+# The lower bound holds to a few ulps only (rho, the two factors of y2 and
+# their product round, and so does exp), and the upper one relies on exp(t) <= 1
 # for t <= 0, which numpy's SIMD exp keeps to within its ulps.  A relative
 # margin far above those ulps keeps every job near a bound sampled.  A NaN
 # or zero bound decides nothing.  The decided mean (n/n or 0/n) and stderr
@@ -226,7 +233,7 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
         group.setdefault((scenario, p), (*_guide(scenario, p), set()))[2].add(metric)
 
     # workspace rows: the draw in 0-2; one radius is scaled into it, whose
-    # spent sqrt(u) row then holds the SNR, several get (x, y) rows 3-4
+    # spent sqrt(u) row then holds the SNR, several get (x, y^2) rows 3-4
     snr_rows = (0, 3, 4) if len(plan) == 1 else (5, 6, 7)
 
     def worker(index: int, count: int, workspace: np.ndarray) -> dict:
@@ -234,12 +241,12 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
         unit = sample_unit_disk(rng, count, out=workspace[:3])
         snr_row, scratch, dist2 = (workspace[row] for row in snr_rows)
         partial = {}
-        for (x, y), (r, geometries) in zip(scale_unit_disk(unit, plan, out=workspace[3:5]),
-                                           plan.items()):
+        for (x, y2), (r, geometries) in zip(scale_unit_disk(unit, plan, out=workspace[3:5]),
+                                            plan.items()):
             for (l, h, sigma2), evaluations in geometries.items():
                 # the draws have |x| <= r, so the clip is the identity at l = r;
                 # below, the path loss leaves x_pa in the SNR row for the first job
-                _path_loss(x, y, l, h, sigma2, l < r, dist2, snr_row, scratch)
+                _path_loss(x, y2, l, h, sigma2, l < r, dist2, snr_row, scratch)
                 for k, ((scenario, p), (alpha, gain, metrics)) in enumerate(evaluations.items()):
                     if l < r and k and alpha:
                         np.clip(x, -l, l, out=snr_row)

@@ -30,6 +30,17 @@ def polar_disk_draw(rng: np.random.Generator, r: float, n: int):
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
+def polar_disk_draw_squared(rng: np.random.Generator, r: float, n: int):
+    """The same draw as ``polar_disk_draw``, as (x, y^2) without a sine.
+
+    y^2 is the difference of squares (rho - x)(rho + x) of the radius rho
+    and the abscissa x = rho*cos(angle).
+    """
+    radius = r * np.sqrt(rng.random(n))
+    x = radius * np.cos(2.0 * math.pi * rng.random(n))
+    return x, (radius - x) * (radius + x)
+
+
 def disk_samples(r: float, n: int, seed: int):
     """Uniform disk samples via an independent rejection-free polar draw."""
     return polar_disk_draw(np.random.default_rng(seed), r, n)

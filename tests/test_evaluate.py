@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pinchpass import (
@@ -15,6 +16,7 @@ from pinchpass import (
     rate_pwnl,
 )
 from pinchpass.cli import EXIT_CONFIG, main
+from oracles import extreme_reference
 
 PUBLIC = {
     (Scenario.FWNL, "outage"): lambda p, n: outage_fwnl(p),
@@ -84,3 +86,38 @@ def test_rejected_node_counts_still_raise(tmp_path, capsys):
         == EXIT_CONFIG
     assert "argument --nodes: must be at least 2, got 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _ordering_violations(p):
+    # the orderings the SNR imposes exactly: loss lowers every SNR, a higher
+    # alpha lowers it further, and a higher p_t raises it
+    outage = {s: evaluate(s, "outage", p).value for s in Scenario}
+    rate = {(s, n): evaluate(s, "rate", p, n).value for s in Scenario for n in (200, 2000)}
+    lossier, louder = p.with_(alpha=1.01 * p.alpha), p.with_(p_t=1.01 * p.p_t)
+    bad = []
+    for lossy, lossless in ((Scenario.PWL, Scenario.PWNL), (Scenario.FWL, Scenario.FWNL)):
+        if outage[lossy] < outage[lossless]:
+            bad.append(f"{lossy.name} outage below {lossless.name}")
+        if evaluate(lossy, "outage", lossier).value < outage[lossy]:
+            bad.append(f"{lossy.name} outage falls with alpha")
+        for n in (200, 2000):
+            if rate[lossy, n] > rate[lossless, n]:
+                bad.append(f"{lossy.name} rate above {lossless.name} at {n} nodes")
+            if evaluate(lossy, "rate", lossier, n).value > rate[lossy, n]:
+                bad.append(f"{lossy.name} rate rises with alpha at {n} nodes")
+    for s in Scenario:
+        if evaluate(s, "outage", louder).value > outage[s]:
+            bad.append(f"{s.name} outage rises with p_t")
+    return bad
+
+
+def test_snr_orderings_hold_exactly_on_extreme_draws():
+    # closed forms only, no Monte-Carlo: the signs an oracle at 3 sigma can
+    # miss, over the extreme set (r up to 1e4 m, alpha up to 50 /m)
+    rng = np.random.default_rng(11)
+    violations = {}
+    for i in range(3000):
+        p = extreme_reference(rng)
+        if bad := _ordering_violations(p):
+            violations[i] = (p, bad)
+    assert violations == {}

@@ -19,6 +19,7 @@ from oracles import (
     empirical_cdf,
     params_with_a,
     polar_disk_draw,
+    polar_disk_draw_squared,
     segment_distances,
 )
 
@@ -132,11 +133,34 @@ def test_sampler_polar_uniformity_chi_square():
 
 
 def test_unit_disk_scaled_per_radius_matches_direct_draws():
+    # the sine-free (x, y^2) per radius, and the signed draw with its sine
     radii = [25.0, 15.0, 40.0, 0.37]
     for n in (1, 4_464, 65_536):
         positions = scale_unit_disk(sample_unit_disk(np.random.default_rng(n), n), radii)
-        for r, (x, y) in zip(radii, positions, strict=True):
-            ref = polar_disk_draw(np.random.default_rng(n), r, n)
-            assert np.array_equal(x, ref[0]) and np.array_equal(y, ref[1])
+        for r, (x, y2) in zip(radii, positions, strict=True):
+            ref = polar_disk_draw_squared(np.random.default_rng(n), r, n)
+            assert np.array_equal(x, ref[0]) and np.array_equal(y2, ref[1])
             direct = sample_uniform_disk(np.random.default_rng(n), r, n)
-            assert np.array_equal(direct[0], ref[0]) and np.array_equal(direct[1], ref[1])
+            signed = polar_disk_draw(np.random.default_rng(n), r, n)
+            assert np.array_equal(direct[0], signed[0]) and np.array_equal(direct[1], signed[1])
+            assert np.array_equal(direct[0], x)
+
+
+@pytest.mark.parametrize("n", [4_464, 1_000_000])
+def test_sine_free_draw_invariants(n):
+    radii = [25.0, 0.37, 1e4]
+    root_u, cos_t, angle = sample_unit_disk(np.random.default_rng(n), n)
+    # positions on the x axis, where cos(t) is exactly +-1 and so is x / rho
+    axis = np.arange(0, n, 97)
+    cos_t[axis] = np.where(axis % 2, 1.0, -1.0)
+    off_axis = np.ones(n, dtype=bool)
+    off_axis[axis] = False
+    positions = scale_unit_disk((root_u, cos_t, angle), radii, out=np.empty((2, n)))
+    for r, (x, y2) in zip(radii, positions, strict=True):
+        assert np.all(y2 >= 0.0)
+        assert np.all(y2[axis] == 0.0)
+        assert np.all(x * x + y2 <= r * r * (1.0 + 4.0 * np.finfo(float).eps))
+        if n >= 1_000_000:
+            # E[y^2] = E[rho^2] E[sin^2 t] = r^2/4, and var(y^2) = r^4/16
+            sample = y2[off_axis]
+            assert abs(sample.mean() - r * r / 4.0) <= 3.0 * r * r / 4.0 / math.sqrt(sample.size)

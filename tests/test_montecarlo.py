@@ -16,7 +16,12 @@ from pinchpass.montecarlo import (
     snr_values,
 )
 from pinchpass.params import Scenario, SystemParams, derive_constants
-from oracles import extreme_reference, polar_disk_draw, random_reference
+from oracles import (
+    extreme_reference,
+    polar_disk_draw,
+    polar_disk_draw_squared,
+    random_reference,
+)
 
 SEED = 777
 JOBS = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
@@ -64,7 +69,8 @@ def test_snr_values_bitwise_equal_to_one_expression():
     for p in (SystemParams.reference(gamma_t_db=104.0, r=40.0, l=9.0),
               SystemParams.reference(gamma_t_db=97.0, r=40.0, h=3.0, alpha=0.05, l=30.0)):
         for scenario in Scenario:
-            assert np.array_equal(snr_values(scenario, p, x, y), reference_snr(scenario, p, x, y))
+            assert np.array_equal(snr_values(scenario, p, x, y),
+                                  reference_snr(scenario, p, x, y * y))
 
 
 def test_outage_estimator_threshold_extremes():
@@ -156,14 +162,15 @@ def test_estimate_many_without_jobs_draws_nothing():
     assert estimate_many([], 10_000, SEED) == []
 
 
-def reference_snr(scenario, p, x, y):
-    """The SNR as one expression, with its temporaries (snr_values reuses them)."""
+def reference_snr(scenario, p, x, y2):
+    """The SNR at (x, sqrt(y2)) as one expression, with its temporaries
+    (snr_values reuses them)."""
     l = p.half_length(scenario)
     alpha = p.alpha if scenario.lossy else 0.0
     x_pa = np.clip(x, -l, l)
     dx = x - x_pa
     guided = np.exp(-alpha * (x_pa + l))
-    return derive_constants(p).eta * p.p_t * guided / (p.sigma2 * (y * y + p.h * p.h + dx * dx))
+    return derive_constants(p).eta * p.p_t * guided / (p.sigma2 * (y2 + p.h * p.h + dx * dx))
 
 
 def reference_estimate(scenario, metric, p, n_samples, seed):
@@ -172,7 +179,7 @@ def reference_estimate(scenario, metric, p, n_samples, seed):
     for index, start in enumerate(range(0, n_samples, CHUNK_SAMPLES)):
         count = min(CHUNK_SAMPLES, n_samples - start)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-        snr = reference_snr(scenario, p, *polar_disk_draw(rng, p.r, count))
+        snr = reference_snr(scenario, p, *polar_disk_draw_squared(rng, p.r, count))
         if metric == "outage":
             partials.append(int(np.count_nonzero(snr <= p.gamma_th)))
         else:
@@ -254,6 +261,33 @@ def test_estimate_many_bit_identical_on_every_plan_path(n):
         for workers in (1, 2):
             estimates = estimate_many(jobs, n, SEED, workers)
             assert [repr(e) for e in estimates] == [reference[job] for job in jobs], name
+
+
+def test_chunk_kernel_snr_is_the_snr_of_its_sine_free_positions(monkeypatch):
+    # every SNR the kernel reduces, on every plan path and a partial chunk,
+    # against snr_values at the drawn (x, sqrt(y^2))
+    position, reduced = [], []
+    scale, reduce = montecarlo.scale_unit_disk, montecarlo._reduce
+
+    def recording_scale(unit, radii, out=None):
+        for x, y2 in scale(unit, radii, out):
+            position[:] = [x.copy(), y2.copy()]
+            yield x, y2
+
+    def recording_reduce(partial, scenario, p, metrics, snr, scratch):
+        reduced.append((scenario, p, *position, snr.copy()))
+        reduce(partial, scenario, p, metrics, snr, scratch)
+
+    monkeypatch.setattr(montecarlo, "scale_unit_disk", recording_scale)
+    monkeypatch.setattr(montecarlo, "_reduce", recording_reduce)
+    for pairs in _plan_paths().values():
+        reduced.clear()
+        estimate_many([(s, "rate", p) for s, p in pairs], CHUNK_SAMPLES + 1003, SEED)
+        assert len(reduced) == 2 * len(pairs)
+        for scenario, p, x, y2, snr in reduced:
+            assert np.all(y2 >= 0.0)
+            expected = snr_values(scenario, p, x, np.sqrt(y2))
+            assert np.max(np.abs(snr - expected) / expected) <= 1e-15
 
 
 def test_chunk_plan_skips_identities_and_shares_path_loss(monkeypatch):
