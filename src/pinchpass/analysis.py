@@ -59,6 +59,8 @@ class MetricResult:
 
 
 def _check_nodes(nodes: int) -> None:
+    if not isinstance(nodes, (int, np.integer)):
+        raise ValueError(f"nodes must be an integer, got {nodes!r}")
     if nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {nodes!r}")
 
@@ -288,10 +290,11 @@ def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
         if alpha == 0.0:
             outer = 2.0 * _chord_sum(rho2, base2, e, w)
         elif batch:
-            # math.exp, as for a float l: a grid point takes the bits of a
-            # single half-length
+            # a grid point agrees with a single half-length to 1e-14
+            # relative, not bit for bit: the batched node sum adds in
+            # another order
             gains = np.full((l.size, 2, 1), e)
-            gains[:, 0, 0] = [e * math.exp(-2.0 * alpha * v) for v in l.tolist()]
+            gains[:, 0, 0] *= np.exp(-2.0 * alpha * l)
             outer = _chord_sum(rho2, base2, gains, w_twice)
         else:
             outer = _chord_sum(rho2, base2, np.array([[e * math.exp(-2.0 * alpha * l)], [e]]),
@@ -390,6 +393,8 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     if not start <= stop <= p.r:
         raise ValueError(f"half-length grid stop {stop!r} outside [start, r] = "
                          f"[{start!r}, {p.r!r}]")
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"half-length grid steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"half-length grid steps must be at least 1, got {steps!r}")
     if steps > 1 and (stop - start) / (steps - 1) < 0.01:

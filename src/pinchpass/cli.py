@@ -64,12 +64,11 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import montecarlo
-from .analysis import evaluate, optimal_length_search
+from .analysis import MetricResult, evaluate, optimal_length_search
 from .params import (
     DEFAULT_QUADRATURE_NODES,
     Scenario,
@@ -176,73 +175,54 @@ def apply_swept(base: SystemParams, variable: str, value: float) -> SystemParams
     raise ConfigError(f"unknown swept variable {variable!r}")
 
 
-class _RowJob(NamedTuple):
-    config: int         # index into run_sweep's configs
-    row: int            # position in that config's rows
-    value: float
-    scenario: Scenario
-    p: SystemParams
-    seed: int | None    # Monte-Carlo seed; None when MC is off
-
-
-def _sweep_row(cfg: SweepConfig, job: _RowJob, est) -> SweepRow:
-    result = evaluate(job.scenario, cfg.metric, job.p, cfg.nodes)
+def _sweep_row(cfg: SweepConfig, value: float, result: MetricResult, est) -> SweepRow:
     mc_mean = mc_stderr = abs_gap = passed = None
     if est is not None:
         tol = cfg.mc.tolerance_outage if cfg.metric == "outage" else cfg.mc.tolerance_rate
         mc_mean, mc_stderr = est.mean, est.stderr
         abs_gap = abs(result.value - est.mean)
         passed = abs_gap <= 3.0 * est.stderr + tol
-    return SweepRow(cfg.variable, job.value, job.scenario, result.value,
+    return SweepRow(cfg.variable, value, result.scenario, result.value,
                     mc_mean, mc_stderr, result.case_id or "", abs_gap, passed)
 
 
 def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
     """Evaluate every (grid point, scenario) row of each config.
 
-    Returns one row list per config, in grid order.  Row k of a config
-    draws its Monte-Carlo positions from seed ``mc.seed + k``.  The rows of
-    all configs that share a seed and sample count form one group whose
+    Returns one row list per config, in grid order; every closed form is
+    evaluated before the first draw.  Row k of a config draws its
+    Monte-Carlo positions from seed ``mc.seed + k``.  The rows of all
+    configs that share a seed and sample count form one group whose
     estimates come from one ``estimate_many`` call, so the variants of a
     figure share each draw; every estimate equals the row's own one-job
-    estimate.  With ``workers`` > 1 a thread pool evaluates the groups,
-    each on a single thread.
+    estimate.  With ``workers`` > 1 a thread pool runs the groups, each on
+    one thread; otherwise they run on the calling thread.
     """
     configs = list(configs)
-    shared: dict[tuple[int, int], list[_RowJob]] = {}   # (seed, n_samples) -> rows
-    alone: list[list[_RowJob]] = []                      # rows without MC
+    closed = {}     # (config, row) -> (swept value, closed-form result)
+    groups: dict[tuple[int, int], list] = {}   # (n_samples, seed) -> [((config, row), job)]
     for c, cfg in enumerate(configs):
         # bind every grid value first: an invalid one fails before any work
-        points = [(float(v), apply_swept(cfg.base, cfg.variable, float(v)))
-                  for v in cfg.grid()]
+        points = [(v, apply_swept(cfg.base, cfg.variable, v)) for v in cfg.grid().tolist()]
         for row, ((value, p), scenario) in enumerate(itertools.product(points, cfg.scenarios)):
-            seed = cfg.mc.seed + row if cfg.mc.enabled else None
-            job = _RowJob(c, row, value, scenario, p, seed)
-            if seed is None:
-                alone.append([job])
-            else:
-                shared.setdefault((seed, cfg.mc.n_samples), []).append(job)
+            closed[c, row] = (value, evaluate(scenario, cfg.metric, p, cfg.nodes))
+            if cfg.mc.enabled:
+                groups.setdefault((cfg.mc.n_samples, cfg.mc.seed + row), []).append(
+                    ((c, row), (scenario, cfg.metric, p)))
 
-    def run_group(group: list[_RowJob]) -> list[SweepRow]:
-        first = group[0]
-        estimates = [None] * len(group)
-        if first.seed is not None:
-            estimates = montecarlo.estimate_many(
-                [(job.scenario, configs[job.config].metric, job.p) for job in group],
-                configs[first.config].mc.n_samples, first.seed)
-        return [_sweep_row(configs[job.config], job, est) for job, est in zip(group, estimates)]
+    def estimate(key: tuple[int, int], group: list):
+        rows, jobs = zip(*group)
+        return zip(rows, montecarlo.estimate_many(jobs, *key))
 
-    groups = list(shared.values()) + alone
     if workers <= 1:
-        done = [run_group(group) for group in groups]
+        # a pool thread, even a single one, takes its own malloc arena
+        done = list(map(estimate, groups, groups.values()))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_group, groups))
-    out = [[None] * (cfg.steps * len(cfg.scenarios)) for cfg in configs]
-    for group, rows in zip(groups, done):
-        for job, row in zip(group, rows):
-            out[job.config][job.row] = row
-    return out
+            done = list(pool.map(estimate, groups, groups.values()))
+    estimates = dict(itertools.chain.from_iterable(done))   # (config, row) -> estimate
+    return [[_sweep_row(cfg, *closed[c, row], estimates.get((c, row)))
+             for row in range(cfg.steps * len(cfg.scenarios))] for c, cfg in enumerate(configs)]
 
 
 def _fmt(value) -> str:

@@ -410,6 +410,25 @@ def test_rate_search_refines_in_few_kernel_calls(monkeypatch):
     assert refined >= 40
 
 
+@pytest.mark.parametrize("fun, most", [
+    # flat on the bracket: the parabola through it has no vertex, so no step
+    pytest.param(lambda x: min(1.0, 100.0 * (x - 1.3) ** 2), 0, id="degenerate-parabola"),
+    # a kink at b: every vertex is worse, the first one (0.75) left of b
+    pytest.param(lambda x: 1.0 - x if x <= 1.0 else 3.0 * (x - 1.0), 8, id="worse-vertex"),
+])
+def test_parabolic_refine_never_worsens_its_input(fun, most):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fun(x)
+
+    best_l, best = analysis._parabolic_refine(counted, 0.0, 1.0, 2.0, fun(0.0), fun(1.0),
+                                              fun(2.0), tol=1e-4)
+    assert (best_l, best) == (1.0, fun(1.0))
+    assert len(calls) <= most and all(0.0 < x < 2.0 for x in calls)
+
+
 def test_outage_search_builds_no_system_params(monkeypatch):
     built = 0
     post_init = SystemParams.__post_init__
@@ -442,5 +461,7 @@ def test_grid_validation():
         optimal_length_search(p, metric="rate", grid_spec=(1.0, 30.0, 10))
     with pytest.raises(ValueError):
         optimal_length_search(p, metric="rate", grid_spec=(1.0, 1.01, 5))
+    with pytest.raises(ValueError, match="grid steps must be at least 1, got 0"):
+        optimal_length_search(p, metric="rate", grid_spec=(1.0, 25.0, 0))
     with pytest.raises(ValueError):
         optimal_length_search(p, metric="throughput")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +107,9 @@ def test_sweep_without_mc_leaves_columns_empty(tmp_path):
         assert row[3] != ""
 
 
-def test_numerical_error_exits_4_naming_the_case(tmp_path, monkeypatch, capsys):
-    # a closed form outside [0, 1] is a library defect: it is neither a
-    # configuration error (2) nor a failed validation (1)
+def _failing_g2_sweep(tmp_path, monkeypatch, mc_enabled: str) -> str:
+    # a sweep whose g2 closed forms read outside [0, 1]: the classifier's
+    # two g roots are swapped
     classify = _outage_lossy._classify
 
     def swapped(pc):
@@ -131,15 +132,38 @@ def test_numerical_error_exits_4_naming_the_case(tmp_path, monkeypatch, capsys):
         l = 12.5
 
         [mc]
-        enabled = false
+        enabled = {mc_enabled}
+        n_samples = 1000
 
         [output]
         path = {tmp_path / "g2.csv"}
         """))
-    assert main(["sweep", "--config", str(path)]) == EXIT_NUMERIC
+    return str(path)
+
+
+def test_numerical_error_exits_4_naming_the_case(tmp_path, monkeypatch, capsys):
+    # a closed form outside [0, 1] is a library defect: it is neither a
+    # configuration error (2) nor a failed validation (1)
+    path = _failing_g2_sweep(tmp_path, monkeypatch, "false")
+    assert main(["sweep", "--config", path]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and "g2-mid-mid" in err
     assert not (tmp_path / "g2.csv").exists()
+
+
+def test_failing_closed_form_ends_the_sweep_before_any_draw(tmp_path, monkeypatch, capsys):
+    calls = []
+    estimate_many = montecarlo.estimate_many
+
+    def recording(jobs, n_samples, seed, workers=1):
+        calls.append(seed)
+        return estimate_many(jobs, n_samples, seed, workers)
+
+    monkeypatch.setattr(montecarlo, "estimate_many", recording)
+    path = _failing_g2_sweep(tmp_path, monkeypatch, "true")
+    assert main(["sweep", "--config", path]) == EXIT_NUMERIC
+    assert "g2-mid-mid" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "g2.csv").exists()
 
 
 def test_sweep_rejects_empty_scenarios(tmp_path, capsys):
@@ -349,6 +373,44 @@ def test_sweep_row_k_draws_from_seed_plus_k():
         p = apply_swept(cfg.base, cfg.variable, row.swept_value)
         assert row.mc_mean == montecarlo.estimate_outage(row.scenario, p, 20000, 31415 + k).mean
     assert rows[0].mc_mean != rows[1].mc_mean
+
+
+def _mixed_mc_configs() -> list[SweepConfig]:
+    # two MC configs that share every row seed (one group per seed) around
+    # one without MC
+    fields = dict(variable="gamma_t_db", start=100.0, stop=110.0, steps=3,
+                  scenarios=(Scenario.FWNL, Scenario.PWL))
+    mc = McConfig(n_samples=2000, seed=271)
+    return [SweepConfig(metric="outage", base=SystemParams.reference(alpha=0.01), mc=mc,
+                        **fields),
+            SweepConfig(metric="rate", base=SystemParams.reference(), nodes=64,
+                        mc=McConfig(enabled=False), **fields),
+            SweepConfig(metric="rate", base=SystemParams.reference(alpha=0.04), mc=mc,
+                        **fields)]
+
+
+def test_sweep_mixing_mc_on_and_off_gives_the_same_rows_at_any_worker_count():
+    configs = _mixed_mc_configs()
+    rows = run_sweep(configs, workers=1)
+    assert run_sweep(configs, workers=3) == rows
+    # each config's rows are those of its own sweep
+    assert rows == [run_sweep([cfg])[0] for cfg in configs]
+    assert [{row.mc_mean is None for row in rows[c]} for c in range(3)] \
+        == [{False}, {True}, {False}]
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_sweep_below_two_workers_runs_on_the_calling_thread(workers, monkeypatch):
+    threads = set()
+    estimate_many = montecarlo.estimate_many
+
+    def recording(jobs, n_samples, seed, workers=1):
+        threads.add(threading.get_ident())
+        return estimate_many(jobs, n_samples, seed, workers)
+
+    monkeypatch.setattr(montecarlo, "estimate_many", recording)
+    run_sweep(_mixed_mc_configs(), workers=workers)
+    assert threads == {threading.get_ident()}
 
 
 def test_sweep_reports_io_error(tmp_path):

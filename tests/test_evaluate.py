@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,25 @@ def test_rejected_node_counts_still_raise(tmp_path, capsys):
         == EXIT_CONFIG
     assert "argument --nodes: must be at least 2, got 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda p, n: rate_pwl(p, nodes=n), "nodes", id="rate_pwl-nodes"),
+    pytest.param(lambda p, n: evaluate(Scenario.FWL, "rate", p, n), "nodes",
+                 id="evaluate-nodes"),
+    pytest.param(lambda p, n: optimal_length_search(p, "rate", nodes=n), "nodes",
+                 id="search-nodes"),
+    pytest.param(lambda p, n: optimal_length_search(p, "rate", grid_spec=(0.5, 25.0, n)),
+                 "grid steps", id="search-steps"),
+])
+def test_counts_must_be_integers_naming_the_argument(call, name):
+    # a fractional count used to fail deep inside numpy with a TypeError
+    p = SystemParams.reference()
+    for count in (200.0, np.float64(200.0), "200"):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got "
+                                                       f"{count!r}")):
+            call(p, count)
+    assert call(p, np.int64(200)) == call(p, 200)
 
 
 def _ordering_violations(p):
