@@ -62,7 +62,6 @@ import configparser
 import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,35 +191,24 @@ def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
     Returns one row list per config, in grid order; every closed form is
     evaluated before the first draw.  Row k of a config draws its
     Monte-Carlo positions from seed ``mc.seed + k``.  The rows of all
-    configs that share a seed and sample count form one group whose
-    estimates come from one ``estimate_many`` call, so the variants of a
-    figure share each draw; every estimate equals the row's own one-job
-    estimate.  With ``workers`` > 1 a thread pool runs the groups, each on
-    one thread; otherwise they run on the calling thread.
+    configs that share a seed and sample count form one group, so a
+    figure's variants share each draw; one ``montecarlo.estimate_groups``
+    call runs every group on ``workers`` threads, and each estimate equals
+    the row's own one-job estimate.
     """
     configs = list(configs)
     closed = {}     # (config, row) -> (swept value, closed-form result)
-    groups: dict[tuple[int, int], list] = {}   # (n_samples, seed) -> [((config, row), job)]
+    groups: dict[tuple[int, int], dict] = {}   # (n_samples, seed) -> {(config, row): job}
     for c, cfg in enumerate(configs):
         # bind every grid value first: an invalid one fails before any work
         points = [(v, apply_swept(cfg.base, cfg.variable, v)) for v in cfg.grid().tolist()]
         for row, ((value, p), scenario) in enumerate(itertools.product(points, cfg.scenarios)):
             closed[c, row] = (value, evaluate(scenario, cfg.metric, p, cfg.nodes))
             if cfg.mc.enabled:
-                groups.setdefault((cfg.mc.n_samples, cfg.mc.seed + row), []).append(
-                    ((c, row), (scenario, cfg.metric, p)))
-
-    def estimate(key: tuple[int, int], group: list):
-        rows, jobs = zip(*group)
-        return zip(rows, montecarlo.estimate_many(jobs, *key))
-
-    if workers <= 1:
-        # a pool thread, even a single one, takes its own malloc arena
-        done = list(map(estimate, groups, groups.values()))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(estimate, groups, groups.values()))
-    estimates = dict(itertools.chain.from_iterable(done))   # (config, row) -> estimate
+                groups.setdefault((cfg.mc.n_samples, cfg.mc.seed + row), {})[c, row] = (
+                    scenario, cfg.metric, p)
+    done = montecarlo.estimate_groups({k: group.values() for k, group in groups.items()}, workers)
+    estimates = {row: est for k, group in groups.items() for row, est in zip(group, done[k])}
     return [[_sweep_row(cfg, *closed[c, row], estimates.get((c, row)))
              for row in range(cfg.steps * len(cfg.scenarios))] for c, cfg in enumerate(configs)]
 
@@ -502,10 +490,11 @@ def run_validation(args) -> int:
     # setting ends the command before any line is printed
     checks = [(name, got, ref, base_tol * tol_scale)
               for name, got, ref, base_tol in _lattice_checks(params, nodes)]
-    for i, p in enumerate(params):
-        jobs = [(scenario, metric, p) for scenario in Scenario for metric in ("outage", "rate")]
-        estimates = montecarlo.estimate_many(jobs, n_samples, seed + i, args.workers)
-        for (scenario, metric, _), est in zip(jobs, estimates):
+    jobs = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
+    groups = {(n_samples, seed + i): [(*job, p) for job in jobs] for i, p in enumerate(params)}
+    estimates = montecarlo.estimate_groups(groups, args.workers)
+    for i, (p, group) in enumerate(zip(params, estimates.values())):
+        for (scenario, metric), est in zip(jobs, group):
             checks.append((f"MC {scenario.name} {metric} #{i}",
                            evaluate(scenario, metric, p, nodes).value, est.mean,
                            (3.0 * est.stderr + 1e-4) * tol_scale))
@@ -548,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--mc-samples", type=int, default=None,
                     help="Monte-Carlo sample count per estimate")
     mc.add_argument("--workers", type=_at_least(1), default=1,
-                    help="worker threads: sweep row groups, or validate's MC chunks")
+                    help="threads over the command's Monte-Carlo chunks")
 
     parser = argparse.ArgumentParser(
         prog="pinchpass",

@@ -1,13 +1,13 @@
 """Seeded Monte-Carlo estimators for outage probability and average rate.
 
 Sampling runs in fixed 65536-sample chunks.  Chunk ``j`` draws from its own
-counter-derived Philox stream (``Philox(key=seed).jumped(j)``) and partial
-sums are reduced in chunk order (an integer sum for outage, exact
-``math.fsum`` for rate), so an estimate is bit-identical for a given
-(seed, n_samples) no matter how many workers execute the chunks or in which
-order they finish.
+Philox stream (``Philox(key=seed, counter=[0, 0, j, 0])``, the state of
+``Philox(key=seed).jumped(j)``) and the chunks' partial sums are reduced
+exactly (an integer sum for outage, ``math.fsum`` for rate), so an estimate
+is bit-identical for a given (seed, n_samples) no matter how many workers
+execute the chunks or in which order they finish.
 
-One chunk kernel, ``estimate_many``, serves every estimate.  It plans jobs
+One chunk kernel serves every estimate.  ``estimate_many`` plans jobs
 (scenario, metric, params) sharing one seed by radius, geometry (l, h,
 sigma2) and job: a chunk's positions are drawn once on the unit disk and
 scaled once per radius, the path loss sigma2*(y^2 + h^2 + dx^2) is written
@@ -16,15 +16,14 @@ eta*p_t*exp(-alpha*(x_pa + l)), one divide and its reductions.  The clip at
 l = r (the draws have |x| <= r, so dx is +0.0) and the exp at alpha = 0
 (exp(-0.0) = 1.0) are exact identities and skipped, so every estimate is
 bit-identical to its one-job call (``estimate_outage``, ``estimate_rate``).
-The CLI shares draws this way across a figure's variants and ``validate``.
-The draw is sine-free: y enters the SNR only as y^2, so each radius gets
+Each CLI command runs all its (n_samples, seed) groups of jobs through one
+``estimate_groups`` call; ``estimate_many`` is its one-group case.  The
+draw is sine-free: y enters the SNR only as y^2, so each radius gets
 x = rho*cos(t) and y^2 = (rho - x)(rho + x) for rho = r*sqrt(u), never y
-itself (see ``geometry.scale_unit_disk``).  Earlier releases drew
-y = rho*sin(t); against them, rate estimates differ only in their last bits,
-and an outage count moves only if an SNR lies within rounding of gamma_th.
-Each call, and each worker thread in it, owns one workspace of chunk-wide
-rows (5 for one radius, 8 for several), freed on return; chunks draw,
-scale, evaluate the SNR and reduce in its views and allocate no array.
+itself (see ``geometry.scale_unit_disk``).  Each thread of a call owns one
+workspace of chunk-wide rows (5 when every group has one radius, 8 when one
+has several), freed on return; chunks draw, scale, evaluate the SNR and
+reduce in its views and allocate no array.
 
 An outage job whose SNR is saturated over the whole disk is decided before
 planning and never drawn.  Every SNR is at most eta*p_t/(sigma2*h^2) (no
@@ -44,6 +43,7 @@ small-scale fading.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -113,31 +113,14 @@ def _guided_snr(x_pa, l, alpha, gain, dist2, snr) -> np.ndarray:
     return snr
 
 
-def _run_chunks(worker, n_samples: int, workers: int, rows: int):
-    # thread k runs chunks j = k, k + workers, ... in its own workspace
-    full, rem = divmod(n_samples, CHUNK_SAMPLES)
-    jobs = list(enumerate([CHUNK_SAMPLES] * full + [rem] * (rem > 0)))
-    workers = min(workers, len(jobs))
-
-    def run(share):
-        workspace = np.empty((rows, jobs[0][1]))
-        return [worker(j, c, workspace[:, :c]) for j, c in share]
-
-    if workers <= 1:
-        return run(jobs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = list(pool.map(run, [jobs[k::workers] for k in range(workers)]))
-    return [shares[j % workers][j // workers] for j, _ in jobs]
-
-
 def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimate:
-    # combine the per-chunk partials of one job, always in chunk order
+    # combine the per-chunk partials of one job; both sums are exact, so the
+    # order the chunks finished in does not matter
     if metric == "outage":
         mean = sum(partials) / n_samples
         stderr = math.sqrt(mean * (1.0 - mean) / n_samples)
     else:
-        s1 = math.fsum(part[0] for part in partials)
-        s2 = math.fsum(part[1] for part in partials)
+        s1, s2 = (math.fsum(column) for column in zip(*partials))
         mean = s1 / n_samples
         var = max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
@@ -182,46 +165,31 @@ def _saturated(scenario: Scenario, p: SystemParams) -> float | None:
     return None
 
 
-def _reduce(partial: dict, scenario: Scenario, p: SystemParams, metrics, snr, scratch) -> None:
-    # one chunk's partial sums; scratch is a spent row as long as the SNR
+def _reduce(sums: dict, scenario: Scenario, p: SystemParams, metrics, snr, scratch) -> None:
+    # appends one chunk's partial sums to each job's list in sums; scratch is
+    # a spent row as long as the SNR
     if "outage" in metrics:
         below = np.less_equal(snr, p.gamma_th, out=scratch.view(bool)[:snr.size])
-        partial[scenario, "outage", p] = int(np.count_nonzero(below))
+        sums[scenario, "outage", p].append(int(np.count_nonzero(below)))
     if "rate" in metrics:
         # 1 + snr in place: the outage count above has read the SNR
         np.add(snr, 1.0, out=snr)
         np.log2(snr, out=snr)
         squares = np.multiply(snr, snr, out=scratch)
-        partial[scenario, "rate", p] = (float(np.sum(snr)), float(np.sum(squares)))
+        sums[scenario, "rate", p].append((float(np.sum(snr)), float(np.sum(squares))))
 
 
-def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McEstimate]:
-    """Estimates for every ``(scenario, metric, p)`` job from one set of draws.
-
-    ``metric`` is ``"outage"`` (fraction of positions with SNR <= gamma_th,
-    binomial standard error sqrt(m(1-m)/n)) or ``"rate"`` (sample mean of
-    log2(1 + SNR), standard error the sample standard deviation over
-    sqrt(n)).  Each chunk's positions are drawn once on the unit disk and
-    scaled once per distinct radius ``p.r``, the path loss is written once
-    per geometry and each job's SNR from it, and only the requested metrics
-    are reduced.  An outage job whose SNR bound over the disk lies on one
-    side of gamma_th is decided without drawing (mean 1.0 or 0.0, stderr
-    0.0, bit for bit the sampled estimate); see the module docstring.
-    Results come back in job order; each equals, bit for bit, the estimate
-    the same job gets alone, for any ``workers``.  ``n_samples`` must be an
-    integer of at least ``MIN_SAMPLES`` and ``seed`` an integer in
-    [0, 2**128), or ValueError names the argument.
-    """
-    jobs = list(jobs)
-    # checked here, not by the generator: a decided job builds none
+def _plan(jobs, n_samples: int, seed: int) -> tuple[list, dict, dict, dict]:
+    # the jobs, the estimates the SNR bound decides, a list for the partial
+    # sums of each other job and their plan: radius -> geometry (l, h, sigma2)
+    # -> (scenario, p) -> (alpha, eta*p_t, metrics).  Checked here, not by the
+    # generator: a decided job builds none
     if not isinstance(n_samples, (int, np.integer)) or n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be an integer of at least {MIN_SAMPLES}, "
                          f"got {n_samples!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    decided = {}   # (scenario, "outage", p) -> estimate the SNR bound decides
-    # radius -> geometry (l, h, sigma2) -> (scenario, p) -> (alpha, eta*p_t, metrics)
-    plan: dict[float, dict[tuple, dict[tuple[Scenario, SystemParams], tuple]]] = {}
+    jobs, decided, sums, plan = list(jobs), {}, {}, {}
     for scenario, metric, p in jobs:
         if metric not in ("outage", "rate"):
             raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
@@ -231,33 +199,76 @@ def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McE
             continue
         group = plan.setdefault(p.r, {}).setdefault((p.half_length(scenario), p.h, p.sigma2), {})
         group.setdefault((scenario, p), (*_guide(scenario, p), set()))[2].add(metric)
+        sums.setdefault((scenario, metric, p), [])
+    return jobs, decided, sums, plan
 
-    # workspace rows: the draw in 0-2; one radius is scaled into it, whose
+
+def _draw_chunk(seed, sums, plan, index, count, workspace) -> None:
+    # appends the plan's partial sums over chunk index of the seed to sums.
+    # The draw fills workspace rows 0-2; one radius is scaled into it, whose
     # spent sqrt(u) row then holds the SNR, several get (x, y^2) rows 3-4
-    snr_rows = (0, 3, 4) if len(plan) == 1 else (5, 6, 7)
+    workspace = workspace[:, :count]
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+    unit = sample_unit_disk(rng, count, out=workspace[:3])
+    snr_row, scratch, dist2 = (workspace[row] for row in ((0, 3, 4) if len(plan) == 1
+                                                          else (5, 6, 7)))
+    for (x, y2), (r, geometries) in zip(scale_unit_disk(unit, plan, workspace[3:5]), plan.items()):
+        for (l, h, sigma2), evaluations in geometries.items():
+            # the draws have |x| <= r, so the clip is the identity at l = r;
+            # below, the path loss leaves x_pa in the SNR row for the first job
+            _path_loss(x, y2, l, h, sigma2, l < r, dist2, snr_row, scratch)
+            for k, ((scenario, p), (alpha, gain, metrics)) in enumerate(evaluations.items()):
+                if l < r and k and alpha:
+                    np.clip(x, -l, l, out=snr_row)
+                snr = _guided_snr(snr_row if l < r else x, l, alpha, gain, dist2, snr_row)
+                _reduce(sums, scenario, p, metrics, snr, scratch)
 
-    def worker(index: int, count: int, workspace: np.ndarray) -> dict:
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-        unit = sample_unit_disk(rng, count, out=workspace[:3])
-        snr_row, scratch, dist2 = (workspace[row] for row in snr_rows)
-        partial = {}
-        for (x, y2), (r, geometries) in zip(scale_unit_disk(unit, plan, out=workspace[3:5]),
-                                            plan.items()):
-            for (l, h, sigma2), evaluations in geometries.items():
-                # the draws have |x| <= r, so the clip is the identity at l = r;
-                # below, the path loss leaves x_pa in the SNR row for the first job
-                _path_loss(x, y2, l, h, sigma2, l < r, dist2, snr_row, scratch)
-                for k, ((scenario, p), (alpha, gain, metrics)) in enumerate(evaluations.items()):
-                    if l < r and k and alpha:
-                        np.clip(x, -l, l, out=snr_row)
-                    snr = _guided_snr(snr_row if l < r else x, l, alpha, gain, dist2, snr_row)
-                    _reduce(partial, scenario, p, metrics, snr, scratch)
-        return partial
 
-    chunks = _run_chunks(worker, n_samples, workers, snr_rows[-1] + 1) if plan else []
-    return [decided.get((scenario, metric, p))
-            or _finish(metric, [chunk[scenario, metric, p] for chunk in chunks], n_samples, seed)
-            for scenario, metric, p in jobs]
+def estimate_groups(groups, workers: int = 1) -> dict[tuple[int, int], list[McEstimate]]:
+    """``estimate_many`` for every ``(n_samples, seed)`` key of ``groups``.
+
+    ``groups`` maps each key to its ``(scenario, metric, p)`` jobs.  All are
+    checked and planned before the first draw; then the chunks of every
+    group run on the calling thread (``workers`` <= 1) or on one pool of
+    ``workers`` threads.  Returns each key's estimates in job order.
+    """
+    plans = {key: _plan(group, *key) for key, group in groups.items()}
+    tasks = [(key[1], sums, plan, index, min(CHUNK_SAMPLES, key[0] - start))
+             for key, (*_, sums, plan) in plans.items() if plan
+             for index, start in enumerate(range(0, key[0], CHUNK_SAMPLES))]
+    rows = 8 if any(len(plan) > 1 for *_, plan in plans.values()) else 5
+    shape = (rows, max((task[-1] for task in tasks), default=0))
+    # threads claim tasks in turn into a workspace of their own (count's next
+    # and list.append are atomic); a pool thread, even one, takes a malloc arena
+    claim = itertools.count().__next__
+
+    def run(_=None):
+        workspace = np.empty(shape)
+        while (i := claim()) < len(tasks):
+            _draw_chunk(*tasks[i], workspace)
+
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        run()
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(workers)))
+    return {key: [decided.get(job) or _finish(job[1], sums[job], *key) for job in jobs]
+            for key, (jobs, decided, sums, _) in plans.items()}
+
+
+def estimate_many(jobs, n_samples: int, seed: int, workers: int = 1) -> list[McEstimate]:
+    """Estimates for every ``(scenario, metric, p)`` job from one set of draws.
+
+    ``metric`` is ``"outage"`` (fraction of positions with SNR <= gamma_th,
+    binomial standard error sqrt(m(1-m)/n)) or ``"rate"`` (sample mean of
+    log2(1 + SNR), standard error the sample standard deviation over
+    sqrt(n)).  Results come back in job order; each equals, bit for bit, the
+    estimate the same job gets alone, for any ``workers``.  ``n_samples``
+    must be an integer of at least ``MIN_SAMPLES`` and ``seed`` an integer
+    in [0, 2**128), or ValueError names the argument.
+    """
+    return estimate_groups({(n_samples, seed): jobs}, workers)[n_samples, seed]
 
 
 def estimate_outage(scenario: Scenario, p: SystemParams, n_samples: int,

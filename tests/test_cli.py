@@ -151,15 +151,20 @@ def test_numerical_error_exits_4_naming_the_case(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "g2.csv").exists()
 
 
+def _recording_estimate_groups(monkeypatch, record):
+    """Patch ``montecarlo.estimate_groups`` to call ``record(groups, workers)`` first."""
+    estimate_groups = montecarlo.estimate_groups
+
+    def recording(groups, workers=1):
+        record(groups, workers)
+        return estimate_groups(groups, workers)
+
+    monkeypatch.setattr(montecarlo, "estimate_groups", recording)
+
+
 def test_failing_closed_form_ends_the_sweep_before_any_draw(tmp_path, monkeypatch, capsys):
     calls = []
-    estimate_many = montecarlo.estimate_many
-
-    def recording(jobs, n_samples, seed, workers=1):
-        calls.append(seed)
-        return estimate_many(jobs, n_samples, seed, workers)
-
-    monkeypatch.setattr(montecarlo, "estimate_many", recording)
+    _recording_estimate_groups(monkeypatch, lambda groups, workers: calls.append(list(groups)))
     path = _failing_g2_sweep(tmp_path, monkeypatch, "true")
     assert main(["sweep", "--config", path]) == EXIT_NUMERIC
     assert "g2-mid-mid" in capsys.readouterr().err
@@ -402,13 +407,14 @@ def test_sweep_mixing_mc_on_and_off_gives_the_same_rows_at_any_worker_count():
 @pytest.mark.parametrize("workers", [0, 1])
 def test_sweep_below_two_workers_runs_on_the_calling_thread(workers, monkeypatch):
     threads = set()
-    estimate_many = montecarlo.estimate_many
+    _recording_estimate_groups(monkeypatch, lambda *_: threads.add(threading.get_ident()))
+    sample_unit_disk = montecarlo.sample_unit_disk
 
-    def recording(jobs, n_samples, seed, workers=1):
+    def drawing(rng, size, out=None):
         threads.add(threading.get_ident())
-        return estimate_many(jobs, n_samples, seed, workers)
+        return sample_unit_disk(rng, size, out)
 
-    monkeypatch.setattr(montecarlo, "estimate_many", recording)
+    monkeypatch.setattr(montecarlo, "sample_unit_disk", drawing)
     run_sweep(_mixed_mc_configs(), workers=workers)
     assert threads == {threading.get_ident()}
 
@@ -503,24 +509,25 @@ def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
 
 def test_figure_ids_run_as_one_sweep_with_the_bytes_of_single_runs(tmp_path, monkeypatch,
                                                                    capsys):
-    seeds = []
-    estimate_many = montecarlo.estimate_many
+    calls, seeds = [], []
 
-    def counting(jobs, n_samples, seed, workers=1):
-        seeds.append(seed)
-        return estimate_many(jobs, n_samples, seed, workers)
+    def counting(groups, workers):
+        calls.append(workers)
+        seeds.extend(seed for _, seed in groups)
 
-    monkeypatch.setattr(montecarlo, "estimate_many", counting)
+    _recording_estimate_groups(monkeypatch, counting)
     flags = ["--mc-samples", "1000", "--seed", "12345"]
     assert main(["figure", "2", "3", "4", "5", "6", "7", "2", "--out", str(tmp_path / "all"),
                  *flags]) == EXIT_OK
-    # a repeated id runs once; one estimate_many call per seed, 60 rows of figure 2
+    # a repeated id runs once; one estimate_groups call, one group per seed:
+    # the 60 rows of figure 2
     assert len(capsys.readouterr().out.splitlines()) == 18
-    assert sorted(seeds) == list(range(12345, 12345 + 60))
+    assert calls == [1] and sorted(seeds) == list(range(12345, 12345 + 60))
+    calls.clear()
     seeds.clear()
     for fig in range(2, 8):
         assert main(["figure", str(fig), "--out", str(tmp_path / "one"), *flags]) == EXIT_OK
-    assert len(seeds) == 230
+    assert calls == [1] * 6 and len(seeds) == 230
     names = sorted(path.name for path in (tmp_path / "one").iterdir())
     assert len(names) == 18
     assert sorted(path.name for path in (tmp_path / "all").iterdir()) == names
@@ -594,17 +601,29 @@ def test_figure_pass_flags_are_one_or_zero(tmp_path):
         assert {row[8] for row in read_rows(tmp_path / f"figure7_{alpha}.csv")} <= {"1", "0"}
 
 
-def test_sweep_row_pool_runs_each_estimate_single_threaded(tmp_path, monkeypatch):
+def test_sweep_makes_one_estimate_groups_call(tmp_path, monkeypatch):
     seen = []
-    estimate_many = montecarlo.estimate_many
-
-    def recording(jobs, n_samples, seed, workers=1):
-        seen.append(workers)
-        return estimate_many(jobs, n_samples, seed, workers)
-
-    monkeypatch.setattr(montecarlo, "estimate_many", recording)
+    _recording_estimate_groups(monkeypatch,
+                               lambda groups, workers: seen.append((len(groups), workers)))
+    monkeypatch.setattr(montecarlo, "estimate_many",
+                        lambda *args, **kwargs: pytest.fail("estimate_many called"))
     assert main(["sweep", "--config", write_config(tmp_path), "--workers", "4"]) == EXIT_OK
-    assert seen and set(seen) == {1}
+    # one group per row seed, all in one call that gets the worker count
+    assert len(seen) == 1 and seen[0][0] > 1 and seen[0][1] == 4
+
+
+def test_one_worker_starts_no_thread(tmp_path, monkeypatch, capsys):
+    def start(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    # 70,000 samples make two chunks per group, which two workers would split
+    flags = ["--mc-samples", "70000"]
+    assert main(["figure", "2", "5", "--out", str(tmp_path), *flags, "--workers", "1"]) == EXIT_OK
+    assert main(["validate", *flags, "--workers", "1"]) == EXIT_OK
+    with pytest.raises(AssertionError, match="started"):
+        main(["validate", *flags, "--workers", "2"])
+    assert not hasattr(cli, "ThreadPoolExecutor")
 
 
 def test_workers_below_one_rejected(tmp_path, capsys):

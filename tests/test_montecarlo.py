@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from pinchpass import cli, montecarlo, outage_fwnl, rate_fwnl
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
+    estimate_groups,
     estimate_many,
     estimate_outage,
     estimate_rate,
@@ -375,6 +378,115 @@ def _forced_sampling(monkeypatch, jobs, n, seed, workers):
     with monkeypatch.context() as patched:
         patched.setattr(montecarlo, "_saturated", lambda scenario, p: None)
         return estimate_many(jobs, n, seed, workers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260810, 2 ** 64 - 1, 2 ** 100 + 5, 2 ** 128 - 1])
+def test_chunk_counter_stream_is_the_jumped_stream(seed):
+    # chunk j's generator starts at counter [0, 0, j, 0]: the state that
+    # jumping a fresh key-seeded Philox j times reaches, in far less time
+    for j in (0, 1, 2, 15, 16, 1000):
+        jumped = np.random.Philox(key=seed).jumped(j)
+        counted = np.random.Philox(key=seed, counter=[0, 0, j, 0])
+        assert repr(counted.state) == repr(jumped.state)
+        assert np.array_equal(np.random.Generator(counted).random(70_000),
+                              np.random.Generator(jumped).random(70_000))
+
+
+def _groups():
+    # several radii, a group the SNR bound decides whole, one partial chunk,
+    # and a full chunk plus a remainder
+    base = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    saturated = [(s, "outage", base.with_(gamma_th=g)) for s in Scenario for g in (1e-30, 1e30)]
+    assert all(montecarlo._saturated(s, p) is not None for s, _, p in saturated)
+    return {
+        (2 * CHUNK_SAMPLES + 17, SEED): _chunk_jobs([25.0, 15.0, 40.0]),
+        (CHUNK_SAMPLES + 1003, SEED + 1): saturated,
+        (1000, SEED + 2): _chunk_jobs([25.0]),
+        (70_000, SEED + 3): [(Scenario.PWL, m, base.with_(alpha=0.04)) for m in ("rate", "outage")]
+                            + saturated[:2],
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_estimate_groups_equal_each_groups_estimate_many(workers, monkeypatch):
+    groups = _groups()
+    single = {key: [repr(e) for e in estimate_many(jobs, *key)] for key, jobs in groups.items()}
+    draws = _counting_draws(monkeypatch)
+    estimates = estimate_groups({key: iter(jobs) for key, jobs in groups.items()}, workers)
+    assert list(estimates) == list(groups)
+    assert {key: [repr(e) for e in group] for key, group in estimates.items()} == single
+    # the decided group draws nothing: 3 + 2 + 1 chunks
+    assert sorted(draws) == sorted([CHUNK_SAMPLES] * 3 + [17, 1000, 70_000 - CHUNK_SAMPLES])
+
+
+@pytest.mark.parametrize("n_samples, seed, name", [(999, SEED, "n_samples"), (1000, -1, "seed")])
+def test_bad_last_group_raises_before_any_draw(n_samples, seed, name, monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    groups = dict(_groups())
+    groups[n_samples, seed] = _chunk_jobs([25.0])
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            estimate_groups(groups, workers)
+    assert draws == []
+
+
+def test_pool_threads_draw_and_one_worker_draws_on_the_calling_thread(monkeypatch):
+    threads = []
+    sample_unit_disk = montecarlo.sample_unit_disk
+
+    def drawing(rng, size, out=None):
+        threads.append(threading.get_ident())
+        return sample_unit_disk(rng, size, out)
+
+    monkeypatch.setattr(montecarlo, "sample_unit_disk", drawing)
+    groups = _groups()
+    with monkeypatch.context() as patched:
+        patched.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
+        estimate_groups(groups, 1)
+    assert set(threads) == {threading.get_ident()}
+    threads.clear()
+    estimate_groups(groups, 3)
+    assert len(threads) == 6 and threading.get_ident() not in threads
+
+
+def test_claims_and_sums_survive_fast_thread_switches():
+    # more threads than cores claim 1,000 one-chunk groups and append their
+    # partial sums while the interpreter switches threads every microsecond;
+    # a lost or repeated claim, or a lost append, changes an estimate
+    p = SystemParams.reference(gamma_t_db=103.0, l=9.0)
+    groups = {(1000, SEED + k): [(Scenario.PWL, "rate", p), (Scenario.FWL, "outage", p)]
+              for k in range(1000)}
+    expected, found = estimate_groups(groups, 1), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: found.extend(
+            estimate_groups(groups, 16) for _ in range(3)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and found == [expected] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 8.1)])
+def test_workspace_fits_the_largest_plan_among_groups(radii, rows, workers):
+    # one-radius groups beside a group of the given radii: the workspace
+    # rows are those of the largest plan, 5 unless a group has several radii.
+    # Two chunks a group keep the partial sums' bookkeeping below 0.1 rows
+    groups = {(2 * CHUNK_SAMPLES, SEED + k): _chunk_jobs([25.0]) for k in range(3)}
+    groups[2 * CHUNK_SAMPLES, SEED + 3] = _chunk_jobs(radii)
+    row = CHUNK_SAMPLES * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_groups(groups, workers)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / row <= rows * workers
+    assert (end - start) / row < 0.1
 
 
 def _assert_decisions_exact(monkeypatch, jobs, n=CHUNK_SAMPLES + 1003, seed=SEED):
