@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import _sqrt_clamped, seg
-from .params import Scenario, SystemParams, derive_constants
+from .params import Scenario, SystemParams
 
 _RANGE_SLACK = 1e-9
 
@@ -142,7 +142,7 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     one root, of g or of f, so there are two in x order: two of g, one of
     each, or two of f.
     """
-    return _classify(_Pieces(p, _lossy_half_length(p, scenario), derive_constants(p).C))
+    return _classify(_Pieces(p, _lossy_half_length(p, scenario), p._constants.C))
 
 
 def _lossy_half_length(p: SystemParams, scenario: Scenario) -> float:
@@ -277,7 +277,7 @@ def lossy_outage(p: SystemParams, l: float,
     outside [0, 1] beyond rounding slack is a numerical error and raises
     ArithmeticError naming the case.
     """
-    pc = _Pieces(p, l, derive_constants(p).C if report is None else report.C)
+    pc = _Pieces(p, l, p._constants.C if report is None else report.C)
     if report is None:
         report = _classify(pc)
     case = report.case_id

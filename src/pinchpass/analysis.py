@@ -16,7 +16,7 @@ dispatch from (scenario, metric) to an evaluator of (l, alpha):
   log-SNR (two segments lossless, three lossy), on exactly mirrored nodes
   cached per order.  Mirrored nodes share their chord geometry, so a lossy
   covered span runs on the nonnegative nodes with two gains each, and the
-  far and near outer sides run as one side with two gains.
+  far and near outer sides as one side with two gains, in the same pass.
 
 The search for the half-length that optimizes either metric calls the same
 evaluators at each half-length; its rate grid is one kernel call per block
@@ -29,18 +29,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._outage_lossy import lossy_outage
 from .geometry import seg
-from .params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams, derive_constants
+from .params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams
 
 METRICS = ("outage", "rate")
 
 
-@dataclass(frozen=True)
-class MetricResult:
+class MetricResult(NamedTuple):
     """One evaluated performance metric.
 
     ``value`` is a probability for outage metrics and bits/s/Hz for rate
@@ -158,7 +158,7 @@ def _outage_lossless(p: SystemParams, l: float, full_coverage: bool) -> tuple[fl
     # the disk edge, the chord of the disk bounds it) or to a band |y| <= q
     # (every chord beyond x0 = sqrt(r^2 - q^2) whole).  Full coverage is the
     # band at l = r, case id "interior".  Returns (outage, case id).
-    A = derive_constants(p).A
+    A = p._constants.A
     r = p.r
     if A <= 0.0:
         return 1.0, "all-outage"
@@ -183,7 +183,7 @@ def _outage_lossless(p: SystemParams, l: float, full_coverage: bool) -> tuple[fl
 
 def _rate_full_lossless(p: SystemParams) -> float:
     # the exact rate of a lossless guide at l = r (FWNL, and FWL at alpha = 0)
-    d = derive_constants(p)
+    d = p._constants
     G, L = d.Gamma, d.Lambda
     return (math.log1p(d.eta * p.p_t / (p.sigma2 * p.h * p.h))
             + 2.0 * (math.log((1.0 + G) / (1.0 + L))
@@ -191,17 +191,17 @@ def _rate_full_lossless(p: SystemParams) -> float:
                      - 0.5 * (1.0 - L) / (1.0 + L))) / math.log(2.0)
 
 
-def _chord_sum(rho2: np.ndarray, base2, gains, w: np.ndarray):
-    # the w-weighted sum, over the nodes and the gains of each node, of the
-    # chord integrals of ln(1 + gain/(y^2 + base2)) over 0 <= y <= rho,
-    # rho^2 = rho2, halved:
+def _chord_terms(rho2: np.ndarray, base2, gains):
+    # the chord integrals of ln(1 + gain/(y^2 + base2)) over 0 <= y <= rho,
+    # rho^2 = rho2, halved, one per node and gain:
     #   (rho/2) ln(1 + gain/(rho^2+base2)) + L atan(rho/L) - b atan(rho/b),
     # L = sqrt(base2 + gain), b = sqrt(base2), each node rounded as the
     # whole integral would be, but for the exact factor 2.  The nodes run
     # along the last axis and the gains of a node (a float, or G of them)
-    # along the one before it, with w repeating the node weights G times, so
-    # they share rho, rho^2 + base2 and the gain-free b atan(rho/b).  Every
-    # pass after the first of each array writes in place; rho2 is spent.
+    # along the first, so they share rho, rho^2 + base2 and the gain-free
+    # b atan(rho/b), which each gain's term subtracts before the caller adds
+    # the gains.  Every pass after the first of each array writes in place;
+    # rho2 is spent.
     rho = np.sqrt(rho2)
     s = np.add(rho2, base2, out=rho2)
     lift = np.sqrt(np.add(gains, base2))
@@ -215,8 +215,7 @@ def _chord_sum(rho2: np.ndarray, base2, gains, w: np.ndarray):
     base = np.sqrt(base2) if isinstance(base2, np.ndarray) else math.sqrt(base2)
     free = np.divide(rho, base, out=s)
     np.arctan(free, out=free)
-    np.subtract(terms, np.multiply(free, base, out=free), out=terms)
-    return terms.reshape(terms.shape[:-2] + (-1,)) @ w
+    return np.subtract(terms, np.multiply(free, base, out=free), out=terms)
 
 
 @functools.lru_cache(maxsize=32)
@@ -236,18 +235,22 @@ def _chebyshev_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _mirror_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _mirror_pairs(n: int) -> tuple[np.ndarray, ...]:
     # the order-n rule as mirrored pairs +-t, read-only: the nonnegative
-    # nodes t (m = ceil(n/2) of them), the feed distances of each pair over
-    # l, [1 - t, 1 + t] (2 x m), the pair weights twice (2m; an odd order's
+    # nodes t (m = ceil(n/2) of them), the pair weights (an odd order's
     # center node 0 is counted twice, so it carries half weight), and the
-    # whole rule's weights twice (2n), for the two gains of each outer node
+    # feed distances over l of the two gains of each node: [1 - t, 1 + t]
+    # at the pairs (2 x m), then those followed by [2, 0] at the n outer
+    # nodes, far side and near side (2 x (m + n)); each is contiguous, as
+    # numpy reads a sliced operand at twice the cost
     nodes, sines = _chebyshev_nodes(n)
     m = (n + 1) // 2
     t, w = nodes[:m], sines[:m].copy()
     if n % 2:
         w[-1] = 0.5
-    arrays = (t, np.stack([1.0 - t, 1.0 + t]), np.tile(w, 2), np.tile(sines, 2))
+    stacked = np.zeros((2, m + n))
+    stacked[0, :m], stacked[1, :m], stacked[0, m:] = 1.0 - t, 1.0 + t, 2.0
+    arrays = (t, w, stacked[:, :m].copy(), stacked)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -256,50 +259,54 @@ def _mirror_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
     # the Gauss-Chebyshev chord quadrature of the PWNL and PWL rates (FWL at
     # l = r) under attenuation alpha, at a float l or at a 1-D array of
-    # half-lengths in one pass: those run down the first axis, the nodes
-    # along the last, and an array always takes the outer segments (zero
-    # width at l = r).  The covered span runs at gain e exp(-alpha (x + l));
-    # a node x and its mirror -x share their geometry and differ only in
-    # gain, so the rule runs on the nonnegative nodes x = l t with the gains
+    # half-lengths.  The covered span runs at gain e exp(-alpha (x + l)); a
+    # node x and its mirror -x share their geometry and differ only in gain,
+    # so the rule runs on the nonnegative nodes x = l t with the gains
     # e exp(-alpha l (1 -+ t)), each from its own exp (e exp(-alpha l)
     # underflows first).  Over the symmetric nodes the far side (beyond +l)
     # mirrors the near side (before -l) the same way: gain e exp(-2 alpha l)
     # far, e near (feed level).  A lossless covered span is even in x, so
-    # its rule spends the nodes on [0, l], and far = near.
+    # its rule spends the nodes on [0, l], and far = near: one gain at twice
+    # the weight.  One pass takes the covered nodes, then the outer ones
+    # (none at a float l = r; zero width at l = r in an array), along the
+    # last axis; half-lengths run down the axis before it, the two lossy
+    # gains down the first.
     r, h2 = p.r, p.h * p.h
-    e = derive_constants(p).eta * p.p_t / p.sigma2
+    e = p._constants.eta * p.p_t / p.sigma2
+    t, sines = _chebyshev_nodes(nodes)
     batch = isinstance(l, np.ndarray)
-    lc = l[:, None, None] if batch else l
-    t, w = _chebyshev_nodes(nodes)
-
+    lc = l[:, None] if batch else l
     if alpha == 0.0:
-        x1, gains, w_mid = 0.5 * lc * t + 0.5 * lc, e, w
+        ct, cw = t, sines
     else:
-        half, feed, w_mid, w_twice = _mirror_pairs(nodes)
-        x1 = np.multiply(half, lc)
-        gains = np.multiply(feed, -alpha * lc)
+        ct, cw, cover, stacked = _mirror_pairs(nodes)
+    m = ct.size
+    x = np.empty((l.size, m + nodes) if batch else m + nodes if l < r else m)
+    outer, base2 = x.shape[-1] > m, h2
+    if alpha == 0.0:
+        np.add(np.multiply(t, 0.5 * lc, out=x[..., :m]), 0.5 * lc, out=x[..., :m])
+    else:
+        np.multiply(ct, lc, out=x[..., :m])
+    if outer:
+        base2 = np.empty(x.shape)
+        base2[..., :m] = h2
+        x2 = np.add(np.multiply(t, 0.5 * (r - lc), out=x[..., m:]), 0.5 * (r + lc), out=x[..., m:])
+        gap = np.subtract(x2, lc, out=base2[..., m:])
+        np.add(np.multiply(gap, gap, out=gap), h2, out=gap)
+        np.minimum(x2, r, out=x2)           # so rho^2 >= 0 where x2 rounds past r
+    rho2 = np.subtract(r * r, np.multiply(x, x, out=x), out=x)
+    if alpha == 0.0:
+        gains = e
+    else:
+        feed = stacked if outer else cover
+        gains = np.multiply(feed[:, None] if batch else feed, -alpha * lc)
         np.multiply(np.exp(gains, out=gains), e, out=gains)
-    rho2 = np.subtract(r * r, np.multiply(x1, x1, out=x1), out=x1)
-    total = 2.0 * l * _chord_sum(rho2, h2, gains, w_mid)
-    if batch or l < r:
-        x2 = 0.5 * (r - lc) * t + 0.5 * (r + lc)
-        gap = x2 - lc
-        rho2 = np.subtract(r * r, np.multiply(x2, x2, out=x2), out=x2)
-        np.maximum(rho2, 0.0, out=rho2)
-        base2 = np.add(np.multiply(gap, gap, out=gap), h2, out=gap)
-        if alpha == 0.0:
-            outer = 2.0 * _chord_sum(rho2, base2, e, w)
-        elif batch:
-            # a grid point agrees with a single half-length to 1e-14
-            # relative, not bit for bit: the batched node sum adds in
-            # another order
-            gains = np.full((l.size, 2, 1), e)
-            gains[:, 0, 0] *= np.exp(-2.0 * alpha * l)
-            outer = _chord_sum(rho2, base2, gains, w_twice)
-        else:
-            outer = _chord_sum(rho2, base2, np.array([[e * math.exp(-2.0 * alpha * l)], [e]]),
-                               w_twice)
-        total = total + (r - l) * outer
+    terms = _chord_terms(rho2, base2, gains)
+    covered = terms[..., :m] @ cw
+    total = 2.0 * l * (covered if alpha == 0.0 else covered[0] + covered[1])
+    if outer:
+        sides = terms[..., m:] @ sines
+        total = total + (r - l) * (2.0 * sides if alpha == 0.0 else sides[0] + sides[1])
     # the halved chord integrals take the factor 2 into the scale
     return total / (0.5 * nodes * r * r * math.log(2.0))
 
@@ -404,10 +411,12 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     sign = 1.0 if metric == "outage" else -1.0
     if metric == "rate":
         # evaluate's PWL (PWNL at alpha = 0) rate kernel, one call per grid
-        # block of at most 65,536 node evaluations, so memory stays flat
+        # block of at most 3,000 // nodes half-lengths: a call's arrays then
+        # stay small enough for the allocator to reuse; at 200 nodes blocks
+        # of 20 refaulted freed pages and took 1.3x as long as blocks of 15
         _check_nodes(nodes)
         value_at = lambda l: float(_rate_chord(p, l, nodes, p.alpha))
-        block = max(1, 65_536 // nodes)
+        block = max(1, 3_000 // nodes)
         values = np.concatenate([_rate_chord(p, grid[i:i + block], nodes, p.alpha)
                                  for i in range(0, steps, block)]).tolist()
     else:

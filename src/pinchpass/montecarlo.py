@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sample_unit_disk, scale_unit_disk
-from .params import Scenario, SystemParams, derive_constants
+from .params import Scenario, SystemParams
 
 CHUNK_SAMPLES = 1 << 16
 MIN_SAMPLES = 1000   # fewest samples an estimate accepts
@@ -86,7 +86,7 @@ def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray
 
 
 def _guide(scenario: Scenario, p: SystemParams) -> tuple[float, float]:
-    return p.alpha if scenario.lossy else 0.0, derive_constants(p).eta * p.p_t
+    return p.alpha if scenario.lossy else 0.0, p._constants.eta * p.p_t
 
 
 def _path_loss(x, y2, l, h, sigma2, clip, dist2, x_pa, dx) -> None:

@@ -129,6 +129,9 @@ class SystemParams:
         for name, value, ok in checks:
             if not (ok and math.isfinite(value)):
                 raise ValueError(f"invalid SystemParams.{name} = {value!r}")
+        # the closed forms read these on every call; not a field, so ==,
+        # hash and repr ignore it, and with_ and replace derive their own
+        object.__setattr__(self, "_constants", derive_constants(self))
 
     def half_length(self, scenario: Scenario) -> float:
         """Effective waveguide half-length for a scenario."""

@@ -162,6 +162,27 @@ def rate_chord_full_rule(p: SystemParams, l: float, t: np.ndarray, w: np.ndarray
     return float(total) / (len(t) * r * r * math.log(2.0))
 
 
+def rate_chord_lossless_full_rule(p: SystemParams, l: float, t: np.ndarray,
+                                  w: np.ndarray) -> float:
+    """The lossless chord-quadrature rate (PWNL at any l <= r) on nodes t
+    with weights w: the even covered span on its nodes x = l t/2 + l/2 over
+    [0, l], and every node of each outer side evaluated on its own, with no
+    merging of the two sides or of the spans."""
+    r, h2, e = p.r, p.h ** 2, derive_constants(p).eta * p.p_t / p.sigma2
+
+    def chords(x, base2):
+        rho2 = np.maximum(r * r - x * x, 0.0)
+        rho, lift, base = np.sqrt(rho2), np.sqrt(base2 + e), np.sqrt(base2)
+        return (rho * np.log1p(e / (rho2 + base2)) + 2.0 * lift * np.arctan(rho / lift)
+                - 2.0 * base * np.arctan(rho / base)) @ w
+
+    far, near = 0.5 * (r - l) * t + 0.5 * (r + l), 0.5 * (r - l) * t - 0.5 * (r + l)
+    total = (2.0 * l * chords(0.5 * l * t + 0.5 * l, h2)
+             + (r - l) * chords(far, h2 + (far - l) ** 2)
+             + (r - l) * chords(near, h2 + (near + l) ** 2))
+    return float(total) / (len(t) * r * r * math.log(2.0))
+
+
 def threshold_curves(p: SystemParams, scenario: Scenario):
     """Vectorized threshold curve f and clearance g = r^2 - x^2 - f of a lossy
     scenario, from the SNR definition.

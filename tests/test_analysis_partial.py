@@ -27,6 +27,7 @@ from oracles import (
     params_with_a,
     random_reference,
     rate_chord_full_rule,
+    rate_chord_lossless_full_rule,
 )
 from test_numerics import CASE_PROBES, CLOSED_FORM_CASES
 
@@ -319,6 +320,22 @@ def test_mirrored_pair_kernel_matches_full_rule(nodes):
                 if draw is random_reference:
                     assert value == pytest.approx(rate_chord_full_rule(p, l, cos_t, cos_w),
                                                   rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 17, 200, 201, 2000])
+def test_lossless_stacked_pass_matches_per_node_rule(nodes):
+    # one half-length makes one pass over the covered nodes on [0, l] and
+    # the outer nodes at twice the weight, far and near side as one; the
+    # reference evaluates every node of both sides on its own
+    t, w = analysis._chebyshev_nodes(nodes)
+    for draw, seed in ((random_reference, 61), (extreme_reference, 62)):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            p = draw(rng).with_(alpha=0.0)
+            for l in (p.l, p.r):
+                want = rate_chord_lossless_full_rule(p, l, t, w)
+                assert rate_pwnl(p.with_(l=l), nodes).value \
+                    == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pinchpass import (
+    MetricResult,
     Scenario,
     SystemParams,
     evaluate,
@@ -58,6 +59,30 @@ def test_lossy_scenario_at_zero_alpha_is_its_relabelled_twin():
             got, ref = evaluate(lossy, metric, p), evaluate(twin, metric, p)
             assert (got.value, got.case_id, got.quadrature_nodes) \
                 == (ref.value, ref.case_id, ref.quadrature_nodes)
+
+
+def test_metric_result_fields_order_and_defaults():
+    assert MetricResult._fields == ("value", "scenario", "case_id", "quadrature_nodes")
+    assert MetricResult._field_defaults == {"case_id": None, "quadrature_nodes": None}
+    result = MetricResult(0.25, Scenario.PWL)
+    assert (result.value, result.scenario, result.case_id, result.quadrature_nodes) \
+        == (0.25, Scenario.PWL, None, None)
+
+
+def test_metric_result_repr_as_in_the_quick_start():
+    result = outage_pwl(SystemParams.reference(gamma_t_db=105.0, alpha=0.02, l=12.5))
+    assert repr(result).startswith("MetricResult(value=")
+    assert repr(result) == (f"MetricResult(value={result.value!r}, scenario={Scenario.PWL!r}, "
+                            f"case_id={result.case_id!r}, quadrature_nodes=None)")
+
+
+def test_metric_result_is_an_immutable_tuple():
+    result = rate_pwl(SystemParams.reference(), 200)
+    with pytest.raises(AttributeError):
+        result.value = 0.0
+    value, scenario, case_id, nodes = result
+    assert (scenario, case_id, nodes) == (Scenario.PWL, None, 200)
+    assert result == (value, scenario, case_id, nodes)
 
 
 def test_unknown_metric_is_rejected():

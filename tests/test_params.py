@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pinchpass.params import (
+    DerivedConstants,
     Scenario,
     SystemParams,
     db_to_linear,
@@ -102,3 +105,36 @@ def test_half_length_per_scenario():
     assert p.half_length(Scenario.FWL) == p.r
     assert p.half_length(Scenario.PWNL) == 9.0
     assert p.half_length(Scenario.PWL) == 9.0
+
+
+def test_stored_constants_equal_derive_constants():
+    p = SystemParams.reference(gamma_t_db=103.0, r=18.0, h=7.0, alpha=0.013, l=9.0)
+    stored, fresh = p._constants, derive_constants(p)
+    for name in DerivedConstants._fields:
+        assert getattr(stored, name) == getattr(fresh, name), name
+    # the public function still computes afresh
+    assert derive_constants(p) is not stored
+
+
+def test_copies_carry_their_own_constants():
+    p = SystemParams.reference(gamma_t_db=103.0)
+    copies = {
+        "with_": p.with_(r=30.0),
+        "replace": dataclasses.replace(p, r=30.0),
+        "pickle": pickle.loads(pickle.dumps(p)),
+    }
+    for how, q in copies.items():
+        assert q._constants == derive_constants(q), how
+    # a new radius gives a new Lambda = sqrt(1 + r^2/h^2)
+    assert copies["with_"]._constants.Lambda != p._constants.Lambda
+    assert copies["replace"]._constants == copies["with_"]._constants
+    assert copies["pickle"] == p and copies["pickle"]._constants == p._constants
+
+
+def test_stored_constants_leave_eq_hash_repr_unchanged():
+    p, q = SystemParams.reference(107.0), SystemParams.reference(107.0)
+    object.__setattr__(q, "_constants", None)
+    assert p == q
+    assert hash(p) == hash(q)
+    assert repr(p) == repr(q)
+    assert "_constants" not in repr(p)
