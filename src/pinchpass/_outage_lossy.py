@@ -19,7 +19,7 @@ ending at two zeros of f (the f2 arrangements) are still asin arcs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import _sqrt_clamped, seg
 from .params import Scenario, SystemParams
@@ -30,8 +30,7 @@ CASE_ALL_OUTAGE = "all-outage"
 CASE_NO_OUTAGE = "no-outage"
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     """Root structure of the outage boundary for one lossy configuration.
 
     ``g_roots`` are the abscissas where the threshold curve crosses the
@@ -142,7 +141,7 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     one root, of g or of f, so there are two in x order: two of g, one of
     each, or two of f.
     """
-    return _classify(_Pieces(p, _lossy_half_length(p, scenario), p._constants.C))
+    return _classify(_Pieces(p, _lossy_half_length(p, scenario), p.constants.C))
 
 
 def _lossy_half_length(p: SystemParams, scenario: Scenario) -> float:
@@ -277,7 +276,7 @@ def lossy_outage(p: SystemParams, l: float,
     outside [0, 1] beyond rounding slack is a numerical error and raises
     ArithmeticError naming the case.
     """
-    pc = _Pieces(p, l, p._constants.C if report is None else report.C)
+    pc = _Pieces(p, l, p.constants.C if report is None else report.C)
     if report is None:
         report = _classify(pc)
     case = report.case_id

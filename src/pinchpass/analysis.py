@@ -20,7 +20,8 @@ dispatch from (scenario, metric) to an evaluator of (l, alpha):
 
 The search for the half-length that optimizes either metric calls the same
 evaluators at each half-length; its rate grid is one kernel call per block
-of half-lengths.  A rate optimum is refined by successive parabolic
+of half-lengths, equal bit for bit to the rates ``evaluate`` gives at those
+half-lengths.  A rate optimum is refined by successive parabolic
 interpolation, an outage optimum by golden section.
 """
 
@@ -158,7 +159,7 @@ def _outage_lossless(p: SystemParams, l: float, full_coverage: bool) -> tuple[fl
     # the disk edge, the chord of the disk bounds it) or to a band |y| <= q
     # (every chord beyond x0 = sqrt(r^2 - q^2) whole).  Full coverage is the
     # band at l = r, case id "interior".  Returns (outage, case id).
-    A = p._constants.A
+    A = p.constants.A
     r = p.r
     if A <= 0.0:
         return 1.0, "all-outage"
@@ -183,7 +184,7 @@ def _outage_lossless(p: SystemParams, l: float, full_coverage: bool) -> tuple[fl
 
 def _rate_full_lossless(p: SystemParams) -> float:
     # the exact rate of a lossless guide at l = r (FWNL, and FWL at alpha = 0)
-    d = p._constants
+    d = p.constants
     G, L = d.Gamma, d.Lambda
     return (math.log1p(d.eta * p.p_t / (p.sigma2 * p.h * p.h))
             + 2.0 * (math.log((1.0 + G) / (1.0 + L))
@@ -272,7 +273,7 @@ def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
     # last axis; half-lengths run down the axis before it, the two lossy
     # gains down the first.
     r, h2 = p.r, p.h * p.h
-    e = p._constants.eta * p.p_t / p.sigma2
+    e = p.constants.eta * p.p_t / p.sigma2
     t, sines = _chebyshev_nodes(nodes)
     batch = isinstance(l, np.ndarray)
     lc = l[:, None] if batch else l
@@ -302,10 +303,11 @@ def _rate_chord(p: SystemParams, l, nodes: int, alpha: float):
         gains = np.multiply(feed[:, None] if batch else feed, -alpha * lc)
         np.multiply(np.exp(gains, out=gains), e, out=gains)
     terms = _chord_terms(rho2, base2, gains)
-    covered = terms[..., :m] @ cw
+    # one dot product per row, so a half-length in a block sums as it does alone
+    covered = np.vecdot(terms[..., :m], cw)
     total = 2.0 * l * (covered if alpha == 0.0 else covered[0] + covered[1])
     if outer:
-        sides = terms[..., m:] @ sines
+        sides = np.vecdot(terms[..., m:], sines)
         total = total + (r - l) * (2.0 * sides if alpha == 0.0 else sides[0] + sides[1])
     # the halved chord integrals take the factor 2 into the scale
     return total / (0.5 * nodes * r * r * math.log(2.0))
@@ -324,6 +326,7 @@ class LengthSearchResult:
     best_value: float
     grid: tuple[tuple[float, float], ...]
     metric: str
+    grid_end: str | None
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
@@ -386,7 +389,8 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     1e-3 m; it moves left on a tie and its result wins a tie with the grid
     optimum, so a flat optimum reports its smallest half-length: at
     alpha = 0 the outage is flat beyond x0 = sqrt(r^2 - A), and the search
-    returns x0 to 1e-3 m.
+    returns x0 to 1e-3 m.  An optimum at a grid end is not refined, and the
+    result's ``grid_end`` names that end ("start" or "stop", else None).
     A ``None`` grid_spec, or entry of it, takes the default
     (max(0.01, r/50), r, 50).
     """
@@ -447,5 +451,5 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
                 best_l, best_value = candidate, cand_value
 
     return LengthSearchResult(best_l=best_l, best_value=best_value,
-                              grid=tuple(zip(map(float, grid), values)),
-                              metric=metric)
+                              grid=tuple(zip(map(float, grid), values)), metric=metric,
+                              grid_end={steps - 1: "stop", 0: "start"}.get(best_idx))

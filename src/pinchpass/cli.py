@@ -617,6 +617,8 @@ def _cmd_optimal_length(args) -> int:
         print(f"curve written to {args.out}")
     print(f"best half-length {result.best_l:.3f} m with {result.metric} "
           f"{result.best_value:.9g}")
+    if result.grid_end:
+        print(f"the optimum is the grid {result.grid_end}: it may lie beyond the grid")
     return EXIT_OK
 
 

@@ -67,26 +67,24 @@ class McEstimate:
     seed: int
 
 
-def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray,
-               out=None) -> np.ndarray:
+def snr_values(scenario: Scenario, p: SystemParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Received SNR (linear) for device positions (x, y) on the floor.
 
     One expression covers all four scenarios: the antenna clamps to the
     covered segment, the guided path runs from the feed at the -l end of
     the segment to the antenna, and lossless scenarios zero the attenuation
     exponent.  Full coverage uses l = r, and the antenna position is always
-    clipped.  The SNR is written into the first of ``out``, three arrays of
-    the positions' shape whose other two are scratch, or fresh ones.
+    clipped.
     """
     l = p.half_length(scenario)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    snr, dx, dist2 = (np.empty(x.shape) for _ in range(3)) if out is None else out
+    snr, dx, dist2 = (np.empty(x.shape) for _ in range(3))
     _path_loss(x, np.multiply(y, y, out=dist2), l, p.h, p.sigma2, True, dist2, snr, dx)
     return _guided_snr(snr, l, *_guide(scenario, p), dist2, snr)
 
 
 def _guide(scenario: Scenario, p: SystemParams) -> tuple[float, float]:
-    return p.alpha if scenario.lossy else 0.0, p._constants.eta * p.p_t
+    return p.alpha if scenario.lossy else 0.0, p.constants.eta * p.p_t
 
 
 def _path_loss(x, y2, l, h, sigma2, clip, dist2, x_pa, dx) -> None:

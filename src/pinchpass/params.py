@@ -102,6 +102,9 @@ class SystemParams:
     c : float
         Speed of light, m/s.  Defaults to the exact value; the presets use
         the rounded 3e8 figure.
+    constants : DerivedConstants
+        ``derive_constants(self)``, stored when built; not a field, so ``==``,
+        ``hash`` and ``repr`` ignore it, and every copy derives its own.
     """
 
     r: float
@@ -115,23 +118,31 @@ class SystemParams:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
+        # the closed forms square r, h, r/h, f_c and c, and divide by those
+        # squares, sigma2*h^2 and sigma2*gamma_th: none of them may overflow
+        # or underflow to zero.  Nothing is clamped
+        r, h, in_range = self.r, self.h, lambda x: 0.0 < x < math.inf
         checks = (
-            ("r", self.r, self.r > 0),
-            ("h", self.h, self.h > 0),
-            ("f_c", self.f_c, self.f_c > 0),
-            ("sigma2", self.sigma2, self.sigma2 > 0),
+            ("r", r, r > 0 and in_range(r * r)),
+            ("h", h, h > 0 and in_range(h * h) and in_range((r / h) * (r / h))),
+            ("f_c", self.f_c, self.f_c > 0 and in_range(self.f_c * self.f_c)),
+            ("sigma2", self.sigma2, self.sigma2 > 0 and in_range(self.sigma2 * h * h)),
             ("p_t", self.p_t, self.p_t > 0),
             ("alpha", self.alpha, self.alpha >= 0),
-            ("l", self.l, 0 < self.l <= self.r),
-            ("gamma_th", self.gamma_th, self.gamma_th > 0),
-            ("c", self.c, self.c > 0),
+            ("l", self.l, 0 < self.l <= r),
+            ("gamma_th", self.gamma_th,
+             self.gamma_th > 0 and in_range(self.sigma2 * self.gamma_th)),
+            ("c", self.c, self.c > 0 and in_range(self.c * self.c)),
         )
         for name, value, ok in checks:
             if not (ok and math.isfinite(value)):
                 raise ValueError(f"invalid SystemParams.{name} = {value!r}")
-        # the closed forms read these on every call; not a field, so ==,
-        # hash and repr ignore it, and with_ and replace derive their own
-        object.__setattr__(self, "_constants", derive_constants(self))
+        # C = 0, the all-outage limit, is legal; an infinite constant is not
+        constants = derive_constants(self)
+        for name, definition in _DEFINITIONS.items():
+            if not math.isfinite(value := getattr(constants, name)):
+                raise ValueError(f"invalid SystemParams: {name} = {definition} = {value!r}")
+        object.__setattr__(self, "constants", constants)
 
     def half_length(self, scenario: Scenario) -> float:
         """Effective waveguide half-length for a scenario."""
@@ -187,6 +198,12 @@ class DerivedConstants(NamedTuple):
     C: float
     Gamma: float
     Lambda: float
+
+
+# each derived constant's definition, each after those it reads
+_DEFINITIONS = {"eta": "c^2/(16 pi^2 f_c^2)", "C": "eta*p_t/(sigma2*gamma_th)", "A": "C - h^2",
+                "B": "eta*p_t + sigma2*h^2", "Gamma": "sqrt(1 + sigma2*r^2/B)",
+                "Lambda": "sqrt(1 + (r/h)^2)"}
 
 
 def derive_constants(p: SystemParams) -> DerivedConstants:

@@ -346,6 +346,21 @@ def test_lossless_rate_prefers_full_coverage():
     p = SystemParams.reference(gamma_t_db=105.0, alpha=0.0)
     result = optimal_length_search(p, metric="rate", grid_spec=(1.0, 25.0, 25))
     assert result.best_l == pytest.approx(p.r, abs=1e-9)
+    assert result.grid_end == "stop"
+
+
+@pytest.mark.parametrize("alpha, metric, grid_end, best_l", [
+    # the attenuation outweighs the coverage: the optimum is the grid start
+    (0.06, "rate", "start", 0.5),
+    (0.1, "outage", "start", 0.5),
+    # interior optima, refined between their grid neighbors
+    (0.02, "rate", None, 12.06),
+    (0.02, "outage", None, 14.76),
+])
+def test_search_flags_an_optimum_at_a_grid_end(alpha, metric, grid_end, best_l):
+    result = optimal_length_search(SystemParams.reference(alpha=alpha), metric)
+    assert result.grid_end == grid_end
+    assert result.best_l == pytest.approx(best_l, abs=5e-3)
 
 
 def test_optimal_length_decreases_with_attenuation():
@@ -370,15 +385,30 @@ def test_optimal_length_decreases_with_attenuation():
     pytest.param("outage", 200, (0.25, 25.0, 100), id="outage-grid_spec2"),
 ])
 def test_batched_rate_grid_matches_per_point_evaluate(alpha, metric, nodes, grid_spec):
-    # the rate grid is batched kernel calls, equal to rounding; each outage
-    # point calls the closed form evaluate calls, so it is equal bit for bit
+    # the rate grid is batched kernel calls, each row reduced as a single
+    # rate is; each outage point calls the closed form evaluate calls: both
+    # equal evaluate bit for bit
     p = SystemParams.reference(gamma_t_db=105.0, alpha=alpha)
     res = optimal_length_search(p, metric=metric, grid_spec=grid_spec, nodes=nodes)
     assert len(res.grid) == grid_spec[2] and res.grid[-1][0] == p.r
-    rel = 1e-14 if metric == "rate" else 0.0
     for l, value in res.grid + ((res.best_l, res.best_value),):
         want = evaluate(Scenario.PWL, metric, p.with_(l=l), nodes).value
-        assert type(value) is float and value == pytest.approx(want, rel=rel, abs=0.0)
+        assert type(value) is float and value == want
+
+
+@pytest.mark.parametrize("nodes", [200, 201, 2000])
+def test_rate_grid_equals_evaluate_bit_for_bit_over_draws(nodes):
+    # box and extreme draws, lossy and lossless, on the default grid: every
+    # grid value, and the unrefined optimum, is the rate evaluate gives
+    draws = []
+    for draw, seed in ((random_reference, 2026), (extreme_reference, 2027)):
+        rng = np.random.default_rng(seed)
+        draws += [draw(rng) for _ in range(100)]
+    for p in draws:
+        for q in (p, p.with_(alpha=0.0)):
+            res = optimal_length_search(q, "rate", nodes=nodes, refine=False)
+            for l, value in res.grid + ((res.best_l, res.best_value),):
+                assert value == evaluate(Scenario.PWL, "rate", q.with_(l=l), nodes).value, (q, l)
 
 
 def test_flat_outage_optimum_reports_its_smallest_half_length():

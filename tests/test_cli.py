@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import itertools
 import math
 import os
@@ -116,7 +115,7 @@ def _failing_g2_sweep(tmp_path, monkeypatch, mc_enabled: str) -> str:
         report = classify(pc)
         if len(report.g_roots) != 2:
             return report
-        return dataclasses.replace(report, g_roots=report.g_roots[::-1])
+        return report._replace(g_roots=report.g_roots[::-1])
 
     monkeypatch.setattr(_outage_lossy, "_classify", swapped)
     path = tmp_path / "g2.ini"
@@ -292,6 +291,8 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  "grid stop 30.0 outside [start, r] = [0.5, 25.0]", id="optimal-length-stop-beyond-r"),
     pytest.param(SWEEP, "sigma2_dbm = -90", "sigma2_dbm = 4000", "params.sigma2_dbm",
                  id="sigma2_dbm-overflow"),
+    # a radius whose square overflows: no constants to derive
+    pytest.param(SWEEP, "r = 25.0", "r = 1e300", "SystemParams.r = 1e+300", id="r-overflow"),
     pytest.param(SWEEP, "stop = 115", "stop = 4000", "swept value gamma_t_db=4000",
                  id="swept-gamma_t_db-overflow"),
 ])
@@ -585,13 +586,20 @@ def test_optimal_length_command(tmp_path, capsys):
     # r below the reference half-length: the half-length follows as r/2
     (["--metric", "outage", "--r", "12", "--h", "5", "--alpha", "0.03", "--gamma-t-db", "110"],
      dict(r=12.0, h=5.0, alpha=0.03, gamma_t_db=110.0, l=6.0), "outage"),
+    # the rate is best at the grid start, 0.5 m
+    (["--alpha", "0.1"], dict(alpha=0.1), "rate"),
 ])
 def test_optimal_length_unset_flags_take_the_library_defaults(flags, params, metric, capsys):
     assert main(["optimal-length", *flags]) == EXIT_OK
     result = pinchpass.optimal_length_search(SystemParams.reference(**params), metric)
     assert len(result.grid) == 50
-    assert capsys.readouterr().out == (f"best half-length {result.best_l:.3f} m with {metric} "
-                                       f"{result.best_value:.9g}\n")
+    # an optimum at a grid end gets a second line: the outage at r = 12 m is
+    # 0 at every half-length, and the tie goes to the grid start
+    end = {0.03: "start", 0.1: "start"}.get(params.get("alpha"))
+    assert result.grid_end == end
+    assert capsys.readouterr().out == (
+        f"best half-length {result.best_l:.3f} m with {metric} {result.best_value:.9g}\n"
+        + (f"the optimum is the grid {end}: it may lie beyond the grid\n" if end else ""))
 
 
 def test_figure_pass_flags_are_one_or_zero(tmp_path):

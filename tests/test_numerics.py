@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import types
 import warnings
@@ -349,13 +348,25 @@ def test_g2_left_mid_never_occurs():
     assert "g2-left-right" in cases and left_roots > 0
 
 
+def test_root_report_is_a_named_tuple():
+    p = SystemParams.reference(gamma_t_db=110.0, alpha=0.005, l=12.5)
+    report = classify_crossings(p, Scenario.PWL)
+    assert isinstance(report, tuple) and type(report) is _outage_lossy.RootReport
+    assert report._fields == ("g_roots", "f_roots", "case_id", "C")
+    g_roots, f_roots, case_id, C = report
+    assert report == (g_roots, f_roots, case_id, C) and C == p.constants.C
+    # the repr of the frozen dataclass it replaced
+    assert repr(report) == (f"RootReport(g_roots={g_roots!r}, f_roots={f_roots!r}, "
+                            f"case_id={case_id!r}, C={C!r})")
+
+
 def test_closed_form_outside_unit_interval_raises():
     # numerical error is detected, not recovered: a hand-built report with
     # its two g roots swapped integrates the outage region backwards
     p = SystemParams.reference(gamma_t_db=110.0, alpha=0.005, l=12.5)
     report = classify_crossings(p, Scenario.PWL)
     assert report.case_id == "g2-mid-mid"
-    swapped = dataclasses.replace(report, g_roots=report.g_roots[::-1])
+    swapped = report._replace(g_roots=report.g_roots[::-1])
     with pytest.raises(ArithmeticError, match=r"g2-mid-mid.*outside \[0, 1\]"):
         evaluate_lossy_outage(p, Scenario.PWL, swapped)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -85,8 +86,11 @@ def test_validation_rejects_bad_fields():
     good = SystemParams.reference()
     for field, value in (("r", -1.0), ("h", 0.0), ("sigma2", 0.0), ("p_t", -2.0),
                          ("alpha", -0.01), ("gamma_th", 0.0), ("l", 0.0),
-                         ("l", good.r + 1.0), ("f_c", math.inf)):
-        with pytest.raises(ValueError, match=field):
+                         ("l", good.r + 1.0), ("f_c", math.inf),
+                         # scales past the float range: (r/h)^2 overflowed in
+                         # derive_constants, f_c^2 underflowed to a zero divisor
+                         ("r", 1e300), ("h", 1e-300), ("h", 1e-160), ("f_c", 1e-300)):
+        with pytest.raises(ValueError, match=re.escape(f"invalid SystemParams.{field} = ")):
             good.with_(**{field: value})
 
 
@@ -109,11 +113,16 @@ def test_half_length_per_scenario():
 
 def test_stored_constants_equal_derive_constants():
     p = SystemParams.reference(gamma_t_db=103.0, r=18.0, h=7.0, alpha=0.013, l=9.0)
-    stored, fresh = p._constants, derive_constants(p)
+    stored, fresh = p.constants, derive_constants(p)
+    assert stored == fresh
     for name in DerivedConstants._fields:
         assert getattr(stored, name) == getattr(fresh, name), name
     # the public function still computes afresh
     assert derive_constants(p) is not stored
+    # read-only, and no field
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.constants = fresh
+    assert "constants" not in {f.name for f in dataclasses.fields(p)}
 
 
 def test_copies_carry_their_own_constants():
@@ -124,17 +133,28 @@ def test_copies_carry_their_own_constants():
         "pickle": pickle.loads(pickle.dumps(p)),
     }
     for how, q in copies.items():
-        assert q._constants == derive_constants(q), how
+        assert q.constants == derive_constants(q), how
     # a new radius gives a new Lambda = sqrt(1 + r^2/h^2)
-    assert copies["with_"]._constants.Lambda != p._constants.Lambda
-    assert copies["replace"]._constants == copies["with_"]._constants
-    assert copies["pickle"] == p and copies["pickle"]._constants == p._constants
+    assert copies["with_"].constants.Lambda != p.constants.Lambda
+    assert copies["replace"].constants == copies["with_"].constants
+    assert copies["pickle"] == p and copies["pickle"].constants == p.constants
 
 
 def test_stored_constants_leave_eq_hash_repr_unchanged():
     p, q = SystemParams.reference(107.0), SystemParams.reference(107.0)
-    object.__setattr__(q, "_constants", None)
+    object.__setattr__(q, "constants", None)
     assert p == q
     assert hash(p) == hash(q)
     assert repr(p) == repr(q)
-    assert "_constants" not in repr(p)
+    assert "constants" not in repr(p)
+
+
+def test_validation_rejects_infinite_constants_and_keeps_a_zero_c():
+    # c^2 and f_c^2 are in range, their ratio eta is not
+    with pytest.raises(ValueError, match=re.escape("eta = c^2/(16 pi^2 f_c^2) = inf")):
+        SystemParams.reference(c=1e150, f_c=1e-100)
+    with pytest.raises(ValueError, match=re.escape("C = eta*p_t/(sigma2*gamma_th) = inf")):
+        SystemParams.reference(p_t=1e300, sigma2=1e-20)
+    # C = eta p_t/(sigma2 gamma_th) underflows to 0: every position is in outage
+    p = SystemParams.reference(p_t=1e-320)
+    assert p.constants.C == 0.0
