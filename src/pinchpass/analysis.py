@@ -389,8 +389,10 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     1e-3 m; it moves left on a tie and its result wins a tie with the grid
     optimum, so a flat optimum reports its smallest half-length: at
     alpha = 0 the outage is flat beyond x0 = sqrt(r^2 - A), and the search
-    returns x0 to 1e-3 m.  An optimum at a grid end is not refined, and the
-    result's ``grid_end`` names that end ("start" or "stop", else None).
+    returns x0 to 1e-3 m.  At alpha = 0 the rate cannot fall as l grows,
+    so the rate search returns the grid stop.  An optimum at a grid end is
+    not refined, and the result's ``grid_end`` names that end ("start" or
+    "stop", else None).
     A ``None`` grid_spec, or entry of it, takes the default
     (max(0.01, r/50), r, 50).
     """
@@ -428,7 +430,12 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
         # keeps every grid and golden-section point a valid half-length
         value_at = lambda l: _outage(p, l, p.alpha, False)[0]
         values = [value_at(float(l)) for l in grid]
-    best_idx = int(np.argmin([sign * v for v in values]))
+    # at alpha = 0 no position's SNR falls as l grows, so no rate can: the
+    # stop is best, whatever the quadrature's error near l = r ranks first
+    if metric == "rate" and p.alpha == 0.0:
+        best_idx = steps - 1
+    else:
+        best_idx = int(np.argmin([sign * v for v in values]))
     best_l = float(grid[best_idx])
     best_value = values[best_idx]
 

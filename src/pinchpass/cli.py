@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -142,6 +143,15 @@ class SweepConfig:
             raise ConfigError(f"quadrature.nodes (--nodes) must be at least 2, got {self.nodes!r}")
         if not self.scenarios:
             raise ConfigError("sweep.scenarios must list at least one scenario")
+        # each swept variable's domain is an interval, so its ends decide the grid
+        for key in ("start", "stop"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep.{key} must be finite, got {value!r}")
+            try:
+                apply_swept(self.base, self.variable, value)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.{key}: {exc}") from exc
         if not self.stop >= self.start:
             raise ConfigError("sweep.stop must not be below sweep.start")
 
@@ -336,7 +346,7 @@ def build_params(options: dict[str, float]) -> SystemParams:
         if key in options and alternative in options:
             raise ConfigError(f"give params.{key} or params.{alternative}, not both")
     kwargs = {key: options[key] for key in ("r", "h", "f_c", "alpha", "l", "c", "sigma2",
-                                            "gamma_th") if key in options}
+                                            "gamma_th", "p_t") if key in options}
     for key, name, to_linear in (("sigma2_dbm", "sigma2", dbm_to_watts),
                                  ("gamma_th_db", "gamma_th", db_to_linear)):
         if key in options:
@@ -344,8 +354,7 @@ def build_params(options: dict[str, float]) -> SystemParams:
             if not 0.0 < kwargs[name] < np.inf:
                 raise ConfigError(f"params.{key}: {name} = {kwargs[name]!r}")
     try:
-        p = SystemParams.reference(gamma_t_db=options.get("gamma_t_db", 105.0), **kwargs)
-        return p.with_(p_t=options["p_t"]) if "p_t" in options else p
+        return SystemParams.reference(gamma_t_db=options.get("gamma_t_db", 105.0), **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -617,7 +626,8 @@ def _cmd_optimal_length(args) -> int:
         print(f"curve written to {args.out}")
     print(f"best half-length {result.best_l:.3f} m with {result.metric} "
           f"{result.best_value:.9g}")
-    if result.grid_end:
+    # past a stop at r there is no half-length to search
+    if result.grid_end == "start" or (result.grid_end == "stop" and result.best_l < p.r):
         print(f"the optimum is the grid {result.grid_end}: it may lie beyond the grid")
     return EXIT_OK
 

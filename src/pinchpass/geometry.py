@@ -4,9 +4,10 @@ Every outage is an area of the disk summed over chords.  Its chord strips,
 and the clipped caps of a lossless outage, go through one primitive:
 ``seg(R, a, c)``, twice the area under a circle of radius R between the
 abscissas a and c.  The positions the Monte-Carlo oracle draws uniformly
-on the disk live here too.  Its draw is sine-free: the SNR reads y only as
-y^2, which is (rho - x)(rho + x) for a position at distance rho from the
-center, the same difference of squares seg takes.
+on the disk live here too, as (sqrt(u), cos(t), t) on the unit disk: the
+oracle scales them without a sine, as the SNR reads y only as y^2, which is
+(rho - x)(rho + x) at distance rho from the center, the same difference of
+squares seg takes.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ def sample_unit_disk(rng: np.random.Generator, size: int, out=None):
 
     Inverse-CDF sampling in polar coordinates: the radius is sqrt(u) and
     the angle t = 2*pi*v, with all radius uniforms u drawn before all angle
-    uniforms v, so every position consumes exactly two uniforms.  The draw
-    is sine-free: ``scale_unit_disk`` turns it into x and y^2 on any radius,
-    and the angle row is its scratch once cos(t) is written.  The draw
-    fills ``out`` (three contiguous arrays of length size) if given.
+    uniforms v, so every position consumes exactly two uniforms.  The
+    Monte-Carlo chunk scales it to x and y^2 on each radius without a sine,
+    with the angle row as scratch once cos(t) is written.  The draw fills
+    ``out`` (three contiguous arrays of length size) if given.
     """
     root_u, cos_t, angle = (np.empty(size) for _ in range(3)) if out is None else out
     rng.random(out=root_u)
@@ -57,40 +58,6 @@ def sample_unit_disk(rng: np.random.Generator, size: int, out=None):
     angle *= 2.0 * math.pi
     np.cos(angle, out=cos_t)
     return root_u, cos_t, angle
-
-
-def _squared_ordinate(rho, x, out):
-    # y^2 = (rho - x)(rho + x), the cancellation-free difference of squares
-    # seg uses; |fl(rho*cos(t))| <= rho, so neither factor is negative.
-    # rho is spent: it ends up holding rho + x
-    np.subtract(rho, x, out=out)
-    rho += x
-    out *= rho
-    return out
-
-
-def scale_unit_disk(unit, radii, out=None):
-    """Yield positions (x, y^2) on the disk of each radius in turn.
-
-    ``unit`` is a ``sample_unit_disk`` draw.  For every radius r, with
-    rho = r*sqrt(u), x = rho*cos(t) and y^2 = (rho - x)(rho + x), so one
-    draw serves several radii and no sine is taken: the SNR reads y only
-    as y^2.  Each radius but the last fills ``out`` (two arrays like the
-    draw) if given, else fresh ones, and spends the draw's angle row as
-    scratch; the last is scaled into the draw's own arrays, so a single
-    radius needs no memory beyond the draw it spends.
-    """
-    root_u, cos_t, scratch = unit
-    del unit
-    *first, last = radii
-    for r in first:
-        x, y2 = np.empty((2, *root_u.shape)) if out is None else out
-        rho = np.multiply(root_u, r, out=scratch)
-        np.multiply(rho, cos_t, out=x)
-        yield x, _squared_ordinate(rho, x, y2)
-    root_u *= last
-    cos_t *= root_u
-    yield cos_t, _squared_ordinate(root_u, cos_t, scratch)
 
 
 def sample_uniform_disk(rng: np.random.Generator, r: float, size: int | None = None):

@@ -20,20 +20,22 @@ Each CLI command runs all its (n_samples, seed) groups of jobs through one
 ``estimate_groups`` call; ``estimate_many`` is its one-group case.  The
 draw is sine-free: y enters the SNR only as y^2, so each radius gets
 x = rho*cos(t) and y^2 = (rho - x)(rho + x) for rho = r*sqrt(u), never y
-itself (see ``geometry.scale_unit_disk``).  Each thread of a call owns one
-workspace of chunk-wide rows (5 when every group has one radius, 8 when one
-has several), freed on return; chunks draw, scale, evaluate the SNR and
-reduce in its views and allocate no array.
+itself (``_scale_draw``).  Each thread of a call owns one workspace of
+chunk-wide rows (5 when every group has one radius, 7 when one has
+several), freed on return; chunks draw, scale, evaluate the SNR and reduce
+in its views and allocate no array.
 
 An outage job whose SNR is saturated over the whole disk is decided before
 planning and never drawn.  Every SNR is at most eta*p_t/(sigma2*h^2) (no
 device is nearer the antenna than h, and the guide gains nothing) and at
-least eta*p_t*exp(-2*alpha*l)/(sigma2*(r^2 + h^2)) (none is farther than
-sqrt(r^2 + h^2), and no guided path is longer than 2l).  A gamma_th at or
-above the first bound gives mean 1.0, one below the second mean 0.0, both
-with stderr 0.0, bit for bit what sampling returns; a relative margin of
-1e-9 leaves thresholds near a bound to sampling.  A call whose jobs are
-all decided draws nothing and allocates no workspace; a rate job draws.
+least its minimum over the disk,
+eta*p_t*exp(-alpha*(x_c + l))/(sigma2*(r^2 + h^2 - x_c^2)), reached on the
+edge at the abscissa x_c in [0, l] where the guided log-SNR is least
+(x_c = 0 at alpha = 0).  A gamma_th at or above the first bound gives mean
+1.0, one below the second mean 0.0, both with stderr 0.0, bit for bit what
+sampling returns; a relative margin of 1e-9 leaves thresholds near a bound
+to sampling.  A call whose jobs are all decided draws nothing and allocates
+no workspace; a rate job draws.
 
 Only device positions are random.  The channel's free-space and in-guide
 phase rotations have unit modulus and cancel in the SNR, so they are
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import sample_unit_disk, scale_unit_disk
+from .geometry import sample_unit_disk
 from .params import Scenario, SystemParams
 
 CHUNK_SAMPLES = 1 << 16
@@ -135,10 +137,16 @@ def _finish(metric: str, partials: list, n_samples: int, seed: int) -> McEstimat
 #   |cos(t)| <= 1 and rounding is monotone, so rho - x, rho + x and y2 are
 #   >= 0, and dx*dx >= 0, so dist2 >= (h*h)*sigma2 = near.  Every SNR is at
 #   most gain/near: at or below gamma_th, every position is in outage.
-# - Lower: a drawn position has x^2 + y2 = rho^2 <= r^2 and |dx| <= |x|, so
-#   y2 + dx^2 <= r^2 and dist2 <= (r*r + h*h)*sigma2 = far; x_pa <= l, so
-#   alpha*(x_pa + l) <= 2*alpha*l.  Every SNR is at least
-#   gain*exp(-2*alpha*l)/far: above gamma_th, no position is in outage.
+# - Lower: at a given x the SNR falls as y2 grows, and a drawn position has
+#   y2 <= r^2 - x^2 (x^2 + y2 = rho^2 <= r^2), so the weakest lie on the
+#   edge.  There, with c = r^2 + h^2, beyond +-l e is fixed and
+#   dist2/sigma2 = c - 2|x|l + l^2 grows toward +-l, so the SNR falls
+#   toward +-l.  Under the guide the log-SNR -alpha*(x + l) - log(c - x^2)
+#   is convex, least where -alpha + 2x/(c - x^2) = 0, at
+#   x* = c/(u + sqrt(u^2 + c)) for u = 1/alpha (x* = 0 at alpha = 0).  So
+#   with x_c = min(x*, l) and far = ((r - x_c)*(r + x_c) + h*h)*sigma2,
+#   the cancellation-free form of y2's, every SNR is at least
+#   gain*exp(-alpha*(x_c + l))/far: above gamma_th, no position is in outage.
 # The lower bound holds to a few ulps only (rho, the two factors of y2 and
 # their product round, and so does exp), and the upper one relies on exp(t) <= 1
 # for t <= 0, which numpy's SIMD exp keeps to within its ulps.  A relative
@@ -156,8 +164,17 @@ def _saturated(scenario: Scenario, p: SystemParams) -> float | None:
     near = p.h * p.h * p.sigma2
     if near > 0.0 and gain / near * (1.0 + _BOUND_MARGIN) <= p.gamma_th:
         return 1.0
-    far = (p.r * p.r + p.h * p.h) * p.sigma2
-    weakest = gain * math.exp(-2.0 * alpha * p.half_length(scenario))
+    # x*, scaled by alpha up to alpha*sqrt(c) = 1 and by u/sqrt(c) beyond it,
+    # so that neither form overflows or divides by zero for any alpha >= 0
+    l, s = p.half_length(scenario), math.hypot(p.r, p.h)
+    if alpha <= 1.0 / s:
+        x = alpha * s * s / (1.0 + math.hypot(1.0, alpha * s))
+    else:
+        v = 1.0 / alpha / s
+        x = s / (v + math.hypot(v, 1.0))
+    x = min(x, l)
+    far = ((p.r - x) * (p.r + x) + p.h * p.h) * p.sigma2
+    weakest = gain * math.exp(-alpha * (x + l))
     if far > 0.0 and weakest / far * (1.0 - _BOUND_MARGIN) > p.gamma_th:
         return 0.0
     return None
@@ -201,16 +218,33 @@ def _plan(jobs, n_samples: int, seed: int) -> tuple[list, dict, dict, dict]:
     return jobs, decided, sums, plan
 
 
+def _scale_draw(root_u, cos_t, r, rho, x, y2) -> None:
+    # x = rho*cos(t) and y^2 = (rho - x)(rho + x) for rho = r*sqrt(u), into
+    # the rows rho, x and y2; rho may be the sqrt(u) row and x the cos(t)
+    # row, which spends the draw.  y^2 is the cancellation-free difference of
+    # squares geometry.seg takes: |fl(rho*cos(t))| <= rho, so neither factor
+    # is negative.  rho ends up holding rho + x
+    np.multiply(root_u, r, out=rho)
+    np.multiply(rho, cos_t, out=x)
+    np.subtract(rho, x, out=y2)
+    rho += x
+    y2 *= rho
+
+
 def _draw_chunk(seed, sums, plan, index, count, workspace) -> None:
     # appends the plan's partial sums over chunk index of the seed to sums.
-    # The draw fills workspace rows 0-2; one radius is scaled into it, whose
-    # spent sqrt(u) row then holds the SNR, several get (x, y^2) rows 3-4
+    # The draw (sqrt(u), cos(t), t) fills rows 0-2.  Each radius takes five
+    # rows in turn, rho, x, y^2, scratch and the path loss: rows 2-6 for
+    # every radius but the last, whose rho is the spent angle row, and rows
+    # 0-4 for the last, which spends the draw.  The spent rho row holds the
+    # radius' SNR
     workspace = workspace[:, :count]
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
-    unit = sample_unit_disk(rng, count, out=workspace[:3])
-    snr_row, scratch, dist2 = (workspace[row] for row in ((0, 3, 4) if len(plan) == 1
-                                                          else (5, 6, 7)))
-    for (x, y2), (r, geometries) in zip(scale_unit_disk(unit, plan, workspace[3:5]), plan.items()):
+    root_u, cos_t, _ = sample_unit_disk(rng, count, out=workspace[:3])
+    last = len(plan) - 1
+    for i, (r, geometries) in enumerate(plan.items()):
+        snr_row, x, y2, scratch, dist2 = workspace[0 if i == last else 2:][:5]
+        _scale_draw(root_u, cos_t, r, snr_row, x, y2)
         for (l, h, sigma2), evaluations in geometries.items():
             # the draws have |x| <= r, so the clip is the identity at l = r;
             # below, the path loss leaves x_pa in the SNR row for the first job
@@ -234,7 +268,7 @@ def estimate_groups(groups, workers: int = 1) -> dict[tuple[int, int], list[McEs
     tasks = [(key[1], sums, plan, index, min(CHUNK_SAMPLES, key[0] - start))
              for key, (*_, sums, plan) in plans.items() if plan
              for index, start in enumerate(range(0, key[0], CHUNK_SAMPLES))]
-    rows = 8 if any(len(plan) > 1 for *_, plan in plans.values()) else 5
+    rows = 7 if any(len(plan) > 1 for *_, plan in plans.values()) else 5
     shape = (rows, max((task[-1] for task in tasks), default=0))
     # threads claim tasks in turn into a workspace of their own (count's next
     # and list.append are atomic); a pool thread, even one, takes a malloc arena

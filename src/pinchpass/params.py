@@ -129,7 +129,7 @@ class SystemParams:
             ("sigma2", self.sigma2, self.sigma2 > 0 and in_range(self.sigma2 * h * h)),
             ("p_t", self.p_t, self.p_t > 0),
             ("alpha", self.alpha, self.alpha >= 0),
-            ("l", self.l, 0 < self.l <= r),
+            ("l", self.l, 0 < self.l),
             ("gamma_th", self.gamma_th,
              self.gamma_th > 0 and in_range(self.sigma2 * self.gamma_th)),
             ("c", self.c, self.c > 0 and in_range(self.c * self.c)),
@@ -137,6 +137,8 @@ class SystemParams:
         for name, value, ok in checks:
             if not (ok and math.isfinite(value)):
                 raise ValueError(f"invalid SystemParams.{name} = {value!r}")
+        if self.l > r:
+            raise ValueError(f"invalid SystemParams.l = {self.l!r} beyond r = {r!r}")
         # C = 0, the all-outage limit, is legal; an infinite constant is not
         constants = derive_constants(self)
         for name, definition in _DEFINITIONS.items():
@@ -159,12 +161,15 @@ class SystemParams:
         28 GHz carrier, -90 dBm noise, 25 m region, 10 m mount height,
         threshold 100 (20 dB), attenuation 0.02 /m, half-length r/2, and
         the rounded speed of light.  ``gamma_t_db`` sets p_t via the
-        transmit SNR p_t/sigma2.
+        transmit SNR p_t/sigma2, unless p_t is given.
         """
         sigma2 = overrides.pop("sigma2", dbm_to_watts(-90.0))
         snr = db_to_linear(gamma_t_db)
         if not 0.0 < snr < math.inf:
             raise ValueError(f"invalid gamma_t_db = {gamma_t_db!r}: p_t/sigma2 = {snr!r}")
+        if "p_t" not in overrides and sigma2 * snr == math.inf:
+            raise ValueError(f"invalid SystemParams.sigma2 = {sigma2!r}: p_t = sigma2 * "
+                             f"10^(gamma_t_db/10) overflows at gamma_t_db = {gamma_t_db!r}")
         base = dict(
             r=25.0,
             h=10.0,

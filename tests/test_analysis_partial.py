@@ -349,6 +349,16 @@ def test_lossless_rate_prefers_full_coverage():
     assert result.grid_end == "stop"
 
 
+@pytest.mark.parametrize("nodes", [200, 2000])
+def test_lossless_rate_search_ends_at_the_stop_on_the_default_grid(nodes):
+    # the 200-node rule ranks l = 24.5 m above l = r = 25 m, but at alpha = 0
+    # no position's SNR falls as l grows: the stop is returned, unrefined
+    p = SystemParams.reference(alpha=0.0)
+    result = optimal_length_search(p, "rate", nodes=nodes)
+    assert result.best_l == p.r and result.grid_end == "stop"
+    assert result.best_value == result.grid[-1][1]
+
+
 @pytest.mark.parametrize("alpha, metric, grid_end, best_l", [
     # the attenuation outweighs the coverage: the optimum is the grid start
     (0.06, "rate", "start", 0.5),

@@ -1,11 +1,14 @@
 import argparse
+import configparser
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +318,44 @@ def test_configuration_error_exits_2_naming_its_field(argv, old, new, field, tmp
     assert [path.name for path in tmp_path.iterdir()] == ["sweep.ini"]
 
 
+MUTATION_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "-0", "1e-300", "1e300", "1e400", "abc",
+                   "1.5", "3", "2e9")
+# setting one spelling of a parameter drops the example's other spelling
+ALTERNATIVES = {"sigma2": "sigma2_dbm", "p_t": "gamma_t_db", "gamma_th_db": "gamma_th"}
+
+
+def test_every_mutated_config_key_runs_or_is_named(tmp_path, monkeypatch, capsys):
+    # the documented example with Monte-Carlo off and one schema key (all but
+    # output.path) set to each value, for both metrics: every run exits 0 or
+    # 2, a run that exits 2 names the key it set, and none raises or warns
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PINCHPASS_SEED", raising=False)
+    example = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section=None)
+    example.read_string(_docstring_example())
+    keys = [(section, key) for section, keys in CONFIG_SCHEMA.items() for key in keys
+            if section != "output"]
+    codes = []
+    for (section, key), value, metric in itertools.product(keys, MUTATION_VALUES,
+                                                           ("outage", "rate")):
+        config = {name: dict(example[name]) for name in example.sections()}
+        config["sweep"]["metric"], config["mc"]["enabled"] = metric, "false"
+        config[section].pop(ALTERNATIVES.get(key), None)
+        config[section][key] = value
+        (tmp_path / "mutated.ini").write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in config.items()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", "mutated.ini"])
+        err = capsys.readouterr().err
+        codes.append(code)
+        assert caught == [], (section, key, value)
+        assert code in (EXIT_OK, EXIT_CONFIG), (section, key, value, err)
+        if code:
+            assert re.search(rf"(?<!\w){key}(?!\w)", err), (section, key, value, err)
+    assert len(codes) == 24 * 14 * 2 and EXIT_CONFIG in codes
+
+
 def test_sweep_without_scenarios_runs_all_four(tmp_path):
     text = BASE_CONFIG.format(mc_enabled="false", out=tmp_path / "out.csv")
     path = tmp_path / "sweep.ini"
@@ -600,6 +641,18 @@ def test_optimal_length_unset_flags_take_the_library_defaults(flags, params, met
     assert capsys.readouterr().out == (
         f"best half-length {result.best_l:.3f} m with {metric} {result.best_value:.9g}\n"
         + (f"the optimum is the grid {end}: it may lie beyond the grid\n" if end else ""))
+
+
+def test_optimal_length_says_beyond_the_grid_only_where_a_length_lies_beyond(capsys):
+    # the lossless rate ends at the stop: at r no half-length lies beyond it,
+    # below r one may
+    assert main(["optimal-length", "--alpha", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("best half-length 25.000 m with rate ") and out.count("\n") == 1
+    assert main(["optimal-length", "--alpha", "0", "--l-stop", "20"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("best half-length 20.000 m with rate ")
+    assert out.endswith("\nthe optimum is the grid stop: it may lie beyond the grid\n")
 
 
 def test_figure_pass_flags_are_one_or_zero(tmp_path):

@@ -9,10 +9,9 @@ from pinchpass import outage_fwnl, outage_pwnl
 from pinchpass.geometry import (
     sample_uniform_disk,
     sample_unit_disk,
-    scale_unit_disk,
     seg,
 )
-from pinchpass.montecarlo import snr_values
+from pinchpass.montecarlo import _scale_draw, snr_values
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
     disk_samples,
@@ -132,11 +131,24 @@ def test_sampler_polar_uniformity_chi_square():
     assert stat < chi2.ppf(1 - 1e-3, bins * bins - 1)
 
 
+def _scaled(unit, radii):
+    # (x, y^2) on each radius through the chunk's scaling step: every radius
+    # but the last into rows of its own, the last in place, spending the draw
+    root_u, cos_t, angle = unit
+    *first, last = radii
+    for r in first:
+        rho, x, y2 = np.empty((3, root_u.size))
+        _scale_draw(root_u, cos_t, r, rho, x, y2)
+        yield x, y2
+    _scale_draw(root_u, cos_t, last, root_u, cos_t, angle)
+    yield cos_t, angle
+
+
 def test_unit_disk_scaled_per_radius_matches_direct_draws():
     # the sine-free (x, y^2) per radius, and the signed draw with its sine
     radii = [25.0, 15.0, 40.0, 0.37]
     for n in (1, 4_464, 65_536):
-        positions = scale_unit_disk(sample_unit_disk(np.random.default_rng(n), n), radii)
+        positions = _scaled(sample_unit_disk(np.random.default_rng(n), n), radii)
         for r, (x, y2) in zip(radii, positions, strict=True):
             ref = polar_disk_draw_squared(np.random.default_rng(n), r, n)
             assert np.array_equal(x, ref[0]) and np.array_equal(y2, ref[1])
@@ -155,7 +167,7 @@ def test_sine_free_draw_invariants(n):
     cos_t[axis] = np.where(axis % 2, 1.0, -1.0)
     off_axis = np.ones(n, dtype=bool)
     off_axis[axis] = False
-    positions = scale_unit_disk((root_u, cos_t, angle), radii, out=np.empty((2, n)))
+    positions = _scaled((root_u, cos_t, angle), radii)
     for r, (x, y2) in zip(radii, positions, strict=True):
         assert np.all(y2 >= 0.0)
         assert np.all(y2[axis] == 0.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pinchpass import cli, montecarlo, outage_fwnl, rate_fwnl
+from pinchpass.geometry import sample_uniform_disk
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
@@ -270,18 +271,17 @@ def test_chunk_kernel_snr_is_the_snr_of_its_sine_free_positions(monkeypatch):
     # every SNR the kernel reduces, on every plan path and a partial chunk,
     # against snr_values at the drawn (x, sqrt(y^2))
     position, reduced = [], []
-    scale, reduce = montecarlo.scale_unit_disk, montecarlo._reduce
+    scale, reduce = montecarlo._scale_draw, montecarlo._reduce
 
-    def recording_scale(unit, radii, out=None):
-        for x, y2 in scale(unit, radii, out):
-            position[:] = [x.copy(), y2.copy()]
-            yield x, y2
+    def recording_scale(root_u, cos_t, r, rho, x, y2):
+        scale(root_u, cos_t, r, rho, x, y2)
+        position[:] = [x.copy(), y2.copy()]
 
     def recording_reduce(partial, scenario, p, metrics, snr, scratch):
         reduced.append((scenario, p, *position, snr.copy()))
         reduce(partial, scenario, p, metrics, snr, scratch)
 
-    monkeypatch.setattr(montecarlo, "scale_unit_disk", recording_scale)
+    monkeypatch.setattr(montecarlo, "_scale_draw", recording_scale)
     monkeypatch.setattr(montecarlo, "_reduce", recording_reduce)
     for pairs in _plan_paths().values():
         reduced.clear()
@@ -353,12 +353,13 @@ def test_chunks_reuse_one_workspace_without_page_faults():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 8.1)])
+@pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 7.1)])
 def test_chunk_workspace_peak_memory(radii, rows, workers):
     # one workspace per thread: 5 chunk-wide rows for one radius (the draw,
     # whose spent sqrt(u) row holds each job's SNR in turn, the path loss a
-    # geometry's jobs share, and a scratch row for dx and the reductions), 8
-    # for several (with (x, y) rows and their own SNR rows).  Allocating per
+    # geometry's jobs share, and a scratch row for dx and the reductions), 7
+    # for several (every radius but the last takes the spent angle row for
+    # its SNR, and (x, y^2), scratch and path-loss rows 3-6).  Allocating per
     # chunk peaked at 5.02 and 8.03 rows per thread; the bound adds 0.08
     # rows for bookkeeping
     jobs, row = _chunk_jobs(radii), CHUNK_SAMPLES * 8
@@ -470,10 +471,11 @@ def test_claims_and_sums_survive_fast_thread_switches():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 8.1)])
+@pytest.mark.parametrize("radii, rows", [([25.0], 5.1), ([25.0, 15.0], 7.1)])
 def test_workspace_fits_the_largest_plan_among_groups(radii, rows, workers):
     # one-radius groups beside a group of the given radii: the workspace
-    # rows are those of the largest plan, 5 unless a group has several radii.
+    # rows are those of the largest plan, 5 unless a group has several radii
+    # (then 7).
     # Two chunks a group keep the partial sums' bookkeeping below 0.1 rows
     groups = {(2 * CHUNK_SAMPLES, SEED + k): _chunk_jobs([25.0]) for k in range(3)}
     groups[2 * CHUNK_SAMPLES, SEED + 3] = _chunk_jobs(radii)
@@ -509,9 +511,9 @@ def _figure_jobs(figure_ids):
 
 def test_decided_figure_jobs_equal_forced_sampling(monkeypatch):
     # figures 2 and 3 sweep the transmit SNR through both saturations; the
-    # bound decides 95 of figure 2's 120 jobs and 61 of figure 3's 90
-    assert _assert_decisions_exact(monkeypatch, _figure_jobs([2])) == 95
-    assert _assert_decisions_exact(monkeypatch, _figure_jobs([3])) == 61
+    # bound decides 97 of figure 2's 120 jobs and 63 of figure 3's 90
+    assert _assert_decisions_exact(monkeypatch, _figure_jobs([2])) == 97
+    assert _assert_decisions_exact(monkeypatch, _figure_jobs([3])) == 63
     assert _assert_decisions_exact(monkeypatch, _figure_jobs([4, 5, 6, 7])) == 0
 
 
@@ -523,12 +525,32 @@ def test_decided_random_jobs_equal_forced_sampling(monkeypatch, draw, seed):
 
 
 def _snr_bounds(scenario, p):
-    # the bounds stated from the SNR expression: at the antenna, and at the
-    # disk edge with the longest guided path
+    # the upper and lower SNR bounds, stated from the SNR expression, and the
+    # lower one's abscissa: the upper at the antenna, the lower on the disk
+    # edge where the guided log-SNR -alpha*(x + l) - log(c - x^2) is least,
+    # at the root of alpha*x^2 + 2x - alpha*c = 0 (c = r^2 + h^2) clamped to l
     gain = derive_constants(p).eta * p.p_t
-    alpha = p.alpha if scenario.lossy else 0.0
-    weakest = gain * math.exp(-2.0 * alpha * p.half_length(scenario))
-    return gain / (p.sigma2 * p.h * p.h), weakest / (p.sigma2 * (p.r ** 2 + p.h ** 2))
+    alpha, l = p.alpha if scenario.lossy else 0.0, p.half_length(scenario)
+    c = p.r ** 2 + p.h ** 2
+    x = min((math.sqrt(1.0 + alpha * alpha * c) - 1.0) / alpha, l) if alpha else 0.0
+    weakest = gain * math.exp(-alpha * (x + l))
+    return gain / (p.sigma2 * p.h * p.h), weakest / (p.sigma2 * (c - x * x)), x
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_lower_snr_bound_is_the_minimum_over_the_disk(scenario):
+    # no drawn position and no point of a dense scan of the disk edge is
+    # weaker than the bound, which the edge point above its abscissa meets
+    rng = np.random.default_rng(73)
+    edge = np.linspace(0.0, 2.0 * math.pi, 200_001)
+    for alpha, l, h in itertools.product((0.0, 0.02, 0.05, 0.5), (2.0, 12.5, 25.0), (3.0, 10.0)):
+        p = SystemParams.reference(alpha=alpha, l=l, h=h)
+        lower, x = _snr_bounds(scenario, p)[1:]
+        inside = snr_values(scenario, p, *sample_uniform_disk(rng, p.r, 100_000))
+        on_edge = snr_values(scenario, p, p.r * np.cos(edge), p.r * np.sin(edge))
+        assert inside.min() >= lower and on_edge.min() >= lower * (1.0 - 1e-12)
+        weakest = snr_values(scenario, p, x, math.sqrt(p.r ** 2 - x * x))
+        assert weakest == pytest.approx(lower, rel=1e-12)
 
 
 def test_jobs_at_the_bounds_equal_forced_sampling(monkeypatch):
@@ -538,7 +560,7 @@ def test_jobs_at_the_bounds_equal_forced_sampling(monkeypatch):
     for base in (SystemParams.reference(gamma_t_db=100.0),
                  SystemParams.reference(gamma_t_db=100.0, r=40.0, h=3.0, alpha=0.05, l=2.0)):
         for scenario in Scenario:
-            upper, lower = _snr_bounds(scenario, base)
+            upper, lower, _ = _snr_bounds(scenario, base)
             for delta in (1e-12, 1e-9, 1e-6):
                 for bound, sign, mean in ((upper, 1, 1.0), (upper, -1, None),
                                           (lower, -1, 0.0), (lower, 1, None)):
