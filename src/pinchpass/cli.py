@@ -43,6 +43,9 @@ Configuration file (INI, ``key = value``)::
     [output]
     path = sweep.csv
 
+A sweep binds each grid value into [params], replacing the swept key's own
+value; ``params.p_t`` under a ``gamma_t_db`` sweep exits 2.
+
 ``CONFIG_SCHEMA`` admits only these sections and keys (and ``params.sigma2``,
 ``p_t``, ``gamma_th_db``); ``sweep.start``/``stop``/``steps`` are required,
 ``sweep.scenarios`` defaults to all four, integers take integer literals and
@@ -125,7 +128,7 @@ class SweepConfig:
     stop: float
     steps: int
     scenarios: tuple[Scenario, ...]
-    base: SystemParams
+    settings: dict[str, float]      # typed [params] values; the swept key's is replaced
     mc: McConfig = field(default_factory=McConfig)
     nodes: int = DEFAULT_QUADRATURE_NODES
     out_path: str = "sweep.csv"
@@ -149,7 +152,7 @@ class SweepConfig:
             if not math.isfinite(value):
                 raise ConfigError(f"sweep.{key} must be finite, got {value!r}")
             try:
-                apply_swept(self.base, self.variable, value)
+                self.params_at(value)
             except ConfigError as exc:
                 raise ConfigError(f"sweep.{key}: {exc}") from exc
         if not self.stop >= self.start:
@@ -157,6 +160,13 @@ class SweepConfig:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
+
+    def params_at(self, value: float) -> SystemParams:
+        """The system at one grid value: the settings with the swept key bound to it."""
+        try:
+            return build_params({**self.settings, self.variable: value})
+        except ConfigError as exc:
+            raise ConfigError(f"swept value {self.variable}={value!r} rejected: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -170,18 +180,6 @@ class SweepRow:
     case_id: str
     abs_gap: float | None
     passed: bool | None
-
-
-def apply_swept(base: SystemParams, variable: str, value: float) -> SystemParams:
-    """Bind one grid value of the swept variable into the configuration."""
-    try:
-        if variable == "gamma_t_db":
-            return base.with_(p_t=base.sigma2 * db_to_linear(value))
-        if variable in ("l", "alpha", "r"):
-            return base.with_(**{variable: value})
-    except ValueError as exc:
-        raise ConfigError(f"swept value {variable}={value!r} rejected: {exc}") from exc
-    raise ConfigError(f"unknown swept variable {variable!r}")
 
 
 def _sweep_row(cfg: SweepConfig, value: float, result: MetricResult, est) -> SweepRow:
@@ -211,7 +209,7 @@ def run_sweep(configs, workers: int = 1) -> list[list[SweepRow]]:
     groups: dict[tuple[int, int], dict] = {}   # (n_samples, seed) -> {(config, row): job}
     for c, cfg in enumerate(configs):
         # bind every grid value first: an invalid one fails before any work
-        points = [(v, apply_swept(cfg.base, cfg.variable, v)) for v in cfg.grid().tolist()]
+        points = [(v, cfg.params_at(v)) for v in cfg.grid().tolist()]
         for row, ((value, p), scenario) in enumerate(itertools.product(points, cfg.scenarios)):
             closed[c, row] = (value, evaluate(scenario, cfg.metric, p, cfg.nodes))
             if cfg.mc.enabled:
@@ -359,19 +357,21 @@ def build_params(options: dict[str, float]) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_config(args, fields: dict, base: SystemParams, mc: dict,
-                  nodes: int = DEFAULT_QUADRATURE_NODES, **output) -> SweepConfig:
-    """The sweep of ``fields`` (SweepConfig's sweep fields) over ``base``.
-
-    The command's --mc-samples and --seed flags override the ``mc``
-    settings and --nodes overrides ``nodes``; unset values take
-    ``McConfig``'s defaults.
-    """
+def _mc_config(args, mc: dict) -> McConfig:
+    """McConfig of the ``mc`` settings, overridden by the --mc-samples and --seed flags."""
     if args.mc_samples is not None:
         mc = dict(mc, n_samples=args.mc_samples)
-    mc = dict(mc, seed=resolve_seed(args.seed, mc.get("seed", DEFAULT_SEED)))
-    return SweepConfig(**fields, base=base, mc=McConfig(**mc), nodes=_nodes(args, nodes),
-                       **output)
+    return McConfig(**dict(mc, seed=resolve_seed(args.seed, mc.get("seed", DEFAULT_SEED))))
+
+
+def _sweep_config(args, fields: dict, settings: dict, mc: dict,
+                  nodes: int = DEFAULT_QUADRATURE_NODES, **output) -> SweepConfig:
+    """The sweep of ``fields`` (SweepConfig's sweep fields) over the [params] ``settings``.
+
+    The command's flags override the ``mc`` settings and --nodes overrides ``nodes``.
+    """
+    return SweepConfig(**fields, settings=settings, mc=_mc_config(args, mc),
+                       nodes=_nodes(args, nodes), **output)
 
 
 def load_sweep_config(path: str, args) -> SweepConfig:
@@ -380,7 +380,7 @@ def load_sweep_config(path: str, args) -> SweepConfig:
     # the [sweep] keys are SweepConfig's fields
     return _sweep_config(args, {"metric": "outage", "variable": "gamma_t_db",
                                 "scenarios": tuple(Scenario), **config["sweep"]},
-                         build_params(config["params"]), config["mc"], **config["quadrature"],
+                         config["params"], config["mc"], **config["quadrature"],
                          out_path=args.out or config["output"].get("path", "sweep.csv"))
 
 
@@ -415,11 +415,11 @@ def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
 # ---------------------------------------------------------------------------
 
 # Preset notes: each preset holds SweepConfig's sweep fields and, per
-# variant, the overrides of SystemParams.reference (r = 25 m, alpha = 0.02,
-# l = r/2, 105 dB).  Ids 2/5 compare region radii (half-length follows as
-# r/2, not stated by the source curves); ids 4/7 sweep the half-length at
-# the reference transmit SNR (105 dB shown for outage; adopted for rate as
-# well).  Ids 5-7 are the rate curves of ids 2-4.
+# variant, its [params] settings over SystemParams.reference's (r = 25 m,
+# alpha = 0.02, l = r/2, 105 dB).  Ids 2/5 compare region radii (half-length
+# follows as r/2, not stated by the source curves); ids 4/7 sweep the
+# half-length at the reference transmit SNR (105 dB shown for outage;
+# adopted for rate as well).  Ids 5-7 are the rate curves of ids 2-4.
 FIGURE_PRESETS: dict[int, dict] = {
     2: dict(metric="outage", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
             scenarios=tuple(Scenario),
@@ -441,10 +441,10 @@ def figure_configs(figure_ids, args) -> list[SweepConfig]:
         if figure_id not in FIGURE_PRESETS:
             raise ConfigError(f"unknown figure id {figure_id!r}; expected 2-7")
         fields = dict(FIGURE_PRESETS[figure_id])
-        for suffix, overrides in fields.pop("variants"):
+        for suffix, settings in fields.pop("variants"):
             out_path = os.path.join(args.out or ".", f"figure{figure_id}_{suffix}.csv")
-            configs.append(_sweep_config(args, fields, SystemParams.reference(**overrides),
-                                         {"enabled": not args.no_mc}, out_path=out_path))
+            configs.append(_sweep_config(args, fields, settings, {"enabled": not args.no_mc},
+                                         out_path=out_path))
     return configs
 
 
@@ -479,11 +479,10 @@ def _lattice_checks(params: list[SystemParams], nodes: int):
 
 def run_validation(args) -> int:
     """Lattice identities plus Monte-Carlo agreement; exit 1 on any failure."""
-    seed = resolve_seed(args.seed)
+    mc = _mc_config(args, {"n_samples": 1_000_000})
     nodes = _nodes(args, 2000)
-    n_samples = 1_000_000 if args.mc_samples is None else args.mc_samples
     tol_scale = _check_tolerance(args.tol_scale, "--tol-scale")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(mc.seed)
     draws = np.column_stack([
         rng.uniform(10.0, 40.0, 6),     # r
         rng.uniform(3.0, 15.0, 6),      # h
@@ -491,8 +490,7 @@ def run_validation(args) -> int:
         rng.uniform(0.1, 1.0, 6),       # l / r
         rng.uniform(95.0, 120.0, 6),    # transmit SNR dB
     ])
-    params = [SystemParams.reference(gamma_t_db=gt, r=r, h=h, alpha=alpha,
-                                     l=max(l_frac * r, 0.01))
+    params = [build_params(dict(gamma_t_db=gt, r=r, h=h, alpha=alpha, l=max(l_frac * r, 0.01)))
               for r, h, alpha, l_frac, gt in draws]
 
     # every check is computed before the report starts, so a rejected
@@ -500,7 +498,8 @@ def run_validation(args) -> int:
     checks = [(name, got, ref, base_tol * tol_scale)
               for name, got, ref, base_tol in _lattice_checks(params, nodes)]
     jobs = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
-    groups = {(n_samples, seed + i): [(*job, p) for job in jobs] for i, p in enumerate(params)}
+    groups = {(mc.n_samples, mc.seed + i): [(*job, p) for job in jobs]
+              for i, p in enumerate(params)}
     estimates = montecarlo.estimate_groups(groups, args.workers)
     for i, (p, group) in enumerate(zip(params, estimates.values())):
         for (scenario, metric), est in zip(jobs, group):
@@ -615,7 +614,7 @@ def _cmd_optimal_length(args) -> int:
              if getattr(args, key) is not None}
     if "r" in given:
         given["l"] = given["r"] / 2.0
-    p = SystemParams.reference(**given)
+    p = build_params(given)
     result = optimal_length_search(p, metric=args.metric, nodes=_nodes(args),
                                    grid_spec=(args.l_start, args.l_stop, args.l_steps),
                                    refine=not args.no_refine)

@@ -383,6 +383,28 @@ def test_optimal_length_decreases_with_attenuation():
     assert best[-1] < best[0] - 1.0
 
 
+def test_outage_optimum_rises_with_attenuation_between_0_010_and_0_012():
+    # where the reproduction departs from the source's trend: at the
+    # reference configuration the PWL outage optimum rises with alpha over
+    # [0.010, 0.012] (17.816, 17.873, 18.058 m), and falls again at 0.013
+    alphas = (0.010, 0.011, 0.012, 0.013)
+    best = [optimal_length_search(SystemParams.reference(alpha=alpha), metric="outage",
+                                  grid_spec=(15.0, 20.0, 101)).best_l for alpha in alphas]
+    assert best[0] < best[1] < best[2] and best[3] < best[2]
+    assert best[:3] == pytest.approx([17.816, 17.873, 18.058], abs=1e-3)
+    assert [evaluate(Scenario.PWL, "outage", SystemParams.reference(alpha=alpha, l=l)).case_id
+            for alpha, l in zip(alphas[:3], best)] == ["g2-left-right"] * 3
+    # at alpha = 0.011 and 0.012, the exact outage confirms that each
+    # optimum beats the optimum of the lower attenuation
+    for alpha, lower, l in ((0.011, *best[:2]), (0.012, *best[1:3])):
+        p = SystemParams.reference(alpha=alpha)
+        exact = [outage_by_mpmath(p.with_(l=x), Scenario.PWL) for x in (lower, l)]
+        for x, value in zip((lower, l), exact):
+            assert evaluate(Scenario.PWL, "outage", p.with_(l=x)).value \
+                == pytest.approx(value, abs=1e-14, rel=0.0)
+        assert exact[0] - exact[1] > 1e-6
+
+
 @pytest.mark.parametrize("alpha", [0.02, 0.0])
 @pytest.mark.parametrize("metric,nodes,grid_spec", [
     pytest.param("rate", 200, (0.5, 25.0, 50), id="200-grid_spec0"),

@@ -29,7 +29,6 @@ from pinchpass.cli import (
     McConfig,
     SweepConfig,
     SweepRow,
-    apply_swept,
     build_params,
     entry,
     load_sweep_config,
@@ -298,6 +297,11 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
     pytest.param(SWEEP, "r = 25.0", "r = 1e300", "SystemParams.r = 1e+300", id="r-overflow"),
     pytest.param(SWEEP, "stop = 115", "stop = 4000", "swept value gamma_t_db=4000",
                  id="swept-gamma_t_db-overflow"),
+    # no grid point of a gamma_t_db sweep can use a given p_t
+    pytest.param(SWEEP, "l = 12.5", "l = 12.5\np_t = 1", "params.p_t",
+                 id="p_t-under-gamma_t_db-sweep"),
+    pytest.param(["validate", "--mc-samples", "10"], "", "", "--mc-samples",
+                 id="validate-mc-samples"),
 ])
 def test_configuration_error_exits_2_naming_its_field(argv, old, new, field, tmp_path,
                                                        monkeypatch, capsys, request):
@@ -366,16 +370,43 @@ def test_sweep_without_scenarios_runs_all_four(tmp_path):
     assert [row[2] for row in rows] == ["FWNL", "FWL", "PWNL", "PWL"] * 5
 
 
+def _sweep_ini(tmp_path, name: str, sweep: str, params: str) -> str:
+    path = tmp_path / f"{name}.ini"
+    path.write_text(f"[sweep]\n{sweep}\n\n[params]\n{params}\n\n[mc]\nenabled = false\n\n"
+                    f"[output]\npath = {tmp_path / name}.csv\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("metric", ["outage", "rate"])
+def test_gamma_t_db_sweep_builds_each_system_from_its_own_transmit_snr(metric, tmp_path):
+    # p_t = sigma2 * 10^(gamma_t_db/10) would overflow at the unswept
+    # default of 105 dB, but is finite (1e308 W at most) over the swept 90-100 dB
+    sweep = f"metric = {metric}\nstart = 90\nstop = 100\nsteps = 3\nscenarios = PWL"
+    assert main(["sweep", "--config", _sweep_ini(tmp_path, "loud", sweep,
+                                                  "sigma2_dbm = 3010")]) == EXIT_OK
+    assert main(["sweep", "--config", _sweep_ini(tmp_path, "quiet", sweep, "")]) == EXIT_OK
+    loud, quiet = read_rows(tmp_path / "loud.csv"), read_rows(tmp_path / "quiet.csv")
+    assert len(loud) == 3
+    # the closed forms read the transmit SNR alone
+    for row, expected in zip(loud, quiet):
+        assert row[:3] == expected[:3]
+        assert float(row[3]) == pytest.approx(float(expected[3]), rel=1e-12, abs=1e-15)
+
+
+def test_swept_key_replaces_its_params_value(tmp_path):
+    # l = 30 lies beyond r = 25, but no grid point uses it
+    sweep = "variable = l\nstart = 5\nstop = 10\nsteps = 3"
+    assert main(["sweep", "--config", _sweep_ini(tmp_path, "set", sweep, "l = 30")]) == EXIT_OK
+    assert main(["sweep", "--config", _sweep_ini(tmp_path, "unset", sweep, "")]) == EXIT_OK
+    assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
+    assert len(read_rows(tmp_path / "set.csv")) == 3 * 4
+
+
 def test_params_alternative_spellings_build_the_same_system():
     reference = SystemParams.reference()
     assert build_params({}) == reference
     assert build_params({"gamma_th_db": 20.0}) == reference.with_(gamma_th=100.0)
     assert build_params({"sigma2": 1e-12, "p_t": 1e-3}) == reference.with_(sigma2=1e-12, p_t=1e-3)
-
-
-def test_unknown_swept_variable_rejected_by_the_library():
-    with pytest.raises(ConfigError, match="unknown swept variable 'h'"):
-        apply_swept(SystemParams.reference(), "h", 5.0)
 
 
 def _readme_example() -> str:
@@ -413,11 +444,11 @@ def test_sweep_row_k_draws_from_seed_plus_k():
     # a repeated scenario gets its own row's seed
     cfg = SweepConfig(metric="outage", variable="gamma_t_db", start=105.0, stop=110.0,
                       steps=2, scenarios=(Scenario.FWL, Scenario.FWL, Scenario.PWL),
-                      base=SystemParams.reference(), mc=McConfig(n_samples=20000, seed=31415))
+                      settings={}, mc=McConfig(n_samples=20000, seed=31415))
     [rows] = run_sweep([cfg])
     assert [row.scenario for row in rows] == list(cfg.scenarios) * 2
     for k, row in enumerate(rows):
-        p = apply_swept(cfg.base, cfg.variable, row.swept_value)
+        p = cfg.params_at(row.swept_value)
         assert row.mc_mean == montecarlo.estimate_outage(row.scenario, p, 20000, 31415 + k).mean
     assert rows[0].mc_mean != rows[1].mc_mean
 
@@ -428,12 +459,10 @@ def _mixed_mc_configs() -> list[SweepConfig]:
     fields = dict(variable="gamma_t_db", start=100.0, stop=110.0, steps=3,
                   scenarios=(Scenario.FWNL, Scenario.PWL))
     mc = McConfig(n_samples=2000, seed=271)
-    return [SweepConfig(metric="outage", base=SystemParams.reference(alpha=0.01), mc=mc,
+    return [SweepConfig(metric="outage", settings={"alpha": 0.01}, mc=mc, **fields),
+            SweepConfig(metric="rate", settings={}, nodes=64, mc=McConfig(enabled=False),
                         **fields),
-            SweepConfig(metric="rate", base=SystemParams.reference(), nodes=64,
-                        mc=McConfig(enabled=False), **fields),
-            SweepConfig(metric="rate", base=SystemParams.reference(alpha=0.04), mc=mc,
-                        **fields)]
+            SweepConfig(metric="rate", settings={"alpha": 0.04}, mc=mc, **fields)]
 
 
 def test_sweep_mixing_mc_on_and_off_gives_the_same_rows_at_any_worker_count():

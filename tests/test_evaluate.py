@@ -1,4 +1,7 @@
+import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +170,70 @@ def test_snr_orderings_hold_exactly_on_extreme_draws():
         if bad := _ordering_violations(p):
             violations[i] = (p, bad)
     assert violations == {}
+
+
+BIG = math.sqrt(sys.float_info.max)     # the largest length whose square is finite
+
+
+def _fails(raises, reason):
+    # a configuration the closed forms fail on stays, marked with what goes
+    # wrong; strict, so a fix shows
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+# configurations just inside each bound SystemParams checks, over the reference
+EDGE_CONFIGS = [
+    pytest.param(dict(r=BIG / 1.01, l=BIG / 2), id="r2-near-max", marks=_fails(
+        AssertionError, "the FWNL rate reads -1.3e-15: its closed form cancels terms near 5")),
+    pytest.param(dict(r=BIG / 1.01, l=BIG / 2, p_t=1e300), id="r2-near-max-loud", marks=_fails(
+        RuntimeWarning, "the chord kernel's scale 2 l sum overflows, and PWNL and PWL rates "
+                        "read nan")),
+    pytest.param(dict(r=BIG / 1.01, h=BIG / 4, l=BIG / 2), id="r2-plus-h2-overflows",
+                 marks=_fails(RuntimeWarning, "the chord kernel's rho^2 + h^2 overflows; the "
+                                              "rates read 0")),
+    pytest.param(dict(r=BIG / 1.01, h=1.0, l=BIG / 2), id="r2-near-max-low-guide"),
+    pytest.param(dict(r=1e150, h=1.01e150 / BIG, l=5e149), id="r-over-h-squared-near-max"),
+    pytest.param(dict(sigma2=1e-300, h=1e-8, p_t=1e-290), id="sigma2-h2-near-zero"),
+    pytest.param(dict(sigma2=5e-324, p_t=1e-313), id="subnormal-sigma2"),
+    pytest.param(dict(sigma2=5e-324, p_t=1e-300), id="subnormal-sigma2-loud"),
+    pytest.param(dict(sigma2=1e-300, gamma_th=1e-20, p_t=1e-300), id="sigma2-gamma_th-near-zero"),
+    # C = eta p_t/(sigma2 gamma_th) is finite, the unit-distance SNR C gamma_th is not
+    pytest.param(dict(p_t=1.4e304, gamma_th=1e10), id="unit-snr-overflows", marks=_fails(
+        RuntimeWarning, "the chord kernel's gain eta p_t/sigma2 overflows, and FWL, PWNL and "
+                        "PWL rates read nan")),
+    pytest.param(dict(f_c=BIG / 1.01, p_t=1e300), id="f_c2-near-max"),
+    pytest.param(dict(f_c=1e-140, gamma_t_db=100.0), id="f_c-low"),
+    pytest.param(dict(c=BIG / 1.01), id="c2-near-max"),
+    pytest.param(dict(c=2e-154), id="c2-near-min"),
+    pytest.param(dict(c=1e-160), id="c2-subnormal"),
+    pytest.param(dict(p_t=1e-320), id="p_t-1e-320"),
+    pytest.param(dict(p_t=1e300), id="p_t-1e300"),
+    pytest.param(dict(alpha=1e-300), id="alpha-1e-300"),
+    pytest.param(dict(alpha=50.0), id="alpha-50"),
+    pytest.param(dict(alpha=1e300), id="alpha-1e300"),
+    pytest.param(dict(l=25e-6), id="l-1e-6-r"),
+    pytest.param(dict(l=25.0), id="l-r"),
+    pytest.param(dict(l=25e-6, alpha=1e300), id="l-1e-6-r-alpha-1e300"),
+]
+
+
+@pytest.mark.parametrize("overrides", EDGE_CONFIGS)
+def test_closed_forms_stay_in_range_at_the_edges_of_the_domain(overrides):
+    # every closed form returns a finite outage in [0, 1] or rate >= 0, or
+    # raises ArithmeticError naming its case, and numpy warns of nothing
+    p = SystemParams.reference(**overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scenario, metric in PUBLIC:
+            try:
+                value = evaluate(scenario, metric, p, 200).value
+            except ArithmeticError as exc:
+                assert re.search(r"case '[\w-]+'", str(exc)), (scenario, metric, exc)
+                continue
+            assert math.isfinite(value) and value >= 0.0, (scenario, metric, value)
+            assert metric == "rate" or value <= 1.0, (scenario, metric, value)
+
+
+def test_carrier_frequency_whose_loss_factor_overflows_is_rejected():
+    with pytest.raises(ValueError, match=re.escape("eta = c^2/(16 pi^2 f_c^2) = inf")):
+        SystemParams.reference(f_c=1e-150)

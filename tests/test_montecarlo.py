@@ -505,7 +505,7 @@ def _figure_jobs(figure_ids):
     args = cli._build_parser().parse_args(["figure", *map(str, figure_ids)])
     return [(scenario, cfg.metric, p) for cfg in cli.figure_configs(figure_ids, args)
             for p, scenario in itertools.product(
-                [cli.apply_swept(cfg.base, cfg.variable, float(v)) for v in cfg.grid()],
+                [cfg.params_at(float(v)) for v in cfg.grid()],
                 cfg.scenarios)]
 
 
