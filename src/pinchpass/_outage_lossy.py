@@ -40,13 +40,11 @@ class RootReport(NamedTuple):
     and ``case_id`` names their kind and the side of the guide each lies
     on: "g1f1-left-right" is a g root left of -l and an f root right of +l.
     The saturated cases ``all-outage`` and ``no-outage`` have no roots.
-    ``C`` is the derived constant the roots were found with.
     """
 
     g_roots: tuple[float, ...]
     f_roots: tuple[float, ...]
     case_id: str
-    C: float
 
 
 def _side(x: float, l: float) -> str:
@@ -64,13 +62,13 @@ class _Pieces:
     under it and K2 - (x - l)^2 right of it.
     """
 
-    def __init__(self, p: SystemParams, l: float, C: float):
+    def __init__(self, p: SystemParams, l: float):
         self.r = p.r
         self.h = p.h
         self.h2 = p.h * p.h
         self.alpha = p.alpha
         self.l = l
-        self.C = C
+        self.C = C = p.constants.C
         # omega(x) - h^2 vanishes at a threshold zero in exact arithmetic;
         # its rounding error grows with alpha*|x| through the exponent
         self.delta_scale = (C + self.h2) * max(1.0, p.alpha * p.r)
@@ -141,7 +139,7 @@ def classify_crossings(p: SystemParams, scenario: Scenario) -> RootReport:
     one root, of g or of f, so there are two in x order: two of g, one of
     each, or two of f.
     """
-    return _classify(_Pieces(p, _lossy_half_length(p, scenario), p.constants.C))
+    return _classify(_Pieces(p, _lossy_half_length(p, scenario)))
 
 
 def _lossy_half_length(p: SystemParams, scenario: Scenario) -> float:
@@ -154,7 +152,7 @@ def _classify(pc: _Pieces) -> RootReport:
     r, alpha, l, h2, C = pc.r, pc.alpha, pc.l, pc.h2, pc.C
     if C <= h2:
         # threshold curve non-positive everywhere: every chord is in outage
-        return RootReport((), (), CASE_ALL_OUTAGE, C)
+        return RootReport((), (), CASE_ALL_OUTAGE)
 
     def g_mid(x: float) -> float:
         return r * r - x * x - pc.omega(x) + h2
@@ -177,7 +175,7 @@ def _classify(pc: _Pieces) -> RootReport:
     else:
         x_peak = min(_peak_abscissa(alpha, C, l), l)
     if g_mid(x_peak) <= 0.0:
-        return RootReport((), (), CASE_NO_OUTAGE, C)
+        return RootReport((), (), CASE_NO_OUTAGE)
 
     # the outer lines meet the middle curve at -l and +l; at l = r there
     # are no outer segments and g(-r), g(r) are middle-segment values
@@ -219,7 +217,7 @@ def _classify(pc: _Pieces) -> RootReport:
     first, last = g_roots + f_roots
     kind = ("f2", "g1f1", "g2")[len(g_roots)]
     case = f"{kind}-{_side(first, l)}-{_side(last, l)}"
-    return RootReport(tuple(g_roots), tuple(f_roots), case, C)
+    return RootReport(tuple(g_roots), tuple(f_roots), case)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def lossy_outage(p: SystemParams, l: float,
     outside [0, 1] beyond rounding slack is a numerical error and raises
     ArithmeticError naming the case.
     """
-    pc = _Pieces(p, l, p.constants.C if report is None else report.C)
+    pc = _Pieces(p, l)
     if report is None:
         report = _classify(pc)
     case = report.case_id

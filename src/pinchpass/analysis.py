@@ -375,14 +375,13 @@ def _parabolic_refine(fun, a: float, b: float, c: float,
 
 def optimal_length_search(p: SystemParams, metric: str = "rate",
                           grid_spec: tuple[float | None, float | None, int | None] | None = None,
-                          nodes: int = DEFAULT_QUADRATURE_NODES,
-                          refine: bool = True) -> LengthSearchResult:
+                          nodes: int = DEFAULT_QUADRATURE_NODES) -> LengthSearchResult:
     """Search the half-length grid for the best metric value.
 
     Evaluates the closed-form PWL metric (outage minimized, rate maximized;
     PWNL at alpha = 0) on an inclusive linspace grid (start, stop, steps)
-    over (0, r], then optionally sharpens an interior grid optimum between
-    its neighbors.  The rate curve is smooth there, so successive parabolic
+    over (0, r], then sharpens an interior grid optimum between its
+    neighbors.  The rate curve is smooth there, so successive parabolic
     interpolation from the three grid points refines it until a step moves
     less than 1e-4 m, and only a higher rate replaces the grid optimum.  The
     outage curve has kinks, so golden-section search refines it down to
@@ -441,7 +440,7 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
 
     # refine only interior optima; a boundary optimum cannot be bracketed and
     # the curve is noise-flat at a degenerate end
-    if refine and 0 < best_idx < steps - 1:
+    if 0 < best_idx < steps - 1:
         # the grid step is at least 0.01 m, so the bracket is wider than tol
         lo = float(grid[best_idx - 1])
         hi = float(grid[best_idx + 1])

@@ -52,8 +52,8 @@ value; ``params.p_t`` under a ``gamma_t_db`` sweep exits 2.
 booleans 1/yes/true/on or 0/no/false/off.  Any other name, or a value of the
 wrong type, exits 2 naming ``section.key``.
 
-Seed precedence: ``--seed`` flag, then the PINCHPASS_SEED environment
-variable, then the config value; the seed in force must lie in [0, 2**64).
+The seed is the ``--seed`` flag, else ``[mc] seed``; it must lie in
+[0, 2**64).  ``[params] r`` without ``l`` runs at l = r/2.
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 I/O
 error, 4 numerical error.
 """
@@ -81,7 +81,6 @@ from .params import (
 )
 
 CSV_HEADER = "swept_var,swept_value,scenario,closed_form,mc_mean,mc_stderr,case_id,abs_gap,pass"
-SEED_ENV_VAR = "PINCHPASS_SEED"
 DEFAULT_SEED = 20260810
 DEFAULT_MC_SAMPLES = 100_000
 SWEEP_VARIABLES = ("gamma_t_db", "l", "alpha", "r")
@@ -344,7 +343,7 @@ def build_params(options: dict[str, float]) -> SystemParams:
         if key in options and alternative in options:
             raise ConfigError(f"give params.{key} or params.{alternative}, not both")
     kwargs = {key: options[key] for key in ("r", "h", "f_c", "alpha", "l", "c", "sigma2",
-                                            "gamma_th", "p_t") if key in options}
+                                            "gamma_th", "p_t", "gamma_t_db") if key in options}
     for key, name, to_linear in (("sigma2_dbm", "sigma2", dbm_to_watts),
                                  ("gamma_th_db", "gamma_th", db_to_linear)):
         if key in options:
@@ -352,7 +351,7 @@ def build_params(options: dict[str, float]) -> SystemParams:
             if not 0.0 < kwargs[name] < np.inf:
                 raise ConfigError(f"params.{key}: {name} = {kwargs[name]!r}")
     try:
-        return SystemParams.reference(gamma_t_db=options.get("gamma_t_db", 105.0), **kwargs)
+        return SystemParams.reference(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -389,22 +388,13 @@ def _nodes(args, default: int = DEFAULT_QUADRATURE_NODES) -> int:
     return default if args.nodes is None else args.nodes
 
 
-def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
-    """Seed precedence: CLI flag, then environment, then config, then default.
+def resolve_seed(cli_seed: int | None, config_seed: int) -> int:
+    """The seed in force: the CLI flag, else the config's.
 
-    The seed in force must lie in [0, 2**64), so the row seeds ``seed + k``
-    stay valid generator keys; an error names where the seed came from.
+    It must lie in [0, 2**64), so the row seeds ``seed + k`` stay valid
+    generator keys; an error names where the seed came from.
     """
-    env = os.environ.get(SEED_ENV_VAR)
-    if cli_seed is not None:
-        seed, source = cli_seed, "--seed"
-    elif env is not None:
-        try:
-            seed, source = int(env), SEED_ENV_VAR
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    else:
-        seed, source = config_seed, "mc.seed"
+    seed, source = (config_seed, "mc.seed") if cli_seed is None else (cli_seed, "--seed")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"{source} must be in [0, 2**64), got {seed!r}")
     return seed
@@ -423,7 +413,7 @@ def resolve_seed(cli_seed: int | None, config_seed: int = DEFAULT_SEED) -> int:
 FIGURE_PRESETS: dict[int, dict] = {
     2: dict(metric="outage", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
             scenarios=tuple(Scenario),
-            variants=[("r15", dict(r=15.0, l=7.5)), ("r25", dict(r=25.0, l=12.5))]),
+            variants=[("r15", dict(r=15.0)), ("r25", dict(r=25.0))]),
     3: dict(metric="outage", variable="gamma_t_db", start=90.0, stop=125.0, steps=15,
             scenarios=(Scenario.FWL, Scenario.PWL),
             variants=[(f"a{a}", dict(alpha=a)) for a in (0.01, 0.02, 0.04)]),
@@ -493,18 +483,18 @@ def run_validation(args) -> int:
     params = [build_params(dict(gamma_t_db=gt, r=r, h=h, alpha=alpha, l=max(l_frac * r, 0.01)))
               for r, h, alpha, l_frac, gt in draws]
 
-    # every check is computed before the report starts, so a rejected
-    # setting ends the command before any line is printed
+    # checks are computed before the report starts, closed forms before the
+    # first draw: a failure ends the command before any output or MC work
     checks = [(name, got, ref, base_tol * tol_scale)
               for name, got, ref, base_tol in _lattice_checks(params, nodes)]
     jobs = [(scenario, metric) for scenario in Scenario for metric in ("outage", "rate")]
+    closed = [[evaluate(*job, p, nodes).value for job in jobs] for p in params]
     groups = {(mc.n_samples, mc.seed + i): [(*job, p) for job in jobs]
               for i, p in enumerate(params)}
     estimates = montecarlo.estimate_groups(groups, args.workers)
-    for i, (p, group) in enumerate(zip(params, estimates.values())):
-        for (scenario, metric), est in zip(jobs, group):
-            checks.append((f"MC {scenario.name} {metric} #{i}",
-                           evaluate(scenario, metric, p, nodes).value, est.mean,
+    for i, (values, group) in enumerate(zip(closed, estimates.values())):
+        for (scenario, metric), value, est in zip(jobs, values, group):
+            checks.append((f"MC {scenario.name} {metric} #{i}", value, est.mean,
                            (3.0 * est.stderr + 1e-4) * tol_scale))
 
     failures = 0
@@ -541,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Gauss-Chebyshev node count for rate evaluations (at least 2)")
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--seed", type=int, default=None,
-                    help="Monte-Carlo seed (overrides environment and config)")
+                    help="Monte-Carlo seed (overrides the config's)")
     mc.add_argument("--mc-samples", type=int, default=None,
                     help="Monte-Carlo sample count per estimate")
     mc.add_argument("--workers", type=_at_least(1), default=1,
@@ -581,9 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("--gamma-t-db", "--alpha", "--r", "--h", "--l-start", "--l-stop"):
         p_opt.add_argument(name, type=float, default=None)
     p_opt.add_argument("--l-steps", type=_at_least(1), default=None)
-    p_opt.add_argument("--no-refine", action="store_true",
-                       help="report the grid optimum, without the parabolic (rate) "
-                            "or golden-section (outage) refinement")
     return parser
 
 
@@ -610,14 +597,10 @@ def _cmd_figure(args) -> int:
 def _cmd_optimal_length(args) -> int:
     # a ValueError here is a rejected setting: main reports it with exit 2;
     # unset flags take SystemParams.reference's values, half-length r/2
-    given = {key: getattr(args, key) for key in ("gamma_t_db", "alpha", "r", "h")
-             if getattr(args, key) is not None}
-    if "r" in given:
-        given["l"] = given["r"] / 2.0
-    p = build_params(given)
+    p = build_params({key: getattr(args, key) for key in ("gamma_t_db", "alpha", "r", "h")
+                      if getattr(args, key) is not None})
     result = optimal_length_search(p, metric=args.metric, nodes=_nodes(args),
-                                   grid_spec=(args.l_start, args.l_stop, args.l_steps),
-                                   refine=not args.no_refine)
+                                   grid_spec=(args.l_start, args.l_stop, args.l_steps))
     if args.out:
         rows = [SweepRow("l", l, Scenario.PWL if p.alpha > 0 else Scenario.PWNL,
                          v, None, None, "", None, None) for l, v in result.grid]

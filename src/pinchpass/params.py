@@ -144,6 +144,11 @@ class SystemParams:
         for name, definition in _DEFINITIONS.items():
             if not math.isfinite(value := getattr(constants, name)):
                 raise ValueError(f"invalid SystemParams: {name} = {definition} = {value!r}")
+        # nor is the rates' unit-distance SNR, or their largest rho^2 + h^2
+        for quantity, value in (("e = eta*p_t/sigma2", constants.eta * self.p_t / self.sigma2),
+                                ("r^2 + h^2", r * r + h * h)):
+            if not math.isfinite(value):
+                raise ValueError(f"invalid SystemParams: {quantity} = {value!r}")
         object.__setattr__(self, "constants", constants)
 
     def half_length(self, scenario: Scenario) -> float:
@@ -159,9 +164,9 @@ class SystemParams:
         """Baseline indoor configuration used by the bundled presets.
 
         28 GHz carrier, -90 dBm noise, 25 m region, 10 m mount height,
-        threshold 100 (20 dB), attenuation 0.02 /m, half-length r/2, and
-        the rounded speed of light.  ``gamma_t_db`` sets p_t via the
-        transmit SNR p_t/sigma2, unless p_t is given.
+        threshold 100 (20 dB), attenuation 0.02 /m, half-length r/2 unless l
+        is given, and the rounded speed of light.  ``gamma_t_db`` sets p_t via
+        the transmit SNR p_t/sigma2, unless p_t is given.
         """
         sigma2 = overrides.pop("sigma2", dbm_to_watts(-90.0))
         snr = db_to_linear(gamma_t_db)
@@ -177,11 +182,11 @@ class SystemParams:
             sigma2=sigma2,
             p_t=sigma2 * snr,
             alpha=0.02,
-            l=12.5,
             gamma_th=100.0,
             c=SPEED_OF_LIGHT_ROUNDED,
         )
         base.update(overrides)
+        base.setdefault("l", base["r"] / 2.0)
         return cls(**base)
 
 

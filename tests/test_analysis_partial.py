@@ -431,14 +431,14 @@ def test_batched_rate_grid_matches_per_point_evaluate(alpha, metric, nodes, grid
 @pytest.mark.parametrize("nodes", [200, 201, 2000])
 def test_rate_grid_equals_evaluate_bit_for_bit_over_draws(nodes):
     # box and extreme draws, lossy and lossless, on the default grid: every
-    # grid value, and the unrefined optimum, is the rate evaluate gives
+    # grid value, and the refined optimum, is the rate evaluate gives
     draws = []
     for draw, seed in ((random_reference, 2026), (extreme_reference, 2027)):
         rng = np.random.default_rng(seed)
         draws += [draw(rng) for _ in range(100)]
     for p in draws:
         for q in (p, p.with_(alpha=0.0)):
-            res = optimal_length_search(q, "rate", nodes=nodes, refine=False)
+            res = optimal_length_search(q, "rate", nodes=nodes)
             for l, value in res.grid + ((res.best_l, res.best_value),):
                 assert value == evaluate(Scenario.PWL, "rate", q.with_(l=l), nodes).value, (q, l)
 

@@ -172,6 +172,24 @@ def test_failing_closed_form_ends_the_sweep_before_any_draw(tmp_path, monkeypatc
     assert calls == [] and not (tmp_path / "g2.csv").exists()
 
 
+def test_failing_closed_form_ends_validate_before_any_draw(monkeypatch, capsys):
+    # a closed form that raises on a drawn configuration (l < r, not the
+    # lattice checks' alpha = 1e-9): exit 4, and no Monte-Carlo work is done
+    calls = []
+    _recording_estimate_groups(monkeypatch, lambda groups, workers: calls.append(groups))
+
+    def failing(scenario, metric, p, nodes):
+        if scenario is Scenario.PWL and metric == "rate" and p.l < p.r and p.alpha != 1e-9:
+            raise ArithmeticError("injected closed-form failure")
+        return evaluate(scenario, metric, p, nodes)
+
+    monkeypatch.setattr(cli, "evaluate", failing)
+    assert main(["validate"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "injected closed-form failure" in captured.err and captured.out == ""
+    assert calls == []
+
+
 def test_sweep_rejects_empty_scenarios(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(BASE_CONFIG.format(mc_enabled="true", out=tmp_path / "x.csv")
@@ -274,19 +292,20 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  id="swept-value-out-of-range"),
     pytest.param(SWEEP, "scenarios = FWNL, FWL, PWNL, PWL", "scenarios =", "sweep.scenarios",
                  id="no-scenarios"),
-    pytest.param(SWEEP, "", "", "PINCHPASS_SEED", id="env-seed"),
     # a seed outside [0, 2**64), named by its source, before any output
     pytest.param(["figure", "7", "--seed", "-1", "--mc-samples", "1000", "--out", "D"], "", "",
                  "--seed", id="figure-negative-seed"),
     pytest.param(["validate", "--seed", "-1"], "", "", "--seed", id="validate-negative-seed"),
     pytest.param(["validate", "--seed", str(2 ** 64)], "", "", "--seed", id="seed-2**64"),
-    pytest.param(SWEEP, "", "", "PINCHPASS_SEED", id="env-negative-seed"),
     pytest.param(SWEEP, "seed = 31415", "seed = -1", "mc.seed", id="config-negative-seed"),
     # dB values whose linear ratio overflows a float
     pytest.param(["optimal-length", "--gamma-t-db", "4000"], "", "", "gamma_t_db",
                  id="gamma_t_db-overflow"),
     pytest.param(["optimal-length", "--l-steps", "0"], "", "", "--l-steps",
                  id="optimal-length-zero-steps"),
+    # the grid optimum is the best entry of the --out curve: no flag selects it
+    pytest.param(["optimal-length", "--no-refine"], "", "", "--no-refine",
+                 id="optimal-length-no-refine"),
     pytest.param(["optimal-length", "--l-start", "30"], "", "",
                  "grid start 30.0 outside (0, r] = (0, 25.0]", id="optimal-length-start-beyond-r"),
     pytest.param(["optimal-length", "--l-stop", "30"], "", "",
@@ -304,15 +323,8 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  id="validate-mc-samples"),
 ])
 def test_configuration_error_exits_2_naming_its_field(argv, old, new, field, tmp_path,
-                                                       monkeypatch, capsys, request):
+                                                       monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    # every other case runs with a valid seed in the environment
-    env_seed = {"env-seed": "1.5", "env-negative-seed": "-3",
-                "config-negative-seed": None}.get(request.node.callspec.id, "7")
-    if env_seed is None:
-        monkeypatch.delenv("PINCHPASS_SEED", raising=False)
-    else:
-        monkeypatch.setenv("PINCHPASS_SEED", env_seed)
     text = BASE_CONFIG.format(mc_enabled="true", out="out.csv")
     assert old in text
     (tmp_path / "sweep.ini").write_text(text.replace(old, new, 1))
@@ -333,7 +345,6 @@ def test_every_mutated_config_key_runs_or_is_named(tmp_path, monkeypatch, capsys
     # output.path) set to each value, for both metrics: every run exits 0 or
     # 2, a run that exits 2 names the key it set, and none raises or warns
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PINCHPASS_SEED", raising=False)
     example = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section=None)
     example.read_string(_docstring_example())
     keys = [(section, key) for section, keys in CONFIG_SCHEMA.items() for key in keys
@@ -400,6 +411,28 @@ def test_swept_key_replaces_its_params_value(tmp_path):
     assert main(["sweep", "--config", _sweep_ini(tmp_path, "unset", sweep, "")]) == EXIT_OK
     assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
     assert len(read_rows(tmp_path / "set.csv")) == 3 * 4
+
+
+def test_radius_without_half_length_runs_at_half_the_radius(tmp_path):
+    # every column, Monte-Carlo included, is that of the sweep setting l = r/2
+    base = BASE_CONFIG.format(mc_enabled="true", out=tmp_path / "{name}.csv")
+    for name, params in (("unset", "r = 15.0"), ("set", "r = 15.0\nl = 7.5")):
+        text = base.replace("r = 25.0", params).replace("l = 12.5\n", "")
+        (tmp_path / f"{name}.ini").write_text(text.replace("{name}", name))
+        assert main(["sweep", "--config", str(tmp_path / f"{name}.ini")]) == EXIT_OK
+    assert (tmp_path / "unset.csv").read_bytes() == (tmp_path / "set.csv").read_bytes()
+    assert len(read_rows(tmp_path / "set.csv")) == 5 * 4
+
+
+def test_radius_sweep_without_half_length_runs_below_the_reference_half_length(tmp_path):
+    # the half-length follows each swept radius as r/2, from r = 10 m up
+    sweep = "metric = rate\nvariable = r\nstart = 10\nstop = 40\nsteps = 4\nscenarios = PWL"
+    assert main(["sweep", "--config", _sweep_ini(tmp_path, "r", sweep, "")]) == EXIT_OK
+    rows = read_rows(tmp_path / "r.csv")
+    assert [float(row[1]) for row in rows] == [10.0, 20.0, 30.0, 40.0]
+    for row in rows:
+        p = SystemParams.reference(r=float(row[1]), l=float(row[1]) / 2)
+        assert row[3] == format(evaluate(Scenario.PWL, "rate", p).value, ".12g")
 
 
 def test_params_alternative_spellings_build_the_same_system():
@@ -502,21 +535,21 @@ def test_gnuplot_script_emitted(tmp_path):
     assert "plot" in script and "FWNL" in script
 
 
-def test_seed_precedence_flag_over_env_over_config(tmp_path, monkeypatch):
+def test_seed_flag_overrides_the_config_and_no_environment_variable_is_read(tmp_path,
+                                                                             monkeypatch):
     cfg = write_config(tmp_path)
     out = tmp_path / "out.csv"
 
-    main(["sweep", "--config", cfg])
-    config_bytes = out.read_bytes()
+    def run(*flags) -> bytes:
+        assert main(["sweep", "--config", cfg, *flags]) == EXIT_OK
+        return out.read_bytes()
 
+    config_bytes = run()
+    # the config's seed is 31415
+    assert run("--seed", "999") != config_bytes
+    assert run("--seed", "31415") == config_bytes
     monkeypatch.setenv("PINCHPASS_SEED", "999")
-    main(["sweep", "--config", cfg])
-    env_bytes = out.read_bytes()
-    assert env_bytes != config_bytes
-
-    main(["sweep", "--config", cfg, "--seed", "31415"])
-    flag_bytes = out.read_bytes()
-    assert flag_bytes == config_bytes
+    assert run() == config_bytes
 
 
 def test_figure_presets_write_expected_files(tmp_path):
@@ -568,7 +601,7 @@ def test_figure_nodes_flag_reaches_the_rate_quadrature(tmp_path):
 
 
 @pytest.mark.parametrize("argv,code", [
-    (["optimal-length", "--l-steps", "5", "--no-refine"], EXIT_OK),
+    (["optimal-length", "--l-steps", "5"], EXIT_OK),
     (["validate", "--out", "x"], EXIT_CONFIG),
 ])
 def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):

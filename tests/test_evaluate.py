@@ -188,19 +188,17 @@ EDGE_CONFIGS = [
     pytest.param(dict(r=BIG / 1.01, l=BIG / 2, p_t=1e300), id="r2-near-max-loud", marks=_fails(
         RuntimeWarning, "the chord kernel's scale 2 l sum overflows, and PWNL and PWL rates "
                         "read nan")),
-    pytest.param(dict(r=BIG / 1.01, h=BIG / 4, l=BIG / 2), id="r2-plus-h2-overflows",
-                 marks=_fails(RuntimeWarning, "the chord kernel's rho^2 + h^2 overflows; the "
-                                              "rates read 0")),
+    # r^2 + h^2 is finite, 0.69 of the float maximum; l = r/2
+    pytest.param(dict(r=BIG / 1.5, h=BIG / 2), id="r2-plus-h2-near-max", marks=_fails(
+        AssertionError, "the FWNL rate reads -8.0e-17: the cancellation of r2-near-max")),
     pytest.param(dict(r=BIG / 1.01, h=1.0, l=BIG / 2), id="r2-near-max-low-guide"),
     pytest.param(dict(r=1e150, h=1.01e150 / BIG, l=5e149), id="r-over-h-squared-near-max"),
     pytest.param(dict(sigma2=1e-300, h=1e-8, p_t=1e-290), id="sigma2-h2-near-zero"),
     pytest.param(dict(sigma2=5e-324, p_t=1e-313), id="subnormal-sigma2"),
     pytest.param(dict(sigma2=5e-324, p_t=1e-300), id="subnormal-sigma2-loud"),
     pytest.param(dict(sigma2=1e-300, gamma_th=1e-20, p_t=1e-300), id="sigma2-gamma_th-near-zero"),
-    # C = eta p_t/(sigma2 gamma_th) is finite, the unit-distance SNR C gamma_th is not
-    pytest.param(dict(p_t=1.4e304, gamma_th=1e10), id="unit-snr-overflows", marks=_fails(
-        RuntimeWarning, "the chord kernel's gain eta p_t/sigma2 overflows, and FWL, PWNL and "
-                        "PWL rates read nan")),
+    # the unit-distance SNR e = eta p_t/sigma2 = C gamma_th is 9.0e307
+    pytest.param(dict(p_t=1.238e302, gamma_th=1e10), id="unit-snr-near-max"),
     pytest.param(dict(f_c=BIG / 1.01, p_t=1e300), id="f_c2-near-max"),
     pytest.param(dict(f_c=1e-140, gamma_t_db=100.0), id="f_c-low"),
     pytest.param(dict(c=BIG / 1.01), id="c2-near-max"),
@@ -232,6 +230,19 @@ def test_closed_forms_stay_in_range_at_the_edges_of_the_domain(overrides):
                 continue
             assert math.isfinite(value) and value >= 0.0, (scenario, metric, value)
             assert metric == "rate" or value <= 1.0, (scenario, metric, value)
+
+
+@pytest.mark.parametrize("overrides,quantity", [
+    # r^2 and h^2 are finite, their sum is not
+    pytest.param(dict(r=BIG / 1.01, h=BIG / 4, l=BIG / 2), "r^2 + h^2 = inf",
+                 id="r2-plus-h2-overflows"),
+    # C = eta p_t/(sigma2 gamma_th) is finite, the unit-distance SNR C gamma_th is not
+    pytest.param(dict(p_t=1.4e304, gamma_th=1e10), "e = eta*p_t/sigma2 = inf",
+                 id="unit-snr-overflows"),
+])
+def test_configurations_whose_rate_quantities_overflow_are_rejected(overrides, quantity):
+    with pytest.raises(ValueError, match=re.escape(f"invalid SystemParams: {quantity}")):
+        SystemParams.reference(**overrides)
 
 
 def test_carrier_frequency_whose_loss_factor_overflows_is_rejected():

@@ -352,12 +352,11 @@ def test_root_report_is_a_named_tuple():
     p = SystemParams.reference(gamma_t_db=110.0, alpha=0.005, l=12.5)
     report = classify_crossings(p, Scenario.PWL)
     assert isinstance(report, tuple) and type(report) is _outage_lossy.RootReport
-    assert report._fields == ("g_roots", "f_roots", "case_id", "C")
-    g_roots, f_roots, case_id, C = report
-    assert report == (g_roots, f_roots, case_id, C) and C == p.constants.C
-    # the repr of the frozen dataclass it replaced
+    assert report._fields == ("g_roots", "f_roots", "case_id")
+    g_roots, f_roots, case_id = report
+    assert report == (g_roots, f_roots, case_id)
     assert repr(report) == (f"RootReport(g_roots={g_roots!r}, f_roots={f_roots!r}, "
-                            f"case_id={case_id!r}, C={C!r})")
+                            f"case_id={case_id!r})")
 
 
 def test_closed_form_outside_unit_interval_raises():
@@ -398,7 +397,7 @@ def test_fwl_just_above_the_all_outage_edge_is_one():
     for _ in range(400):
         p_t = math.nextafter(p_t, math.inf)
         q = p.with_(p_t=p_t)
-        pc = _Pieces(q, q.r, derive_constants(q).C)
+        pc = _Pieces(q, q.r)
         report = _classify(pc)
         if not report.g_roots + report.f_roots:
             assert report.case_id == CASE_ALL_OUTAGE
@@ -421,7 +420,7 @@ def test_phi_is_flat_where_delta_clamps_to_zero():
     # at a threshold zero under the guide both Delta ends clamp to 0, and the
     # Phi difference is 0 rather than the 0/0 of its cancellation-free form
     p = SystemParams.reference(gamma_t_db=104.0, alpha=0.03, l=12.5)
-    pc = _Pieces(p, p.l, derive_constants(p).C)
+    pc = _Pieces(p, p.l)
     x = -pc.l + math.log(pc.C / pc.h2) / pc.alpha
     while pc.omega(x) > pc.h2:
         x = math.nextafter(x, math.inf)

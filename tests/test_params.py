@@ -94,6 +94,12 @@ def test_validation_rejects_bad_fields():
             good.with_(**{field: value})
 
 
+def test_reference_half_length_is_half_the_radius_unless_given():
+    assert SystemParams.reference().l == 12.5
+    assert SystemParams.reference(r=15.0).l == 7.5
+    assert SystemParams.reference(r=15.0, l=3.0).l == 3.0
+
+
 def test_scenario_flags_and_parse():
     assert Scenario.parse(" fwl ") is Scenario.FWL
     assert Scenario.FWNL.full_coverage and not Scenario.FWNL.lossy
