@@ -383,23 +383,24 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     over (0, r], then sharpens an interior grid optimum between its
     neighbors.  The rate curve is smooth there, so successive parabolic
     interpolation from the three grid points refines it until a step moves
-    less than 1e-4 m, and only a higher rate replaces the grid optimum.  The
-    outage curve has kinks, so golden-section search refines it down to
-    1e-3 m; it moves left on a tie and its result wins a tie with the grid
+    less than r/250000, and only a higher rate replaces the grid optimum.
+    The outage curve has kinks, so golden-section search refines it down to
+    r/25000; it moves left on a tie and its result wins a tie with the grid
     optimum, so a flat optimum reports its smallest half-length: at
     alpha = 0 the outage is flat beyond x0 = sqrt(r^2 - A), and the search
-    returns x0 to 1e-3 m.  At alpha = 0 the rate cannot fall as l grows,
+    returns x0 to r/25000.  At alpha = 0 the rate cannot fall as l grows,
     so the rate search returns the grid stop.  An optimum at a grid end is
     not refined, and the result's ``grid_end`` names that end ("start" or
-    "stop", else None).
-    A ``None`` grid_spec, or entry of it, takes the default
-    (max(0.01, r/50), r, 50).
+    "stop", else None).  Every length is in units of r, so scaling r, h
+    and the grid by a power of two k, alpha by 1/k and p_t by k^2 scales
+    each length by k and keeps each value.  A ``None`` grid_spec, or entry
+    of it, takes the default (r/50, r, 50); a grid step below r/2500 is
+    rejected.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be 'outage' or 'rate', got {metric!r}")
-    grid_spec = tuple(default if value is None else value for value, default
-                      in zip(grid_spec or (None,) * 3, (max(0.01, p.r / 50.0), p.r, 50)))
-    start, stop, steps = grid_spec
+    start, stop, steps = (default if value is None else value for value, default
+                          in zip(grid_spec or (None,) * 3, (p.r / 50.0, p.r, 50)))
     if not 0.0 < start <= p.r:
         raise ValueError(f"half-length grid start {start!r} outside (0, r] = (0, {p.r!r}]")
     if not start <= stop <= p.r:
@@ -409,11 +410,10 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
         raise ValueError(f"half-length grid steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"half-length grid steps must be at least 1, got {steps!r}")
-    if steps > 1 and (stop - start) / (steps - 1) < 0.01:
-        raise ValueError("half-length grid step below 0.01 m")
+    if steps > 1 and (step := (stop - start) / (steps - 1)) < p.r / 2500.0:
+        raise ValueError(f"half-length grid step {step!r} below r/2500 = {p.r / 2500.0!r}")
 
     grid = np.linspace(start, stop, steps)
-    sign = 1.0 if metric == "outage" else -1.0
     if metric == "rate":
         # evaluate's PWL (PWNL at alpha = 0) rate kernel, one call per grid
         # block of at most 3,000 // nodes half-lengths: a call's arrays then
@@ -434,24 +434,24 @@ def optimal_length_search(p: SystemParams, metric: str = "rate",
     if metric == "rate" and p.alpha == 0.0:
         best_idx = steps - 1
     else:
-        best_idx = int(np.argmin([sign * v for v in values]))
+        best_idx = int(np.argmin(values) if metric == "outage" else np.argmax(values))
     best_l = float(grid[best_idx])
     best_value = values[best_idx]
 
     # refine only interior optima; a boundary optimum cannot be bracketed and
     # the curve is noise-flat at a degenerate end
     if 0 < best_idx < steps - 1:
-        # the grid step is at least 0.01 m, so the bracket is wider than tol
+        # the grid step is at least r/2500, so the bracket is wider than tol
         lo = float(grid[best_idx - 1])
         hi = float(grid[best_idx + 1])
         if metric == "rate":
             # the grid already holds the bracket's three values
             best_l, cost = _parabolic_refine(lambda l: -value_at(l), lo, best_l, hi,
                                              -values[best_idx - 1], -best_value,
-                                             -values[best_idx + 1], tol=1e-4)
+                                             -values[best_idx + 1], tol=p.r / 250000.0)
             best_value = -cost
         else:
-            candidate = _golden_section(value_at, lo, hi, tol=1e-3)
+            candidate = _golden_section(value_at, lo, hi, tol=p.r / 25000.0)
             cand_value = value_at(candidate)
             if cand_value <= best_value:
                 best_l, best_value = candidate, cand_value

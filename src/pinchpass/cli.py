@@ -480,7 +480,7 @@ def run_validation(args) -> int:
         rng.uniform(0.1, 1.0, 6),       # l / r
         rng.uniform(95.0, 120.0, 6),    # transmit SNR dB
     ])
-    params = [build_params(dict(gamma_t_db=gt, r=r, h=h, alpha=alpha, l=max(l_frac * r, 0.01)))
+    params = [build_params(dict(gamma_t_db=gt, r=r, h=h, alpha=alpha, l=l_frac * r))
               for r, h, alpha, l_frac, gt in draws]
 
     # checks are computed before the report starts, closed forms before the
@@ -599,8 +599,11 @@ def _cmd_optimal_length(args) -> int:
     # unset flags take SystemParams.reference's values, half-length r/2
     p = build_params({key: getattr(args, key) for key in ("gamma_t_db", "alpha", "r", "h")
                       if getattr(args, key) is not None})
-    result = optimal_length_search(p, metric=args.metric, nodes=_nodes(args),
-                                   grid_spec=(args.l_start, args.l_stop, args.l_steps))
+    try:
+        result = optimal_length_search(p, metric=args.metric, nodes=_nodes(args),
+                                       grid_spec=(args.l_start, args.l_stop, args.l_steps))
+    except ValueError as exc:   # argparse checked the metric and nodes: the grid is at fault
+        raise ValueError(f"{exc}; the grid is set by --l-start, --l-stop and --l-steps") from None
     if args.out:
         rows = [SweepRow("l", l, Scenario.PWL if p.alpha > 0 else Scenario.PWNL,
                          v, None, None, "", None, None) for l, v in result.grid]

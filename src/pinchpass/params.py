@@ -144,8 +144,10 @@ class SystemParams:
         for name, definition in _DEFINITIONS.items():
             if not math.isfinite(value := getattr(constants, name)):
                 raise ValueError(f"invalid SystemParams: {name} = {definition} = {value!r}")
-        # nor is the rates' unit-distance SNR, or their largest rho^2 + h^2
-        for quantity, value in (("e = eta*p_t/sigma2", constants.eta * self.p_t / self.sigma2),
+        # nor is the rates' unit-distance SNR e, their largest SNR e/h^2, or rho^2 + h^2
+        eta_p_t = constants.eta * self.p_t
+        for quantity, value in (("e = eta*p_t/sigma2", eta_p_t / self.sigma2),
+                                ("e/h^2 = eta*p_t/(sigma2*h^2)", eta_p_t / (self.sigma2 * h * h)),
                                 ("r^2 + h^2", r * r + h * h)):
             if not math.isfinite(value):
                 raise ValueError(f"invalid SystemParams: {quantity} = {value!r}")

@@ -303,6 +303,9 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  id="gamma_t_db-overflow"),
     pytest.param(["optimal-length", "--l-steps", "0"], "", "", "--l-steps",
                  id="optimal-length-zero-steps"),
+    # a grid step below r/2500 names the flags that set the grid
+    pytest.param(["optimal-length", "--l-steps", "100000"], "", "", "--l-steps",
+                 id="optimal-length-step-below-r-over-2500"),
     # the grid optimum is the best entry of the --out curve: no flag selects it
     pytest.param(["optimal-length", "--no-refine"], "", "", "--no-refine",
                  id="optimal-length-no-refine"),
@@ -691,6 +694,9 @@ def test_optimal_length_command(tmp_path, capsys):
      dict(r=12.0, h=5.0, alpha=0.03, gamma_t_db=110.0, l=6.0), "outage"),
     # the rate is best at the grid start, 0.5 m
     (["--alpha", "0.1"], dict(alpha=0.1), "rate"),
+    # below r = 0.5 m the default grid's step, r/50, is finer than 0.01 m
+    # (best half-length 0.282 m)
+    (["--r", "0.3", "--h", "0.1"], dict(r=0.3, h=0.1), "rate"),
 ])
 def test_optimal_length_unset_flags_take_the_library_defaults(flags, params, metric, capsys):
     assert main(["optimal-length", *flags]) == EXIT_OK

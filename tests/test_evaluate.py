@@ -22,7 +22,7 @@ from pinchpass import (
     rate_pwnl,
 )
 from pinchpass.cli import EXIT_CONFIG, main
-from oracles import extreme_reference
+from oracles import extreme_reference, random_reference
 
 PUBLIC = {
     (Scenario.FWNL, "outage"): lambda p, n: outage_fwnl(p),
@@ -199,6 +199,8 @@ EDGE_CONFIGS = [
     pytest.param(dict(sigma2=1e-300, gamma_th=1e-20, p_t=1e-300), id="sigma2-gamma_th-near-zero"),
     # the unit-distance SNR e = eta p_t/sigma2 = C gamma_th is 9.0e307
     pytest.param(dict(p_t=1.238e302, gamma_th=1e10), id="unit-snr-near-max"),
+    # and the unit-height SNR e/h^2 is 8.0e307
+    pytest.param(dict(p_t=2.751e301, gamma_th=1e10, h=0.5), id="unit-height-snr-near-max"),
     pytest.param(dict(f_c=BIG / 1.01, p_t=1e300), id="f_c2-near-max"),
     pytest.param(dict(f_c=1e-140, gamma_t_db=100.0), id="f_c-low"),
     pytest.param(dict(c=BIG / 1.01), id="c2-near-max"),
@@ -239,6 +241,9 @@ def test_closed_forms_stay_in_range_at_the_edges_of_the_domain(overrides):
     # C = eta p_t/(sigma2 gamma_th) is finite, the unit-distance SNR C gamma_th is not
     pytest.param(dict(p_t=1.4e304, gamma_th=1e10), "e = eta*p_t/sigma2 = inf",
                  id="unit-snr-overflows"),
+    # e is finite, the unit-height SNR e/h^2, which bounds every e/(rho^2 + h^2), is not
+    pytest.param(dict(p_t=1.238e302, gamma_th=1e10, h=0.5),
+                 "e/h^2 = eta*p_t/(sigma2*h^2) = inf", id="unit-height-snr-overflows"),
 ])
 def test_configurations_whose_rate_quantities_overflow_are_rejected(overrides, quantity):
     with pytest.raises(ValueError, match=re.escape(f"invalid SystemParams: {quantity}")):
@@ -248,3 +253,49 @@ def test_configurations_whose_rate_quantities_overflow_are_rejected(overrides, q
 def test_carrier_frequency_whose_loss_factor_overflows_is_rejected():
     with pytest.raises(ValueError, match=re.escape("eta = c^2/(16 pi^2 f_c^2) = inf")):
         SystemParams.reference(f_c=1e-150)
+
+
+# ---------------------------------------------------------------------------
+# scale covariance: each value depends on the configuration only through
+# h/r, l/r, alpha r, e/r^2 and gamma_th, and rescaling by a power of two is
+# exact in binary floating point, so the rescaled values are bit-identical
+# ---------------------------------------------------------------------------
+
+SCALES = (4.0, 1.0 / 16.0, 1024.0)
+
+
+def _scale_draws(count):
+    draws = []
+    for draw, seed in ((random_reference, 19), (extreme_reference, 20)):
+        rng = np.random.default_rng(seed)
+        draws += [draw(rng) for _ in range(count)]
+    return draws
+
+
+def _rescaled(p, k):
+    # lengths times k, alpha over k and p_t times k^2 keep every group
+    return p.with_(r=k * p.r, h=k * p.h, l=k * p.l, alpha=p.alpha / k, p_t=k * k * p.p_t)
+
+
+def test_closed_forms_are_bit_identical_under_a_power_of_two_rescale():
+    for p in _scale_draws(200):
+        want = {job: evaluate(*job, p) for job in PUBLIC}
+        for k in SCALES:
+            q = _rescaled(p, k)
+            for job, result in want.items():
+                got = evaluate(*job, q)
+                assert (got.value.hex(), got.case_id) == (result.value.hex(), result.case_id), \
+                    (job, p, k)
+
+
+@pytest.mark.parametrize("metric", ["rate", "outage"])
+def test_length_search_scales_by_a_power_of_two_exactly(metric):
+    # the search's grid and tolerances are in units of r, so every length it
+    # visits, and the optimum it returns, scales by k and every value holds
+    for p in _scale_draws(30):
+        base = optimal_length_search(p, metric)
+        for k in SCALES:
+            res = optimal_length_search(_rescaled(p, k), metric)
+            assert res.grid_end == base.grid_end, (p, k)
+            assert (res.best_l, res.best_value) == (k * base.best_l, base.best_value), (p, k)
+            assert res.grid == tuple((k * l, v) for l, v in base.grid), (p, k)
