@@ -52,8 +52,10 @@ value; ``params.p_t`` under a ``gamma_t_db`` sweep exits 2.
 booleans 1/yes/true/on or 0/no/false/off.  Any other name, or a value of the
 wrong type, exits 2 naming ``section.key``.
 
-The seed is the ``--seed`` flag, else ``[mc] seed``; it must lie in
-[0, 2**64).  ``[params] r`` without ``l`` runs at l = r/2.
+A flag wins over the key it sets, and a key over its default: ``--seed``
+sets ``[mc] seed``, ``--mc-samples`` ``[mc] n_samples``, ``--nodes``
+``[quadrature] nodes`` and ``sweep --out`` ``[output] path``.  The seed
+must lie in [0, 2**64).  ``[params] r`` without ``l`` runs at l = r/2.
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 I/O
 error, 4 numerical error.
 """
@@ -82,7 +84,6 @@ from .params import (
 
 CSV_HEADER = "swept_var,swept_value,scenario,closed_form,mc_mean,mc_stderr,case_id,abs_gap,pass"
 DEFAULT_SEED = 20260810
-DEFAULT_MC_SAMPLES = 100_000
 SWEEP_VARIABLES = ("gamma_t_db", "l", "alpha", "r")
 
 EXIT_OK = 0
@@ -99,12 +100,15 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class McConfig:
     enabled: bool = True
-    n_samples: int = DEFAULT_MC_SAMPLES
+    n_samples: int = 100_000
     seed: int = DEFAULT_SEED
     tolerance_outage: float = 1e-4
     tolerance_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        # the row seeds seed + k must stay valid generator keys
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"mc.seed (--seed) must be in [0, 2**64), got {self.seed!r}")
         # checked with Monte-Carlo off too: no sample count is accepted and ignored
         if self.n_samples < montecarlo.MIN_SAMPLES:
             raise ConfigError(f"mc.n_samples (--mc-samples) must be at least "
@@ -119,18 +123,19 @@ def _check_tolerance(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepConfig:
-    metric: str
-    variable: str
+    """A sweep: its fields are the [sweep] keys, [quadrature] nodes and [output] path."""
     start: float
     stop: float
     steps: int
-    scenarios: tuple[Scenario, ...]
     settings: dict[str, float]      # typed [params] values; the swept key's is replaced
+    metric: str = "outage"
+    variable: str = "gamma_t_db"
+    scenarios: tuple[Scenario, ...] = tuple(Scenario)
     mc: McConfig = field(default_factory=McConfig)
     nodes: int = DEFAULT_QUADRATURE_NODES
-    out_path: str = "sweep.csv"
+    path: str = "sweep.csv"
 
     def __post_init__(self) -> None:
         if self.metric not in ("outage", "rate"):
@@ -356,48 +361,27 @@ def build_params(options: dict[str, float]) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _mc_config(args, mc: dict) -> McConfig:
-    """McConfig of the ``mc`` settings, overridden by the --mc-samples and --seed flags."""
-    if args.mc_samples is not None:
-        mc = dict(mc, n_samples=args.mc_samples)
-    return McConfig(**dict(mc, seed=resolve_seed(args.seed, mc.get("seed", DEFAULT_SEED))))
+def _with_flags(args, sections: dict[str, dict]) -> dict[str, dict]:
+    """``sections``, shaped as ``read_config`` returns them, with each flag given
+    written over its key (see the module docstring) if they hold the key's section."""
+    sections = dict(sections)
+    for flag, section, key in (("seed", "mc", "seed"), ("mc_samples", "mc", "n_samples"),
+                               ("nodes", "quadrature", "nodes"), ("out", "output", "path")):
+        if getattr(args, flag, None) is not None and section in sections:
+            sections[section] = {**sections[section], key: getattr(args, flag)}
+    return sections
 
 
-def _sweep_config(args, fields: dict, settings: dict, mc: dict,
-                  nodes: int = DEFAULT_QUADRATURE_NODES, **output) -> SweepConfig:
-    """The sweep of ``fields`` (SweepConfig's sweep fields) over the [params] ``settings``.
-
-    The command's flags override the ``mc`` settings and --nodes overrides ``nodes``.
-    """
-    return SweepConfig(**fields, settings=settings, mc=_mc_config(args, mc),
-                       nodes=_nodes(args, nodes), **output)
+def _sweep_config(sections: dict[str, dict]) -> SweepConfig:
+    """The sweep of every schema section; [params] holds its settings."""
+    return SweepConfig(**sections["sweep"], settings=sections["params"],
+                       mc=McConfig(**sections["mc"]), **sections["quadrature"],
+                       **sections["output"])
 
 
 def load_sweep_config(path: str, args) -> SweepConfig:
     """The sweep a config file describes, with the command's flags applied."""
-    config = read_config(path)
-    # the [sweep] keys are SweepConfig's fields
-    return _sweep_config(args, {"metric": "outage", "variable": "gamma_t_db",
-                                "scenarios": tuple(Scenario), **config["sweep"]},
-                         config["params"], config["mc"], **config["quadrature"],
-                         out_path=args.out or config["output"].get("path", "sweep.csv"))
-
-
-def _nodes(args, default: int = DEFAULT_QUADRATURE_NODES) -> int:
-    """The quadrature node count: the --nodes flag, else the command's default."""
-    return default if args.nodes is None else args.nodes
-
-
-def resolve_seed(cli_seed: int | None, config_seed: int) -> int:
-    """The seed in force: the CLI flag, else the config's.
-
-    It must lie in [0, 2**64), so the row seeds ``seed + k`` stay valid
-    generator keys; an error names where the seed came from.
-    """
-    seed, source = (config_seed, "mc.seed") if cli_seed is None else (cli_seed, "--seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{source} must be in [0, 2**64), got {seed!r}")
-    return seed
+    return _sweep_config(_with_flags(args, read_config(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +416,10 @@ def figure_configs(figure_ids, args) -> list[SweepConfig]:
             raise ConfigError(f"unknown figure id {figure_id!r}; expected 2-7")
         fields = dict(FIGURE_PRESETS[figure_id])
         for suffix, settings in fields.pop("variants"):
-            out_path = os.path.join(args.out or ".", f"figure{figure_id}_{suffix}.csv")
-            configs.append(_sweep_config(args, fields, settings, {"enabled": not args.no_mc},
-                                         out_path=out_path))
+            path = os.path.join(args.out_dir or ".", f"figure{figure_id}_{suffix}.csv")
+            configs.append(_sweep_config(_with_flags(args, {
+                "sweep": fields, "params": settings, "mc": {"enabled": not args.no_mc},
+                "quadrature": {}, "output": {"path": path}})))
     return configs
 
 
@@ -469,8 +454,8 @@ def _lattice_checks(params: list[SystemParams], nodes: int):
 
 def run_validation(args) -> int:
     """Lattice identities plus Monte-Carlo agreement; exit 1 on any failure."""
-    mc = _mc_config(args, {"n_samples": 1_000_000})
-    nodes = _nodes(args, 2000)
+    sections = _with_flags(args, {"mc": {"n_samples": 1_000_000}, "quadrature": {"nodes": 2000}})
+    mc, nodes = McConfig(**sections["mc"]), sections["quadrature"]["nodes"]
     tol_scale = _check_tolerance(args.tol_scale, "--tol-scale")
     rng = np.random.default_rng(mc.seed)
     draws = np.column_stack([
@@ -527,13 +512,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads, so argparse rejects
     # the rest with exit 2 and names them
     nodes = argparse.ArgumentParser(add_help=False)
-    nodes.add_argument("--nodes", type=_at_least(2), default=None,
-                       help="Gauss-Chebyshev node count for rate evaluations (at least 2)")
+    nodes.add_argument("--nodes", type=_at_least(2),
+                       help="rate quadrature node count, at least 2 (sets [quadrature] nodes)")
     mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--seed", type=int, default=None,
-                    help="Monte-Carlo seed (overrides the config's)")
-    mc.add_argument("--mc-samples", type=int, default=None,
-                    help="Monte-Carlo sample count per estimate")
+    mc.add_argument("--seed", type=int, help="Monte-Carlo seed (sets [mc] seed)")
+    mc.add_argument("--mc-samples", type=int,
+                    help="Monte-Carlo sample count per estimate (sets [mc] n_samples)")
     mc.add_argument("--workers", type=_at_least(1), default=1,
                     help="threads over the command's Monte-Carlo chunks")
 
@@ -545,8 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[nodes, mc],
                              help="run a sweep described by a config file")
     p_sweep.add_argument("--config", required=True, help="INI config file")
-    p_sweep.add_argument("--out", default=None,
-                         help="output CSV (overrides the config's [output] path)")
+    p_sweep.add_argument("--out", help="output CSV (sets [output] path)")
     p_sweep.add_argument("--gnuplot", action="store_true",
                          help="also write a gnuplot script next to the CSV")
 
@@ -554,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run bundled presets (ids 2-7) as one sweep")
     p_fig.add_argument("ids", metavar="id", type=int, nargs="+",
                        help="figure preset ids, 2-7; a repeated id runs once")
-    p_fig.add_argument("--out", default=None, help="output directory for the CSVs")
+    p_fig.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="output directory for the CSVs")
     p_fig.add_argument("--no-mc", action="store_true",
                        help="skip the Monte-Carlo columns")
     p_fig.add_argument("--gnuplot", action="store_true")
@@ -566,21 +550,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimal-length", parents=[nodes],
                            help="search the best waveguide half-length")
-    p_opt.add_argument("--out", default=None, help="also write the searched curve as CSV")
+    p_opt.add_argument("--out", help="also write the searched curve as CSV")
     p_opt.add_argument("--metric", choices=("outage", "rate"), default="rate")
     for name in ("--gamma-t-db", "--alpha", "--r", "--h", "--l-start", "--l-stop"):
-        p_opt.add_argument(name, type=float, default=None)
-    p_opt.add_argument("--l-steps", type=_at_least(1), default=None)
+        p_opt.add_argument(name, type=float)
+    p_opt.add_argument("--l-steps", type=_at_least(1))
     return parser
 
 
 def _write_sweeps(configs: list[SweepConfig], args) -> int:
     """Run the sweeps in one ``run_sweep`` call (shared draws); write each CSV."""
     for cfg, rows in zip(configs, run_sweep(configs, workers=args.workers)):
-        write_csv(rows, cfg.out_path)
+        write_csv(rows, cfg.path)
         if args.gnuplot:
-            write_gnuplot(cfg.out_path, cfg.metric, cfg.scenarios)
-        print(f"{cfg.out_path}: {summarize(rows)}")
+            write_gnuplot(cfg.path, cfg.metric, cfg.scenarios)
+        print(f"{cfg.path}: {summarize(rows)}")
     return EXIT_OK
 
 
@@ -590,7 +574,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figure(args) -> int:
     configs = figure_configs(args.ids, args)
-    os.makedirs(args.out or ".", exist_ok=True)
+    os.makedirs(args.out_dir or ".", exist_ok=True)
     return _write_sweeps(configs, args)
 
 
@@ -600,8 +584,9 @@ def _cmd_optimal_length(args) -> int:
     p = build_params({key: getattr(args, key) for key in ("gamma_t_db", "alpha", "r", "h")
                       if getattr(args, key) is not None})
     try:
-        result = optimal_length_search(p, metric=args.metric, nodes=_nodes(args),
-                                       grid_spec=(args.l_start, args.l_stop, args.l_steps))
+        result = optimal_length_search(p, metric=args.metric,
+                                       grid_spec=(args.l_start, args.l_stop, args.l_steps),
+                                       **_with_flags(args, {"quadrature": {}})["quadrature"])
     except ValueError as exc:   # argparse checked the metric and nodes: the grid is at fault
         raise ValueError(f"{exc}; the grid is set by --l-start, --l-stop and --l-steps") from None
     if args.out:

@@ -37,7 +37,7 @@ from pinchpass.cli import (
     run_sweep,
     write_csv,
 )
-from pinchpass.params import Scenario, SystemParams
+from pinchpass.params import DEFAULT_QUADRATURE_NODES, Scenario, SystemParams
 
 BASE_CONFIG = """
 [sweep]
@@ -553,6 +553,65 @@ def test_seed_flag_overrides_the_config_and_no_environment_variable_is_read(tmp_
     assert run("--seed", "31415") == config_bytes
     monkeypatch.setenv("PINCHPASS_SEED", "999")
     assert run() == config_bytes
+
+
+# each flag, the config key it sets and a value for both
+FLAG_KEYS = [("--seed", "mc", "seed", "999"), ("--mc-samples", "mc", "n_samples", "3000"),
+             ("--nodes", "quadrature", "nodes", "32"), ("--out", "output", "path", "flag.csv")]
+
+
+@pytest.mark.parametrize("flag,section,key,value", FLAG_KEYS, ids=[pair[0] for pair in FLAG_KEYS])
+def test_each_flag_writes_the_bytes_of_its_config_key_and_wins_over_it(flag, section, key, value,
+                                                                      tmp_path, monkeypatch):
+    # a rate sweep with Monte-Carlo on, so every one of the four values reaches the CSV
+    base = {"sweep": {"metric": "rate", "start": "100", "stop": "110", "steps": "3",
+                      "scenarios": "FWL, PWL"},
+            "mc": {"n_samples": "2000", "seed": "31415"},
+            "quadrature": {"nodes": "64"}, "output": {"path": "key.csv"}}
+
+    def run(name, sections, *flags) -> dict[str, bytes]:
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        config = configparser.ConfigParser()
+        config.read_dict(sections)
+        with open("sweep.ini", "w") as fh:
+            config.write(fh)
+        assert main(["sweep", "--config", "sweep.ini", *flags]) == EXIT_OK
+        return {path.name: path.read_bytes() for path in run_dir.glob("*.csv")}
+
+    without_key = {k: v for k, v in base[section].items() if k != key}
+    flag_alone = run("flag", {**base, section: without_key}, flag, value)
+    assert run("key", {**base, section: {**base[section], key: value}}) == flag_alone
+    assert run("both", base, flag, value) == flag_alone
+    assert run("neither", base) != flag_alone
+
+
+def test_each_command_takes_its_defaults_from_one_place(monkeypatch, capsys):
+    args = cli._build_parser().parse_args(["figure", *map(str, cli.FIGURE_PRESETS)])
+    configs = cli.figure_configs(cli.FIGURE_PRESETS, args)
+    assert len(configs) == 18
+    assert {cfg.mc for cfg in configs} == {McConfig()}
+    assert {cfg.nodes for cfg in configs} == {DEFAULT_QUADRATURE_NODES}
+    # validate draws 10^6 samples per estimate from seed 20260810 + i and
+    # evaluates at 2000 nodes; the estimates are stubbed, so nothing is drawn
+    keys, nodes = [], set()
+
+    def estimating(groups, workers=1):
+        keys.extend(groups)
+        return {key: [montecarlo.McEstimate(0.5, 0.0, *key)] * len(jobs)
+                for key, jobs in groups.items()}
+
+    def evaluating(scenario, metric, p, n):
+        nodes.add(n)
+        return evaluate(scenario, metric, p, n)
+
+    monkeypatch.setattr(montecarlo, "estimate_groups", estimating)
+    monkeypatch.setattr(cli, "evaluate", evaluating)
+    assert main(["validate"]) in (EXIT_OK, EXIT_VALIDATION)
+    capsys.readouterr()
+    assert keys == [(1_000_000, 20260810 + i) for i in range(6)]
+    assert nodes == {2000}
 
 
 def test_figure_presets_write_expected_files(tmp_path):
