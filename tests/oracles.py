@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values by a route different from the
-library code under test: brute-force sampling, dense sign scans, series
-summation, and adaptive quadrature (double precision and 30-digit).
+library code under test: brute-force sampling, a randomly shifted lattice
+rule, dense sign scans, series summation, and adaptive quadrature (double
+precision and 30-digit).
 """
 
 from __future__ import annotations
@@ -300,6 +301,42 @@ def side_label(x: float, l: float) -> str:
 def case_sides(case_id: str) -> list[str]:
     """The sides a lossy case id names for its two roots, in x order."""
     return case_id.split("-")[1:]
+
+
+def fibonacci_lattice(m: int) -> np.ndarray:
+    """The N = F_m points k*(1, F_{m-1})/N mod 1, k < N, of the Fibonacci
+    lattice rule, as an (N, 2) array."""
+    f_prev, n = 1, 1                # F_1, F_2
+    for _ in range(m - 2):
+        f_prev, n = n, f_prev + n
+    k = np.arange(n, dtype=np.int64)
+    return np.column_stack([k, k * f_prev % n]) / n
+
+
+def lattice_disk_mean(fn, r: float, m: int = 24, shifts: int = 16, seed: int = 0):
+    """(mean, standard error) of fn over the disk of radius r, by the
+    Fibonacci lattice of F_m points under ``shifts`` independent random
+    shifts (Cranley and Patterson, 1976) and the tent transform
+    (Hickernell, 2002).
+
+    ``fn(x, y)`` takes arrays of positions and returns values along the
+    last axis, so one call can give several integrands; fn must be even in
+    y.  The unit square maps to the half disk y >= 0 by
+    x = r*sin(pi*(u - 1/2)), y = v*sqrt(r^2 - x^2), whose area element
+    weights each point by 1 - cos(2*pi*u); that weight is smooth and
+    periodic, so no endpoint singularity slows the rule.  Each shift gives
+    an unbiased estimate, and the standard error is the spread of the
+    shift means over sqrt(shifts).
+    """
+    lattice = fibonacci_lattice(m)
+    means = []
+    for shift in np.random.default_rng(seed).random((shifts, 2)):
+        u, v = (1.0 - np.abs(2.0 * ((lattice + shift) % 1.0) - 1.0)).T
+        x = r * np.sin(math.pi * (u - 0.5))
+        weight = 1.0 - np.cos(2.0 * math.pi * u)
+        means.append(np.asarray(fn(x, v * np.sqrt(r * r - x * x))) @ weight / u.size)
+    means = np.array(means)
+    return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(shifts)
 
 
 def random_reference(rng: np.random.Generator, alpha_max: float = 0.05,

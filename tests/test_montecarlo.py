@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pinchpass import cli, montecarlo, outage_fwnl, rate_fwnl
+from pinchpass import cli, montecarlo, outage_fwnl, outage_pwnl, rate_fwnl
 from pinchpass.geometry import sample_uniform_disk
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
@@ -22,6 +22,7 @@ from pinchpass.montecarlo import (
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
     extreme_reference,
+    lattice_disk_mean,
     polar_disk_draw,
     polar_disk_draw_squared,
     random_reference,
@@ -97,6 +98,41 @@ def test_rate_estimator_limits_and_closed_form():
         == pytest.approx(0.0, abs=1e-12)
     est = estimate_rate(Scenario.FWNL, p, 10_000_000, SEED)
     assert abs(est.mean - rate_fwnl(p).value) <= 3 * est.stderr
+
+
+# the lattice oracle's bound, fixed before its first run: 4 standard errors
+# of the shift means, plus rounding where every point has the same value
+def _within_lattice_bound(value, mean, stderr) -> bool:
+    return bool(np.all(np.abs(np.asarray(value) - mean) <= 4.0 * stderr + 1e-12))
+
+
+def test_lattice_oracle_integrates_the_disk_moments():
+    # the means of 1 and of x^2 + y^2 over a disk of radius r are 1 and r^2/2
+    r = 7.0
+    mean, stderr = lattice_disk_mean(lambda x, y: np.stack([np.ones_like(x), x * x + y * y]), r)
+    assert _within_lattice_bound([1.0, r * r / 2], mean, stderr)
+
+
+def test_exact_closed_forms_agree_with_the_lattice_oracle():
+    # the lattice rule integrates snr_values over the disk, sharing no algebra
+    # with the closed forms; its rate standard error is ~3e-10, where a
+    # 10^6-sample Monte-Carlo estimate's is ~8e-4.  A saturated outage (0 or 1
+    # on the whole disk) checks little, so the first five box draws with an
+    # unsaturated one are checked
+    rng = np.random.default_rng(2026)
+    draws = (random_reference(rng, gamma_lo=95.0, gamma_hi=120.0) for _ in itertools.count())
+    unsaturated = (p for p in draws if 0.0 < outage_fwnl(p).value < 1.0
+                   or 0.0 < outage_pwnl(p).value < 1.0)
+    for shift_seed, p in enumerate(itertools.islice(unsaturated, 5)):
+
+        def integrands(x, y):
+            full, partial = (snr_values(s, p, x, y) for s in (Scenario.FWNL, Scenario.PWNL))
+            return np.stack([full <= p.gamma_th, np.log2(1.0 + full), partial <= p.gamma_th])
+
+        mean, stderr = lattice_disk_mean(integrands, p.r, seed=shift_seed)
+        closed = [outage_fwnl(p).value, rate_fwnl(p).value, outage_pwnl(p).value]
+        assert _within_lattice_bound(closed, mean, stderr), (p, closed, mean, stderr)
+        assert stderr[1] <= 1e-9 * closed[1]
 
 
 def test_partial_with_full_span_matches_full_coverage_bitwise():
