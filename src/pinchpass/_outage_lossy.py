@@ -106,8 +106,6 @@ def _peak_abscissa(alpha: float, C: float, l: float) -> float:
     # tangent lies above it and Newton from a lower bound of W (z/(1 + z) up
     # to e, ln z - ln ln z above) rises monotonically to the zero; stop at
     # the first step that does not rise.  At alpha = 0 the slope is -2x
-    if alpha == 0.0:
-        return 0.0
     z = 0.5 * alpha * alpha * C * math.exp(-alpha * l)
     if z == 0.0:
         return 0.0

