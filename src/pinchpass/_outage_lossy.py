@@ -259,7 +259,11 @@ def _closed_form(pc: _Pieces, n_g: int, a: float, b: float) -> float:
 
 def evaluate_lossy_outage(p: SystemParams, scenario: Scenario,
                           report: RootReport | None = None) -> tuple[float, str]:
-    """Outage of a lossy scenario: :func:`lossy_outage` at its half-length."""
+    """Outage of a lossy scenario: :func:`lossy_outage` at its half-length.
+
+    Its one caller is ``perfbench/layers.py``'s layer probe; ROADMAP item 21
+    retires it.
+    """
     return lossy_outage(p, _lossy_half_length(p, scenario), report)
 
 

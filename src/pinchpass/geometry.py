@@ -7,7 +7,8 @@ abscissas a and c.  The positions the Monte-Carlo oracle draws uniformly
 on the disk live here too, as (sqrt(u), cos(t), t) on the unit disk: the
 oracle scales them without a sine, as the SNR reads y only as y^2, which is
 (rho - x)(rho + x) at distance rho from the center, the same difference of
-squares seg takes.
+squares seg takes.  ``sample_uniform_disk``, the same draw scaled with a
+sine, exists for perfbench's draw probe.
 """
 
 from __future__ import annotations
@@ -60,28 +61,16 @@ def sample_unit_disk(rng: np.random.Generator, size: int, out=None):
     return root_u, cos_t, angle
 
 
-def sample_uniform_disk(rng: np.random.Generator, r: float, size: int | None = None):
-    """Draw positions uniformly on the disk of radius r.
+def sample_uniform_disk(rng: np.random.Generator, r: float, size: int):
+    """Draw ``size`` positions uniformly on the disk of radius r as (x, y).
 
     A ``sample_unit_disk`` draw scaled to radius r with its own sine,
-    x = rho*cos(t) and y = rho*sin(t) for rho = r*sqrt(u), so every draw
-    consumes exactly two uniforms.  Returns a pair of floats for
-    ``size=None``, else a pair of ndarrays of length size.
-
-    Parameters
-    ----------
-    rng : numpy.random.Generator
-        Seeded generator; the caller owns the stream.
-    r : float
-        Disk radius, m.
-    size : int, optional
-        Number of samples.
+    x = rho*cos(t) and y = rho*sin(t) for rho = r*sqrt(u).  Its one caller
+    is ``perfbench/layers.py``'s draw probe; ROADMAP item 21 retires it.
     """
-    rho, x, y = sample_unit_disk(rng, 1 if size is None else int(size))
+    rho, x, y = sample_unit_disk(rng, size)
     rho *= r
     x *= rho
     np.sin(y, out=y)
     y *= rho
-    if size is None:
-        return float(x[0]), float(y[0])
     return x, y

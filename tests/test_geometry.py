@@ -99,11 +99,20 @@ def test_clamp_minimizes_distance_against_grid_search():
     assert np.all(snr >= grid.max(axis=1) * (1.0 - 1e-12))
 
 
+def _kernel_draw(seed: int, r: float, n: int):
+    # (x, y^2, t) on the radius r through the Monte-Carlo chunk's draw and
+    # scaling step, spending the sqrt(u) and cos(t) rows as the chunk does;
+    # y^2 takes a row of its own, so the angle row keeps t
+    root_u, cos_t, angle = sample_unit_disk(np.random.default_rng(seed), n)
+    y2 = np.empty(n)
+    _scale_draw(root_u, cos_t, r, root_u, cos_t, y2)
+    return cos_t, y2, angle
+
+
 def test_sampler_moments_and_determinism():
     r = 25.0
-    rng = np.random.default_rng(77)
-    x, y = sample_uniform_disk(rng, r, 10_000_000)
-    radius = np.hypot(x, y)
+    x, y2, _ = _kernel_draw(77, r, 10_000_000)
+    radius = np.sqrt(x * x + y2)
     # E[radius] = 2r/3, sd[radius] = r/sqrt(18) under the uniform disk law
     se_mean = r / math.sqrt(18.0) / math.sqrt(radius.size)
     assert abs(radius.mean() - 2 * r / 3) <= 3 * se_mean
@@ -111,18 +120,14 @@ def test_sampler_moments_and_determinism():
     se_frac = math.sqrt(0.25 * 0.75 / radius.size)
     assert abs(frac - 0.25) <= 3 * se_frac
 
-    again = sample_uniform_disk(np.random.default_rng(77), r, 10_000_000)
-    assert np.array_equal(x, again[0]) and np.array_equal(y, again[1])
-
-    sx, sy = sample_uniform_disk(np.random.default_rng(3), r)
-    assert isinstance(sx, float) and math.hypot(sx, sy) <= r
+    again = _kernel_draw(77, r, 10_000_000)
+    assert np.array_equal(x, again[0]) and np.array_equal(y2, again[1])
 
 
 def test_sampler_polar_uniformity_chi_square():
     r, n, bins = 25.0, 1_000_000, 8
-    x, y = sample_uniform_disk(np.random.default_rng(1234), r, n)
-    radius = np.hypot(x, y)
-    angle = np.mod(np.arctan2(y, x), 2 * math.pi)
+    x, y2, angle = _kernel_draw(1234, r, n)
+    radius = np.sqrt(x * x + y2)
     r_edges = r * np.sqrt(np.arange(bins + 1) / bins)  # equal-area rings
     a_edges = np.linspace(0.0, 2 * math.pi, bins + 1)
     counts, _, _ = np.histogram2d(radius, angle, bins=(r_edges, a_edges))
@@ -145,7 +150,8 @@ def _scaled(unit, radii):
 
 
 def test_unit_disk_scaled_per_radius_matches_direct_draws():
-    # the sine-free (x, y^2) per radius, and the signed draw with its sine
+    # the sine-free (x, y^2) per radius, and the signed draw with its sine:
+    # the one check of sample_uniform_disk, which perfbench's draw probe times
     radii = [25.0, 15.0, 40.0, 0.37]
     for n in (1, 4_464, 65_536):
         positions = _scaled(sample_unit_disk(np.random.default_rng(n), n), radii)

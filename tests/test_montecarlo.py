@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pinchpass import cli, montecarlo, outage_fwnl, outage_pwnl, rate_fwnl
-from pinchpass.geometry import sample_uniform_disk
 from pinchpass.montecarlo import (
     CHUNK_SAMPLES,
     McEstimate,
@@ -582,7 +581,7 @@ def test_lower_snr_bound_is_the_minimum_over_the_disk(scenario):
     for alpha, l, h in itertools.product((0.0, 0.02, 0.05, 0.5), (2.0, 12.5, 25.0), (3.0, 10.0)):
         p = SystemParams.reference(alpha=alpha, l=l, h=h)
         lower, x = _snr_bounds(scenario, p)[1:]
-        inside = snr_values(scenario, p, *sample_uniform_disk(rng, p.r, 100_000))
+        inside = snr_values(scenario, p, *polar_disk_draw(rng, p.r, 100_000))
         on_edge = snr_values(scenario, p, p.r * np.cos(edge), p.r * np.sin(edge))
         assert inside.min() >= lower and on_edge.min() >= lower * (1.0 - 1e-12)
         weakest = snr_values(scenario, p, x, math.sqrt(p.r ** 2 - x * x))
