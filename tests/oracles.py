@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 library code under test: brute-force sampling, a randomly shifted lattice
 rule, dense sign scans, series summation, and adaptive quadrature (double
-precision and 30-digit).
+precision and 30-digit).  It also holds the classifier probe tables that
+more than one test module reads, so no test module imports another.
 """
 
 from __future__ import annotations
@@ -363,3 +364,27 @@ def extreme_reference(rng: np.random.Generator) -> SystemParams:
         alpha=10.0 ** rng.uniform(-4.0, math.log10(50.0)),
         l=10.0 ** rng.uniform(-6.0, 0.0) * r,
     )
+
+
+# the nine root arrangements of the composed closed form; "g2-left-mid"
+# cannot occur (see the proof in _outage_lossy._classify)
+CLOSED_FORM_CASES = (
+    "g2-mid-mid", "g2-mid-right", "g2-left-right",
+    "g1f1-left-mid", "g1f1-left-right", "g1f1-mid-mid", "g1f1-mid-right",
+    "f2-left-mid", "f2-left-right",
+)
+
+CASE_PROBES = [
+    # (gamma_t_db, alpha, l, expected case)
+    (110.0, 0.005, 12.5, "g2-mid-mid"),
+    (110.0, 0.02, 12.5, "g2-mid-right"),
+    (107.0, 0.01, 12.5, "g2-left-right"),
+    (107.0, 0.05, 15.0, "g1f1-left-mid"),
+    (107.0, 0.025, 15.0, "g1f1-left-right"),
+    (107.0, 0.04, 20.0, "g1f1-mid-mid"),
+    (110.0, 0.045, 12.5, "g1f1-mid-right"),
+    (104.0, 0.03, 12.5, "f2-left-mid"),
+    (104.0, 0.01, 12.5, "f2-left-right"),
+    (95.0, 0.02, 12.5, "all-outage"),
+    (125.0, 0.001, 12.5, "no-outage"),
+]

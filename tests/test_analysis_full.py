@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from pinchpass import outage_fwl, outage_fwnl, rate_fwl, rate_fwnl
+from pinchpass.analysis import _chebyshev_nodes
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
@@ -204,3 +205,60 @@ def test_outage_monotonicity_in_power_threshold_attenuation():
         v_alpha = [outage_fwl(base.with_(p_t=float(pt), alpha=float(a))).value
                    for a in alphas]
         assert all(b >= a - 1e-12 for a, b in zip(v_alpha, v_alpha[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Chebyshev nodes of the chord-rate kernel
+# ---------------------------------------------------------------------------
+
+def chebyshev_integral(f, n: int, a: float = -1.0, b: float = 1.0) -> float:
+    # the plain integral of f over [a, b] from the order-n nodes, weight pi/n,
+    # through the affine node map
+    nodes, sines = _chebyshev_nodes(n)
+    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    return 0.5 * (b - a) * math.pi / n * float(np.sum(sines * f(x)))
+
+
+def test_rule_nodes_decreasing_symmetric():
+    # exactly mirrored (an odd order's center node is 0), and each node and
+    # sine within 1e-15 of cos and sin of its own angle
+    for n in (2, 3, 17, 200, 201, 2000):
+        nodes, sines = _chebyshev_nodes(n)
+        angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+        assert np.all(np.diff(nodes) < 0)
+        assert np.all(np.abs(nodes) < 1)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(sines, sines[::-1])
+        assert np.allclose(nodes, np.cos(angles), rtol=0.0, atol=1e-15)
+        assert np.allclose(sines, np.sin(angles), rtol=0.0, atol=1e-15)
+        if n <= 17:     # sqrt(1 - t^2) cancels near t = 1 at higher orders
+            assert np.allclose(sines, np.sqrt(1.0 - nodes * nodes), rtol=0.0, atol=1e-15)
+
+
+def test_rule_is_cached_and_read_only():
+    nodes, sines = _chebyshev_nodes(23)
+    assert _chebyshev_nodes(23)[0] is nodes and _chebyshev_nodes(23)[1] is sines
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sines[:] = 1.0
+
+
+def test_interval_map_against_adaptive_quadrature():
+    # generic smooth integrands converge at second order under the affine map
+    f = lambda x: np.log1p(3.0 * np.exp(-0.08 * x))
+    expected = quad(lambda x: math.log1p(3.0 * math.exp(-0.08 * x)), 2.0, 17.0)[0]
+    assert chebyshev_integral(f, 400, 2.0, 17.0) == pytest.approx(expected, rel=1e-5)
+    assert chebyshev_integral(f, 1600, 2.0, 17.0) == pytest.approx(expected, rel=1e-6)
+
+
+def test_error_halves_as_nodes_double():
+    # smooth log-kernel integrand of the lossless rate derivations
+    q = 6.25
+    target = quad(lambda t: math.sqrt(1 - t * t) * math.log1p(q * t * t), -1, 1,
+                  limit=200, epsabs=1e-14)[0]
+    errors = []
+    for n in (8, 16, 32, 64, 128):
+        val = chebyshev_integral(lambda t: np.sqrt(1 - t * t) * np.log1p(q * t * t), n)
+        errors.append(abs(val - target))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= 0.5 * coarse or fine < 1e-10

@@ -21,6 +21,8 @@ from pinchpass import (
 from pinchpass.montecarlo import estimate_outage, estimate_rate
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
+    CASE_PROBES,
+    CLOSED_FORM_CASES,
     extreme_reference,
     outage_by_integration,
     outage_by_mpmath,
@@ -29,7 +31,6 @@ from oracles import (
     rate_chord_full_rule,
     rate_chord_lossless_full_rule,
 )
-from test_numerics import CASE_PROBES, CLOSED_FORM_CASES
 
 SEED = 4321
 

@@ -3,10 +3,8 @@ import types
 import warnings
 from collections import Counter
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import lambertw
 
 from pinchpass._outage_lossy import (
@@ -22,15 +20,13 @@ from pinchpass._outage_lossy import (
     lossy_outage,
 )
 from pinchpass import _outage_lossy, evaluate, outage_pwl
-from pinchpass.analysis import _chebyshev_nodes
 from pinchpass.montecarlo import estimate_outage
 from pinchpass.params import Scenario, SystemParams, derive_constants
 from oracles import (
+    CASE_PROBES,
+    CLOSED_FORM_CASES,
     case_sides,
     extreme_reference,
-    li2_by_quadrature,
-    li2_diff,
-    li2_series,
     outage_by_mpmath,
     random_reference,
     scan_crossings,
@@ -40,128 +36,8 @@ from oracles import (
 
 
 # ---------------------------------------------------------------------------
-# dilogarithm: the oracle behind the paper's FWL rate expression
-# ---------------------------------------------------------------------------
-
-def test_dilog_trivial_and_domain():
-    # Li2(0) = 0 exactly, alone and inside an array reaching the far branch
-    assert li2_series(np.array([0.0]))[0] == 0.0
-    assert li2_series(np.array([0.0, -0.7, -30.0]))[0] == 0.0
-
-
-def test_dilog_minus_ten_against_integral_oracle():
-    assert float(li2_series(np.array([-10.0]))[0]) \
-        == pytest.approx(li2_by_quadrature(-10.0), abs=1e-10)
-
-
-def test_dilog_against_mpmath_grid():
-    grid = (-1e-8, -0.3, -0.5, -0.7, -1.0, -3.0, -25.0, -1e3, -1e6)
-    for z, value in zip(grid, li2_series(np.array(grid))):
-        expected = float(mpmath.polylog(2, z))
-        assert float(value) == pytest.approx(expected, abs=1e-12, rel=1e-12)
-
-
-def test_dilog_monotone_decreasing():
-    vals = li2_series(-np.logspace(-6, 6, 200))
-    assert np.all(np.diff(vals) < 0)
-
-
-def test_dilog_diff_matches_direct_and_stays_stable():
-    # li2_diff is the difference rate_fwl_series sums: a far pair subtracts
-    # two series values, a near pair takes the Gauss-Legendre branch, which
-    # is checked against the analytic derivative of Li2
-    z = -37.0
-    eps = z * 1e-9
-    far, near = li2_diff(np.array([-0.5, z - eps]), np.array([-2.0, z]))
-    assert far == pytest.approx(float(np.subtract(*li2_series(np.array([-0.5, -2.0])))),
-                                rel=1e-13)
-    assert near == pytest.approx(-math.log1p(-z) / z * (-eps), rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Chebyshev nodes of the chord-rate kernel
-# ---------------------------------------------------------------------------
-
-def chebyshev_integral(f, n: int, a: float = -1.0, b: float = 1.0) -> float:
-    # the plain integral of f over [a, b] from the order-n nodes, weight pi/n,
-    # through the affine node map
-    nodes, sines = _chebyshev_nodes(n)
-    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    return 0.5 * (b - a) * math.pi / n * float(np.sum(sines * f(x)))
-
-
-def test_rule_nodes_decreasing_symmetric():
-    # exactly mirrored (an odd order's center node is 0), and each node and
-    # sine within 1e-15 of cos and sin of its own angle
-    for n in (2, 3, 17, 200, 201, 2000):
-        nodes, sines = _chebyshev_nodes(n)
-        angles = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
-        assert np.all(np.diff(nodes) < 0)
-        assert np.all(np.abs(nodes) < 1)
-        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(sines, sines[::-1])
-        assert np.allclose(nodes, np.cos(angles), rtol=0.0, atol=1e-15)
-        assert np.allclose(sines, np.sin(angles), rtol=0.0, atol=1e-15)
-        if n <= 17:     # sqrt(1 - t^2) cancels near t = 1 at higher orders
-            assert np.allclose(sines, np.sqrt(1.0 - nodes * nodes), rtol=0.0, atol=1e-15)
-
-
-def test_rule_is_cached_and_read_only():
-    nodes, sines = _chebyshev_nodes(23)
-    assert _chebyshev_nodes(23)[0] is nodes and _chebyshev_nodes(23)[1] is sines
-    with pytest.raises(ValueError, match="read-only"):
-        nodes[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        sines[:] = 1.0
-
-
-def test_interval_map_against_adaptive_quadrature():
-    # generic smooth integrands converge at second order under the affine map
-    f = lambda x: np.log1p(3.0 * np.exp(-0.08 * x))
-    expected = quad(lambda x: math.log1p(3.0 * math.exp(-0.08 * x)), 2.0, 17.0)[0]
-    assert chebyshev_integral(f, 400, 2.0, 17.0) == pytest.approx(expected, rel=1e-5)
-    assert chebyshev_integral(f, 1600, 2.0, 17.0) == pytest.approx(expected, rel=1e-6)
-
-
-def test_error_halves_as_nodes_double():
-    # smooth log-kernel integrand of the lossless rate derivations
-    q = 6.25
-    target = quad(lambda t: math.sqrt(1 - t * t) * math.log1p(q * t * t), -1, 1,
-                  limit=200, epsabs=1e-14)[0]
-    errors = []
-    for n in (8, 16, 32, 64, 128):
-        val = chebyshev_integral(lambda t: np.sqrt(1 - t * t) * np.log1p(q * t * t), n)
-        errors.append(abs(val - target))
-    for coarse, fine in zip(errors, errors[1:]):
-        assert fine <= 0.5 * coarse or fine < 1e-10
-
-
-# ---------------------------------------------------------------------------
 # crossing classifier
 # ---------------------------------------------------------------------------
-
-# the nine root arrangements of the composed closed form; "g2-left-mid"
-# cannot occur (see the proof in _outage_lossy._classify)
-CLOSED_FORM_CASES = (
-    "g2-mid-mid", "g2-mid-right", "g2-left-right",
-    "g1f1-left-mid", "g1f1-left-right", "g1f1-mid-mid", "g1f1-mid-right",
-    "f2-left-mid", "f2-left-right",
-)
-
-CASE_PROBES = [
-    # (gamma_t_db, alpha, l, expected case)
-    (110.0, 0.005, 12.5, "g2-mid-mid"),
-    (110.0, 0.02, 12.5, "g2-mid-right"),
-    (107.0, 0.01, 12.5, "g2-left-right"),
-    (107.0, 0.05, 15.0, "g1f1-left-mid"),
-    (107.0, 0.025, 15.0, "g1f1-left-right"),
-    (107.0, 0.04, 20.0, "g1f1-mid-mid"),
-    (110.0, 0.045, 12.5, "g1f1-mid-right"),
-    (104.0, 0.03, 12.5, "f2-left-mid"),
-    (104.0, 0.01, 12.5, "f2-left-right"),
-    (95.0, 0.02, 12.5, "all-outage"),
-    (125.0, 0.001, 12.5, "no-outage"),
-]
-
 
 @pytest.mark.parametrize("gamma_t_db,alpha,l,expected", CASE_PROBES)
 def test_classifier_hits_every_case(gamma_t_db, alpha, l, expected):
